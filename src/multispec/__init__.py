@@ -60,6 +60,7 @@ from .spectral import (
     cluster_multiplicities,
     eig_sym,
     junction_kernel_basis,
+    operator_spectrum,
     subtree_eigenpairs,
 )
 

@@ -11,7 +11,7 @@ import numpy as np
 from .anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from .canopy import PatchSet, TruncatedCanopy
 from .errors import CertificateError, InvalidArgumentError
-from .spectral import eig_sym, subtree_eigenpairs
+from .spectral import DEFAULT_EIG_CAP, operator_spectrum, subtree_eigenpairs
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,11 @@ def eigenvalue_histogram(
     spec: DisorderSpec,
     bin_edges,
     n_realizations: int,
+    cap: int = DEFAULT_EIG_CAP,
 ) -> Histogram:
     """Accumulate the spectra of n_realizations independent operators
-    (seeds spec.seed + 0 .. + n-1) into the given bins."""
+    (seeds spec.seed + 0 .. + n-1) into the given bins; cap bounds the
+    dimension of each dense solve."""
     if n_realizations < 1:
         raise InvalidArgumentError("need at least one realization")
     bin_edges = np.asarray(bin_edges, dtype=float)
@@ -60,8 +62,7 @@ def eigenvalue_histogram(
     for i in range(n_realizations):
         r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
         op = assemble_canopy_operator(t, p, r)
-        es = eig_sym(op.to_dense())
-        counts += np.histogram(es.eigenvalues, bins=bin_edges)[0]
+        counts += np.histogram(operator_spectrum(op, cap), bins=bin_edges)[0]
     normalized = counts / (t.vertex_count * n_realizations)
     return Histogram(bin_edges, counts, normalized, n_realizations, t.vertex_count)
 
@@ -80,6 +81,7 @@ def certified_band_count(
     band: tuple[float, float],
     operator=None,
     enforce: bool = True,
+    cap: int = DEFAULT_EIG_CAP,
 ) -> BandCount:
     """Certified lower bound (K-1) * #{(x, E) : E + omega_x in band} against
     the observed eigenvalue count of the assembled operator, E running over
@@ -87,6 +89,8 @@ def certified_band_count(
 
     With enforce=True a certified count exceeding the observed count raises,
     since the certificates are supposed to bound multiplicity from below.
+    The observed count reads the operator's cached spectrum (see
+    spectral.operator_spectrum), so repeated queries solve it once.
     """
     a, b = band
     if not a <= b:
@@ -94,11 +98,9 @@ def certified_band_count(
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
     spectrum = subtree_eigenpairs(t.K, p.l - 1).eigenvalues
-    certified = 0
-    for x in p.roots:
-        w = r.values[x]
-        certified += (t.K - 1) * int(np.sum((spectrum + w >= a) & (spectrum + w <= b)))
-    eigs = eig_sym(operator.to_dense()).eigenvalues
+    shifted = spectrum + np.array([r.values[x] for x in p.roots])[:, None]
+    certified = (t.K - 1) * int(np.sum((shifted >= a) & (shifted <= b)))
+    eigs = operator_spectrum(operator, cap)
     observed = int(np.sum((eigs >= a) & (eigs <= b)))
     if enforce and certified > observed:
         raise CertificateError(

@@ -16,13 +16,20 @@ assembled operator (not the construction shortcut) against the vector.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anderson import SiteOperator, assemble_canopy_operator, assemble_cayley_operator
-from .canopy import PatchSet, TruncatedCanopy, build_truncated_canopy, subtree
+from .canopy import (
+    DEFAULT_VERTEX_CAP,
+    PatchSet,
+    TruncatedCanopy,
+    build_truncated_canopy,
+    subtree,
+)
 from .cayley import CayleyGraph
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
 from .graph_core import GluedGraph, adjacency_matrix
@@ -40,13 +47,19 @@ class EigenSystem:
     residual_bound: float
 
 
+def require_eig_cap(dimension: int, cap: int) -> None:
+    """Raise TooLargeError when a dense solve of this dimension exceeds cap;
+    callers check before densifying anything."""
+    if dimension > cap:
+        raise TooLargeError(f"dimension {dimension} exceeds eig cap {cap}")
+
+
 def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
     """Full decomposition of a real symmetric matrix, ascending order."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    if M.shape[0] > cap:
-        raise TooLargeError(f"dimension {M.shape[0]} exceeds eig cap {cap}")
+    require_eig_cap(M.shape[0], cap)
     if M.size and not np.array_equal(M, M.T):
         raise InvalidArgumentError("matrix must be symmetric")
     w, v = np.linalg.eigh(M)
@@ -62,6 +75,24 @@ def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
         if gram_dev > 1e-10:
             raise CertificateError(f"eigenvectors not orthonormal ({gram_dev:.3e})")
     return EigenSystem(w, v, residual)
+
+
+def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarray:
+    """Ascending eigenvalues of op, read-only. The cap is checked before op
+    is densified; the first call runs the self-checked eig_sym and caches
+    the eigenvalues on op, which is immutable after assembly."""
+    require_eig_cap(op.dimension, cap)
+    if op._eigenvalues is None:
+        w = eig_sym(op.to_dense(), cap=cap).eigenvalues
+        w.flags.writeable = False
+        op._eigenvalues = w
+    return op._eigenvalues
+
+
+def canopy_tolerance(E: float, K: int, max_abs: float) -> float:
+    """Residual tolerance of a canopy certificate at subtree energy E:
+    1e-9 * (1 + |E| + the operator-norm bound K + 1 + max|omega|)."""
+    return 1e-9 * (1.0 + abs(E) + K + 1 + max_abs)
 
 
 def cluster_multiplicities(eigenvalues, tau: float) -> list[tuple[float, int]]:
@@ -109,10 +140,25 @@ def alpha_basis(K: int) -> AlphaBasis:
     return AlphaBasis(K, rows)
 
 
+@functools.lru_cache(maxsize=8)
+def _template_adjacency(
+    K: int, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> np.ndarray:
+    """Read-only dense adjacency of the complete K-ary tree of the given
+    depth (BFS indexing), built once per process."""
+    m = adjacency_matrix(build_truncated_canopy(K, depth, vertex_cap=vertex_cap).graph)
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=8)
 def subtree_eigenpairs(K: int, depth: int, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
-    """Spectrum of the complete K-ary tree of the given depth (BFS indexing)."""
-    template = build_truncated_canopy(K, depth, vertex_cap=cap)
-    return eig_sym(adjacency_matrix(template.graph), cap=cap)
+    """Spectrum of the complete K-ary tree of the given depth (BFS indexing),
+    solved once per process; the arrays are read-only."""
+    es = eig_sym(_template_adjacency(K, depth, cap), cap=cap)
+    es.eigenvalues.flags.writeable = False
+    es.eigenvectors.flags.writeable = False
+    return es
 
 
 @dataclass(frozen=True)
@@ -144,25 +190,76 @@ class EigenvectorCertificate:
         )
 
 
+def _padded_rows(op: SiteOperator, rows: np.ndarray):
+    """CSR storage positions of the given rows as a (len(rows), max degree)
+    table, plus the mask of the positions that exist."""
+    indptr = op.adjacency.indptr
+    lo = indptr[rows]
+    degree = indptr[rows + 1] - lo
+    step = np.arange(degree.max(initial=0))
+    live = step < degree[:, None]
+    return np.where(live, lo[:, None] + step, 0), live
+
+
+def support_residuals(
+    op: SiteOperator, support: np.ndarray, values: np.ndarray, eigenvalue: float
+) -> np.ndarray:
+    """max_i |(H v - E v)_i| for each row v of values (one entry per support
+    vertex), evaluated only on the rows support + N(support), outside which
+    (H - E)v vanishes.
+
+    Each row sum adds its products in CSR storage order, as scipy's CSR
+    matvec does, so the result equals the dense residual bit for bit.
+    """
+    order = np.argsort(support)
+    keys, vals = support[order], values[:, order]
+
+    def at(vertices):  # v at the given vertices, 0 off the support
+        pos = np.minimum(np.searchsorted(keys, vertices), keys.size - 1)
+        return np.where(keys[pos] == vertices, vals[:, pos], 0.0)
+
+    indices = op.adjacency.indices
+    ptr, live = _padded_rows(op, support)
+    rows = np.union1d(support, indices[ptr[live]])
+    ptr, live = _padded_rows(op, rows)
+    products = op.adjacency.data[ptr] * np.where(live, at(indices[ptr]), 0.0)
+    acc = np.zeros(products.shape[:2])
+    for k in range(products.shape[2]):
+        acc += products[:, :, k]
+    v = at(rows)
+    residual = (acc + op.potential[rows] * v) - eigenvalue * v
+    return np.abs(residual).max(axis=1, initial=0.0)
+
+
 def _verify(
     op: SiteOperator,
-    dense: np.ndarray,
+    support: tuple[int, ...],
+    values: np.ndarray,
     eigenvalue: float,
     tolerance: float,
-    support: tuple[int, ...],
-    provenance: dict,
-) -> EigenvectorCertificate:
-    norm = float(np.linalg.norm(dense))
-    if abs(norm - 1.0) > 1e-12:
-        raise CertificateError(f"certificate vector norm {norm} is not 1")
-    residual = float(np.max(np.abs(op.matvec(dense) - eigenvalue * dense)))
-    if residual > tolerance:
-        raise CertificateError(
-            f"certificate residual {residual:.3e} exceeds tolerance "
-            f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
+    provenances: list[dict],
+) -> list[EigenvectorCertificate]:
+    """Check each row of values (a vector on support) for unit norm and for
+    its residual against op at eigenvalue, in one support-local pass."""
+    norms = np.linalg.norm(values, axis=1)
+    residuals = support_residuals(op, np.array(support), values, eigenvalue)
+    certs = []
+    for row, norm, residual, provenance in zip(values, norms, residuals, provenances):
+        if abs(norm - 1.0) > 1e-12:
+            raise CertificateError(f"certificate vector norm {norm} is not 1")
+        if residual > tolerance:
+            raise CertificateError(
+                f"certificate residual {residual:.3e} exceeds tolerance "
+                f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
+            )
+        vector = {i: x for i, x in zip(support, row.tolist()) if x != 0.0}
+        certs.append(
+            EigenvectorCertificate(
+                vector, eigenvalue, support, float(residual), provenance
+            )
         )
-    vector = {int(i): float(dense[i]) for i in support if dense[i] != 0.0}
-    return EigenvectorCertificate(vector, eigenvalue, support, residual, provenance)
+    _check_gram(values)
+    return certs
 
 
 def canopy_certificates(
@@ -186,50 +283,37 @@ def canopy_certificates(
     l = p.l
     if l < 2:
         raise InvalidArgumentError("construction needs patch depth l >= 2")
-    template = build_truncated_canopy(t.K, l - 1)
+    template_adjacency = _template_adjacency(t.K, l - 1)
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (template.vertex_count,):
+    if psi.shape != template_adjacency.shape[:1]:
         raise InvalidArgumentError("psi has the wrong dimension")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise InvalidArgumentError("psi must be unit norm")
-    psi_res = float(
-        np.max(np.abs(adjacency_matrix(template.graph) @ psi - E * psi))
-    )
+    psi_res = float(np.max(np.abs(template_adjacency @ psi - E * psi)))
     if psi_res > PSI_RESIDUAL_TOL:
         raise InvalidArgumentError(
             f"psi residual {psi_res:.3e} against the subtree adjacency"
         )
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
-    omega_x = r.values[x]
-    tolerance = 1e-9 * (1.0 + abs(E) + t.K + 1 + r.max_abs())
-    alphas = alpha_basis(t.K)
-    forward = t.children[x]
-    copies = [subtree(t, y, l - 1) for y in forward]
-    certs = []
-    for a_idx, row in enumerate(alphas.rows):
-        dense = np.zeros(t.vertex_count)
-        for a_y, copy in zip(row, copies):
-            # canonical order-preserving isomorphism: BFS order to BFS order
-            dense[list(copy)] = a_y * psi
-        support = tuple(v for copy in copies for v in copy)
-        certs.append(
-            _verify(
-                operator,
-                dense,
-                E + omega_x,
-                tolerance,
-                support,
-                {
-                    "construction": "canopy",
-                    "patch_root": x,
-                    "E": float(E),
-                    "alpha_index": a_idx,
-                },
-            )
-        )
-    _check_gram(certs, t.vertex_count)
-    return certs
+    # canonical order-preserving isomorphism: BFS order to BFS order, one
+    # copy of psi per forward neighbor, weighted by a zero-sum alpha row
+    copies = [subtree(t, y, l - 1) for y in t.children[x]]
+    support = tuple(v for copy in copies for v in copy)
+    rows = alpha_basis(t.K).rows
+    values = (rows[:, :, None] * psi).reshape(len(rows), -1)
+    provenances = [
+        {"construction": "canopy", "patch_root": x, "E": float(E), "alpha_index": a}
+        for a in range(len(rows))
+    ]
+    return _verify(
+        operator,
+        support,
+        values,
+        E + r.values[x],
+        canopy_tolerance(E, t.K, r.max_abs()),
+        provenances,
+    )
 
 
 def cayley_certificates(
@@ -260,38 +344,35 @@ def cayley_certificates(
             )
     if operator is None:
         operator = assemble_cayley_operator(cg, r)
-    omega_g = r.values[g]
-    max_deg = max(cg.graph.degrees(), default=0)
+    if not psis:
+        return []
+    # the adjacency has no self-loops, so a row's stored entries are its degree
+    max_deg = int(np.diff(operator.adjacency.indptr).max(initial=0))
     tolerance = 1e-9 * (1.0 + abs(E0) + max_deg + r.max_abs())
-    support = tuple(cg.fiber_vertices(g))
-    certs = []
-    for i, psi in enumerate(psis):
-        dense = np.zeros(cg.vertex_count)
-        dense[list(support)] = psi
-        certs.append(
-            _verify(
-                operator,
-                dense,
-                E0 + omega_g,
-                tolerance,
-                support,
-                {
-                    "construction": "cayley",
-                    "fiber": repr(cg.group.elements[g]),
-                    "E0": float(E0),
-                    "i": i,
-                },
-            )
-        )
-    _check_gram(certs, cg.vertex_count)
-    return certs
+    provenances = [
+        {
+            "construction": "cayley",
+            "fiber": repr(cg.group.elements[g]),
+            "E0": float(E0),
+            "i": i,
+        }
+        for i in range(len(psis))
+    ]
+    return _verify(
+        operator,
+        tuple(cg.fiber_vertices(g)),
+        np.stack(psis),
+        E0 + r.values[g],
+        tolerance,
+        provenances,
+    )
 
 
-def _check_gram(certs: list[EigenvectorCertificate], dimension: int):
-    if len(certs) < 2:
+def _check_gram(values: np.ndarray):
+    """Orthonormality of the rows of values, vectors on one shared support."""
+    if len(values) < 2:
         return
-    mat = np.column_stack([c.dense(dimension) for c in certs])
-    dev = float(np.max(np.abs(mat.T @ mat - np.eye(len(certs)))))
+    dev = float(np.max(np.abs(values @ values.T - np.eye(len(values)))))
     if dev > ORTHO_TOL:
         raise CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
 

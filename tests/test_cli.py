@@ -212,3 +212,48 @@ def test_summary_goes_to_stdout(capsys, tmp_path):
     run(["spectrum", "--graph", str(gf)])
     captured = capsys.readouterr()
     assert "spectrum:" in captured.out
+
+
+class TestCapsBeforeDensifying:
+    """Size caps end in exit 3 with a one-line message, and no operator is
+    densified on the way there."""
+
+    @pytest.fixture(autouse=True)
+    def no_densify(self, monkeypatch):
+        from multispec.anderson import SiteOperator
+
+        def refuse(self):
+            raise AssertionError("operator densified before the cap check")
+
+        monkeypatch.setattr(SiteOperator, "to_dense", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canopy-verify", "--K", "3", "--L", "5", "--l", "2"],
+            ["cayley-verify", "--pieces", "4", "--group", "cyclic:3"],
+            ["dos", "--K", "3", "--L", "5", "--l", "2", "--realizations", "2"],
+        ],
+    )
+    def test_eig_cap_env(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("MULTISPEC_EIG_CAP", "5")
+        assert run(argv) == EXIT_TOO_LARGE
+        err = capsys.readouterr().err
+        assert err.startswith("error (size cap):") and err.count("\n") == 1
+
+    def test_spectrum_cap_before_dense_adjacency(self, tmp_path, monkeypatch):
+        import multispec.graph_core as graph_core
+
+        def refuse(g):
+            raise AssertionError("adjacency densified before the cap check")
+
+        monkeypatch.setattr(graph_core, "adjacency_matrix", refuse)
+        monkeypatch.setenv("MULTISPEC_EIG_CAP", "5")
+        gf = tmp_path / "graph.txt"
+        gf.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        assert run(["spectrum", "--graph", str(gf)]) == EXIT_TOO_LARGE
+
+    def test_default_cap_above_dense_size(self, capsys):
+        # K=3, L=8: 9,841 vertices, over the default eig cap of 5,000
+        assert run(["canopy-verify", "--K", "3", "--L", "8", "--l", "2"]) == EXIT_TOO_LARGE
+        assert "exceeds eig cap 5000" in capsys.readouterr().err

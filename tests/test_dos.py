@@ -161,3 +161,38 @@ def test_histogram_csv_shape(instance):
     lines = hist.to_csv().strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count,normalized"
     assert len(lines) == 3
+
+
+def test_band_queries_solve_the_operator_once(instance, realization, monkeypatch):
+    t, p = instance
+    op = assemble_canopy_operator(t, p, realization)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(M, *args, **kwargs):
+        solved.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    counts = [
+        certified_band_count(t, p, realization, band, operator=op, enforce=False)
+        for band in ((-np.inf, np.inf), (-1.0, 1.0), (0.2, 0.9), (50.0, 60.0))
+    ]
+    assert solved.count(op.dimension) == 1
+    assert [c.observed_count for c in counts][0] == op.dimension
+    # the cached spectrum is the self-checked full solve
+    eigs = eig_sym(op.to_dense()).eigenvalues
+    for c, (a, b) in zip(counts[1:], ((-1.0, 1.0), (0.2, 0.9), (50.0, 60.0))):
+        assert c.observed_count == int(np.sum((eigs >= a) & (eigs <= b)))
+
+
+def test_cap_checked_before_densifying(instance, realization, monkeypatch):
+    from multispec.anderson import SiteOperator
+    from multispec.errors import TooLargeError
+
+    t, p = instance
+    monkeypatch.setattr(SiteOperator, "to_dense", lambda self: pytest.fail("densified"))
+    with pytest.raises(TooLargeError):
+        eigenvalue_histogram(t, p, DisorderSpec(seed=0), [-5.0, 5.0], 2, cap=5)
+    with pytest.raises(TooLargeError):
+        certified_band_count(t, p, realization, (0.0, 1.0), cap=5)

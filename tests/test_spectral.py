@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from multispec.anderson import (
     POINT_MASS,
     DisorderSpec,
     assemble_canopy_operator,
+    assemble_cayley_operator,
     sample_disorder,
 )
-from multispec.canopy import build_truncated_canopy, potential_roots
-from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group
+from multispec.canopy import build_truncated_canopy, potential_roots, subtree, tree_size
+from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics
 from multispec.errors import CertificateError, InvalidArgumentError, TooLargeError
 from multispec.graph_core import (
     GluedGraphSpec,
@@ -21,11 +24,14 @@ from multispec.graph_core import (
 from multispec.spectral import (
     alpha_basis,
     canopy_certificates,
+    canopy_tolerance,
     cayley_certificates,
     cluster_multiplicities,
     eig_sym,
     junction_kernel_basis,
+    operator_spectrum,
     subtree_eigenpairs,
+    support_residuals,
 )
 
 
@@ -350,3 +356,135 @@ class TestCayleyCertificates:
         for g in range(6):
             target = r.values[g]
             assert np.sum(np.abs(eigs - target) <= 1e-7) >= len(kernel)
+
+
+def _dense_residuals(op, support, values, eigenvalue):
+    """The dense oracle: each vector materialized at full length and
+    multiplied by the assembled operator."""
+    out = []
+    for row in values:
+        dense = np.zeros(op.dimension)
+        dense[list(support)] = row
+        out.append(float(np.max(np.abs(op.matvec(dense) - eigenvalue * dense))))
+    return out
+
+
+class TestSupportLocalResiduals:
+    """The support-local residual equals the dense op.matvec residual bit for
+    bit, and certificate pass/fail agrees with the dense check."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        l=st.integers(2, 3),
+        blocks=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+        pick=st.integers(0, 10**6),
+        k=st.integers(0, 10**6),
+    )
+    def test_canopy(self, K, l, blocks, seed, pick, k):
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 2_000)
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        r = sample_disorder(DisorderSpec(seed=seed), p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        sub = subtree_eigenpairs(K, l - 1)
+        # every other draw takes a root above depth l, where the construction fails
+        deep = [x for x in p.roots if t.depth[x] > l]
+        roots = deep if deep and pick % 2 else p.roots
+        x = roots[pick % len(roots)]
+        k %= sub.eigenvalues.size
+        E, psi = float(sub.eigenvalues[k]), sub.eigenvectors[:, k]
+        support = tuple(v for y in t.children[x] for v in subtree(t, y, l - 1))
+        values = (alpha_basis(K).rows[:, :, None] * psi).reshape(K - 1, -1)
+        eigenvalue = E + r.values[x]
+        dense = _dense_residuals(op, support, values, eigenvalue)
+        local = support_residuals(op, np.array(support), values, eigenvalue)
+        assert local.tolist() == dense
+        # arbitrary vectors on the same support exercise every row sum
+        noise = np.random.default_rng(seed).standard_normal(values.shape)
+        assert support_residuals(op, np.array(support), noise, eigenvalue).tolist() == (
+            _dense_residuals(op, support, noise, eigenvalue)
+        )
+        tol = canopy_tolerance(E, K, r.max_abs())
+        try:
+            certs = canopy_certificates(t, p, r, x, E, psi, operator=op)
+        except CertificateError:
+            assert max(dense) > tol
+        else:
+            assert max(dense) <= tol
+            assert [c.residual for c in certs] == dense
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        group=st.sampled_from(
+            [cyclic_group(2), cyclic_group(5), cyclic_group(9), product_of_cyclics((2, 3)),
+             product_of_cyclics((3, 3))]
+        ),
+        pieces=st.integers(3, 4),
+        seed=st.integers(0, 2**31 - 1),
+        g=st.integers(0, 10**6),
+    )
+    def test_cayley(self, group, pieces, seed, g):
+        glued = prime_paths_graph(pieces, 2)
+        anchors = {}
+        for i in range(1, len(group.generators) + 1):
+            anchors[-i] = glued.junctions[0]
+            anchors[i] = glued.junctions[1]
+        cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
+        kernel = junction_kernel_basis(glued, 0.0)
+        assume(kernel)
+        r = sample_disorder(DisorderSpec(seed=seed), range(group.size))
+        op = assemble_cayley_operator(cg, r)
+        g %= group.size
+        support = tuple(cg.fiber_vertices(g))
+        eigenvalue = r.values[g]
+        noise = np.random.default_rng(seed).standard_normal((2, len(support)))
+        for values in (np.stack(kernel), noise):
+            assert support_residuals(op, np.array(support), values, eigenvalue).tolist() == (
+                _dense_residuals(op, support, values, eigenvalue)
+            )
+        certs = cayley_certificates(cg, r, g, 0.0, kernel, operator=op)
+        assert [c.residual for c in certs] == _dense_residuals(
+            op, support, np.stack(kernel), eigenvalue
+        )
+
+    def test_perturbation_detected(self, canopy_instance):
+        t, p, r, op, sub = canopy_instance
+        x = next(x for x in p.roots if t.depth[x] == 2)
+        cert = canopy_certificates(
+            t, p, r, x, float(sub.eigenvalues[0]), sub.eigenvectors[:, 0], operator=op
+        )[0]
+        values = np.array([[cert.vector.get(i, 0.0) for i in cert.support]])
+        values[0, 0] += 1e-3
+        local = support_residuals(op, np.array(cert.support), values, cert.eigenvalue)
+        assert local[0] > 1e-4
+
+
+class TestCaching:
+    def test_operator_spectrum_cap_before_densifying(self, canopy_instance, monkeypatch):
+        t, p, r, _, _ = canopy_instance
+        op = assemble_canopy_operator(t, p, r)
+        monkeypatch.setattr(type(op), "to_dense", lambda self: pytest.fail("densified"))
+        with pytest.raises(TooLargeError):
+            operator_spectrum(op, cap=op.dimension - 1)
+
+    def test_operator_spectrum_read_only_and_cached(self, canopy_instance):
+        t, p, r, _, _ = canopy_instance
+        op = assemble_canopy_operator(t, p, r)
+        w = operator_spectrum(op)
+        assert operator_spectrum(op) is w
+        assert np.array_equal(w, eig_sym(op.to_dense()).eigenvalues)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            op.potential[0] = 0.0
+        with pytest.raises(AttributeError):
+            op.potential = np.zeros(op.dimension)
+
+    def test_subtree_eigenpairs_shared_and_read_only(self):
+        es = subtree_eigenpairs(3, 1)
+        assert subtree_eigenpairs(3, 1) is es
+        with pytest.raises(ValueError):
+            es.eigenvectors[0, 0] = 1.0

@@ -102,9 +102,19 @@ class SiteOperator:
     view, neither attribute can be rebound, and the adjacency must not be
     edited in place. spectral.operator_spectrum therefore solves the
     spectrum once and caches it on the instance.
+
+    tiling is the (TruncatedCanopy, PatchSet) a canopy operator was
+    assembled from, and None for every other operator; it lets
+    spectral.operator_spectrum solve the symmetry-reduced core instead.
     """
 
-    def __init__(self, adjacency: sp.csr_matrix, potential: np.ndarray, provenance):
+    def __init__(
+        self,
+        adjacency: sp.csr_matrix,
+        potential: np.ndarray,
+        provenance,
+        tiling: tuple[TruncatedCanopy, PatchSet] | None = None,
+    ):
         if adjacency.shape[0] != adjacency.shape[1]:
             raise InvalidArgumentError("adjacency must be square")
         if adjacency.shape[0] != potential.shape[0]:
@@ -114,6 +124,7 @@ class SiteOperator:
         self._adjacency = adjacency
         self._potential = potential
         self.provenance = provenance
+        self.tiling = tiling
         self._eigenvalues: np.ndarray | None = None  # see operator_spectrum
 
     @property
@@ -168,7 +179,7 @@ def assemble_canopy_operator(
         "seed": r.spec.seed,
         "distribution": r.spec.distribution,
     }
-    return SiteOperator(adjacency_sparse(t.graph), potential, provenance)
+    return SiteOperator(adjacency_sparse(t.graph), potential, provenance, (t, p))
 
 
 def _fiber_potential(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:

@@ -42,12 +42,24 @@ EXIT_VERIFICATION = 2
 EXIT_TOO_LARGE = 3
 
 
+def _env_int(name: str, default: int) -> int:
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
 def _vertex_cap() -> int:
-    return int(os.environ.get("MULTISPEC_VERTEX_CAP", canopy_mod.DEFAULT_VERTEX_CAP))
+    return _env_int("MULTISPEC_VERTEX_CAP", canopy_mod.DEFAULT_VERTEX_CAP)
 
 
 def _eig_cap() -> int:
-    return int(os.environ.get("MULTISPEC_EIG_CAP", spectral.DEFAULT_EIG_CAP))
+    return _env_int("MULTISPEC_EIG_CAP", spectral.DEFAULT_EIG_CAP)
 
 
 def _config(args) -> dict:

@@ -236,11 +236,18 @@ def from_edge_list_text(text: str) -> FiniteGraph:
         raise InvalidArgumentError("empty edge-list input")
     try:
         n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
     except ValueError as exc:
         raise InvalidArgumentError(f"malformed edge list: {exc}") from exc
     if len(edges) != m:
-        raise InvalidArgumentError("edge count does not match header")
+        raise InvalidArgumentError(
+            f"header declares {m} edges but {len(edges)} edge lines follow"
+        )
+    bad = next((ln for ln, e in zip(lines[1:], edges) if len(e) != 2), None)
+    if bad is not None:
+        raise InvalidArgumentError(
+            f"edge line {bad.strip()!r} needs two vertex indices"
+        )
     return make_graph(n, edges)
 
 

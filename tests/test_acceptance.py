@@ -104,9 +104,10 @@ def test_criterion_1_canopy_multiplicity(canopy_instance):
                 failures.append(f"root {x} E={E:.4f}: {len(certs)} certificates")
             if any(c.residual > 1e-9 for c in certs):
                 failures.append(f"root {x} E={E:.4f}: residual above 1e-9")
-            mat = np.column_stack([c.dense(t.vertex_count) for c in certs])
-            if np.max(np.abs(mat.T @ mat - np.eye(len(certs)))) > 1e-10:
-                failures.append(f"root {x} E={E:.4f}: not orthonormal")
+            if certs:  # an empty list is already recorded as a failure above
+                mat = np.column_stack([c.dense(t.vertex_count) for c in certs])
+                if np.max(np.abs(mat.T @ mat - np.eye(len(certs)))) > 1e-10:
+                    failures.append(f"root {x} E={E:.4f}: not orthonormal")
             target = E + r.values[x]
             if int(np.sum(np.abs(eigs - target) <= 1e-7)) < 2:
                 failures.append(f"root {x} E={E:.4f}: < 2 matching eigenvalues")

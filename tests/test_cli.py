@@ -257,3 +257,35 @@ class TestCapsBeforeDensifying:
         # K=3, L=8: 9,841 vertices, over the default eig cap of 5,000
         assert run(["canopy-verify", "--K", "3", "--L", "8", "--l", "2"]) == EXIT_TOO_LARGE
         assert "exceeds eig cap 5000" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Malformed input ends in exit 1 with one line on stderr, never a
+    traceback."""
+
+    def _invalid(self, argv, capsys):
+        assert run(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error (invalid config):") and err.count("\n") == 1
+        return err
+
+    def test_vertex_cap_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("MULTISPEC_VERTEX_CAP", "abc")
+        argv = ["canopy-verify", "--K", "3", "--L", "2", "--l", "2"]
+        assert "MULTISPEC_VERTEX_CAP" in self._invalid(argv, capsys)
+
+    def test_eig_cap_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("MULTISPEC_EIG_CAP", "abc")
+        argv = ["dos", "--K", "3", "--L", "2", "--l", "2", "--realizations", "1"]
+        assert "MULTISPEC_EIG_CAP" in self._invalid(argv, capsys)
+
+    def test_edge_line_with_three_values(self, tmp_path, capsys):
+        gf = tmp_path / "graph.txt"
+        gf.write_text("3 2\n0 1 5\n1 2\n")
+        assert "'0 1 5'" in self._invalid(["spectrum", "--graph", str(gf)], capsys)
+
+    def test_edge_lines_beyond_header_count(self, tmp_path, capsys):
+        gf = tmp_path / "graph.txt"
+        gf.write_text("3 1\n0 1\n1 2\n")
+        err = self._invalid(["spectrum", "--graph", str(gf)], capsys)
+        assert "header declares 1 edges but 2 edge lines follow" in err

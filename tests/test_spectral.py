@@ -3,8 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from multispec import spectral
 from multispec.anderson import (
     POINT_MASS,
+    TWO_POINT,
+    UNIFORM,
     DisorderSpec,
     assemble_canopy_operator,
     assemble_cayley_operator,
@@ -118,6 +121,12 @@ class TestAlphaBasis:
     def test_rejects_k1(self):
         with pytest.raises(InvalidArgumentError):
             alpha_basis(1)
+
+    def test_cached_and_read_only(self):
+        basis = alpha_basis(4)
+        assert alpha_basis(4) is basis
+        with pytest.raises(ValueError):
+            basis.rows[0, 0] = 1.0
 
 
 class TestSubtreeEigenpairs:
@@ -475,7 +484,7 @@ class TestCaching:
         op = assemble_canopy_operator(t, p, r)
         w = operator_spectrum(op)
         assert operator_spectrum(op) is w
-        assert np.array_equal(w, eig_sym(op.to_dense()).eigenvalues)
+        assert np.max(np.abs(w - eig_sym(op.to_dense()).eigenvalues)) <= 1e-12
         with pytest.raises(ValueError):
             w[0] = 0.0
         with pytest.raises(ValueError):
@@ -488,3 +497,84 @@ class TestCaching:
         assert subtree_eigenpairs(3, 1) is es
         with pytest.raises(ValueError):
             es.eigenvectors[0, 0] = 1.0
+
+
+DISORDERS = [
+    DisorderSpec(UNIFORM, (0.0, 1.0)),
+    DisorderSpec(UNIFORM, (-2.0, 3.0)),
+    DisorderSpec(TWO_POINT, (-1.0, 2.0)),
+    DisorderSpec(POINT_MASS, (0.7,)),
+]
+
+
+def _canopy_operator(K, L, l, disorder, seed):
+    t = build_truncated_canopy(K, L)
+    p = potential_roots(t, l)
+    spec = DisorderSpec(disorder.distribution, disorder.params, seed)
+    return t, p, assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
+
+
+class TestReducedCanopySpectrum:
+    """operator_spectrum solves a canopy operator on its reduced core plus
+    the closed-form patch blocks; the result is the dense spectrum."""
+
+    def _check(self, t, p, op):
+        depth = np.array(t.depth)
+        core, local = spectral._canopy_blocks(op, 5_000)
+        roots = int(np.sum(depth == p.l))
+        assert core.size == int(np.sum(depth > p.l)) + (p.l + 1) * roots
+        assert local.shape == (roots, tree_size(t.K, p.l) - (p.l + 1))
+        w = operator_spectrum(op)
+        assert w.size == op.dimension
+        assert np.max(np.abs(w - eig_sym(op.to_dense()).eigenvalues)) <= 1e-12
+        return core.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 5),
+        l=st.integers(1, 3),
+        blocks=st.integers(0, 3),
+        disorder=st.sampled_from(DISORDERS),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense(self, K, l, blocks, disorder, seed):
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 400)
+        self._check(*_canopy_operator(K, L, l, disorder, seed))
+
+    def test_k4_l5(self):
+        assert self._check(*_canopy_operator(4, 5, 2, DISORDERS[0], 3)) == 213
+
+    def test_cayley_keeps_dense_path(self, instance):
+        cg, r, _ = instance
+        op = assemble_cayley_operator(cg, r)
+        assert op.tiling is None
+        assert np.array_equal(operator_spectrum(op), eig_sym(op.to_dense()).eigenvalues)
+
+    @staticmethod
+    def _wrong_coupling(core, local):
+        local = local.copy()
+        local[0] += 1e-3  # one root's patch blocks at a shifted coupling
+        return core, local
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_wrong_coupling, lambda core, local: (core[1:], local)],
+        ids=["wrong_coupling", "dropped_value"],
+    )
+    def test_merge_check_rejects(self, tamper, monkeypatch):
+        _, _, op = _canopy_operator(4, 5, 2, DISORDERS[0], 3)
+        blocks = spectral._canopy_blocks
+        monkeypatch.setattr(spectral, "_canopy_blocks", lambda *a: tamper(*blocks(*a)))
+        with pytest.raises(CertificateError):
+            operator_spectrum(op)
+        assert op._eigenvalues is None  # nothing unchecked is cached
+
+    def test_cap_on_full_dimension(self, monkeypatch):
+        # K3 L8 has a 2,551-vertex core but 9,841 vertices: still over the cap
+        t = build_truncated_canopy(3, 8)
+        p = potential_roots(t, 2)
+        op = assemble_canopy_operator(t, p, sample_disorder(DisorderSpec(), p.roots))
+        monkeypatch.setattr(spectral, "_canopy_blocks", lambda *a: pytest.fail("solve"))
+        with pytest.raises(TooLargeError, match="dimension 9841 exceeds eig cap 5000"):
+            operator_spectrum(op)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .canopy import PatchSet, TruncatedCanopy
+from .canopy import PatchSet, TruncatedCanopy, tree_adjacency
 from .cayley import CayleyGraph, GroupSpec, require_finite
 from .errors import DegenerateDisorderError, InvalidArgumentError
 from .graph_core import adjacency_sparse
@@ -158,11 +157,6 @@ class SiteOperator:
         lines += [f"{i} {i} {v}" for i, v in enumerate(self.potential)]
         return "\n".join(lines) + "\n"
 
-    def export_metadata(self) -> str:
-        return json.dumps(
-            {"provenance": self.provenance, "hash": self.structure_hash()}
-        )
-
 
 def assemble_canopy_operator(
     t: TruncatedCanopy, p: PatchSet, r: DisorderRealization
@@ -170,7 +164,8 @@ def assemble_canopy_operator(
     missing = [x for x in p.roots if x not in r.values]
     if missing:
         raise InvalidArgumentError(f"realization misses patch roots {missing[:5]}")
-    potential = np.array([r.values[p.patch_of[v]] for v in range(t.vertex_count)])
+    coupling = np.zeros(t.vertex_count)  # indexed by patch root
+    coupling[list(p.roots)] = [r.values[x] for x in p.roots]
     provenance = {
         "structure": "canopy",
         "K": t.K,
@@ -179,7 +174,7 @@ def assemble_canopy_operator(
         "seed": r.spec.seed,
         "distribution": r.spec.distribution,
     }
-    return SiteOperator(adjacency_sparse(t.graph), potential, provenance, (t, p))
+    return SiteOperator(tree_adjacency(t), coupling[p.patch_of], provenance, (t, p))
 
 
 def _fiber_potential(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:

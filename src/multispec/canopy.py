@@ -5,12 +5,20 @@ from the leaf boundary: every vertex at depth d >= 1 has exactly K children
 at depth d-1, the leaves sit at depth 0, and the root simply has no parent.
 Vertices are enumerated breadth-first from the root with children ordered
 left-to-right, so all derived objects are reproducible.
+
+In that order the tree is closed-form index arithmetic: the parent of v is
+(v-1)//K, and the descendants of w at distance m are K^m * w + q for the
+positions q in [tree_size(K, m-1), tree_size(K, m)) of level m.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     IncompleteSubtreeError,
@@ -28,14 +36,12 @@ def tree_size(k: int, depth: int) -> int:
     return (k ** (depth + 1) - 1) // (k - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedCanopy:
     K: int
     L: int
-    graph: FiniteGraph
-    depth: tuple[int, ...]  # distance to the leaf boundary
-    parent: tuple[int, ...]  # -1 for the root
-    children: tuple[tuple[int, ...], ...]
+    depth: np.ndarray  # distance to the leaf boundary, read-only
+    parent: np.ndarray  # -1 for the root, read-only
 
     @property
     def root(self) -> int:
@@ -43,13 +49,26 @@ class TruncatedCanopy:
 
     @property
     def vertex_count(self) -> int:
-        return self.graph.vertex_count
+        return self.depth.size
+
+    @functools.cached_property
+    def graph(self) -> FiniteGraph:
+        """The tree as a FiniteGraph, built on first access."""
+        edges = tuple(zip(self.parent[1:].tolist(), range(1, self.vertex_count)))
+        labels = {v: ("depth", d) for v, d in enumerate(self.depth.tolist())}
+        return FiniteGraph(self.vertex_count, edges, labels)
+
+    @functools.cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """children[v] is forward_neighbors(t, v), for every v; built on
+        first access."""
+        return tuple(forward_neighbors(self, v) for v in range(self.vertex_count))
 
     def precedes(self, v: int, w: int) -> bool:
         """v lies on the path from w down to the boundary (v below-or-equal w)."""
-        while self.depth[v] < self.depth[w] and v != -1:
-            v = self.parent[v]
-        return v == w
+        gap = int(self.depth[w] - self.depth[v])
+        # the ancestor of v at distance gap, inverting the subtree formula
+        return gap >= 0 and (v - tree_size(self.K, gap - 1)) // self.K**gap == w
 
 
 def build_truncated_canopy(
@@ -62,38 +81,19 @@ def build_truncated_canopy(
     n = tree_size(K, L)
     if n > vertex_cap:
         raise TooLargeError(f"canopy would have {n} vertices (cap {vertex_cap})")
-    depth = [L]
-    parent = [-1]
-    children: list[tuple[int, ...]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if depth[v] == 0:
-                children.append(())
-                continue
-            kids = []
-            for _ in range(K):
-                u = len(depth)
-                depth.append(depth[v] - 1)
-                parent.append(v)
-                kids.append(u)
-                nxt.append(u)
-            children.append(tuple(kids))
-        frontier = nxt
-    edges = tuple(
-        (min(v, parent[v]), max(v, parent[v])) for v in range(1, n)
-    )
-    labels = {v: ("depth", depth[v]) for v in range(n)}
-    graph = FiniteGraph(n, tuple(sorted(edges)), labels)
-    return TruncatedCanopy(K, L, graph, tuple(depth), tuple(parent), tuple(children))
+    depth = np.repeat(np.arange(L, -1, -1), K ** np.arange(L + 1))
+    parent = (np.arange(n) - 1) // K  # (0 - 1) // K == -1 at the root
+    depth.flags.writeable = parent.flags.writeable = False
+    return TruncatedCanopy(K, L, depth, parent)
 
 
 def forward_neighbors(t: TruncatedCanopy, w: int) -> tuple[int, ...]:
     """N_w: the vertices one step closer to the boundary (empty at leaves)."""
     if not (0 <= w < t.vertex_count):
         raise InvalidArgumentError(f"vertex {w} out of range")
-    return t.children[w]
+    if t.depth[w] == 0:
+        return ()
+    return tuple(range(t.K * w + 1, t.K * w + t.K + 1))
 
 
 def subtree(t: TruncatedCanopy, w: int, j: int) -> tuple[int, ...]:
@@ -106,28 +106,38 @@ def subtree(t: TruncatedCanopy, w: int, j: int) -> tuple[int, ...]:
         raise IncompleteSubtreeError(
             f"vertex {w} has depth {t.depth[w]} < requested subtree depth {j}"
         )
-    out = [w]
-    frontier = [w]
-    for _ in range(j):
-        nxt = []
-        for v in frontier:
-            nxt.extend(t.children[v])
-        out.extend(nxt)
-        frontier = nxt
+    out: list[int] = []
+    first, width = w, 1
+    for _ in range(j + 1):
+        out.extend(range(first, first + width))
+        # the children of a run of consecutive vertices are consecutive
+        first, width = t.K * first + 1, t.K * width
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def tree_adjacency(t: TruncatedCanopy) -> sp.csr_matrix:
+    """The tree's adjacency written straight into CSR form, equal entry for
+    entry to graph_core.adjacency_sparse(t.graph): row v holds its parent
+    (v-1)//K, if any, then its children K*v+1 .. K*v+K, if any, which is
+    ascending order."""
+    n, K = t.vertex_count, t.K
+    inner = np.arange(tree_size(K, t.L - 1))  # the vertices with children
+    indptr = np.concatenate([[0], np.cumsum((np.arange(n) > 0) + K * (t.depth > 0))])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    indices[indptr[1:-1]] = t.parent[1:]  # the first entry of each non-root row
+    children = K * inner[:, None] + np.arange(1, K + 1)
+    indices[indptr[inner, None] + (inner[:, None] > 0) + np.arange(K)] = children
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
+@dataclass(frozen=True, eq=False)
 class PatchSet:
     """The tiling of the truncation by depth-l subtrees Lambda_l(x) rooted at
     the potential-root vertices (depths l, 2l+1, 3l+2, ...)."""
 
     l: int
     roots: tuple[int, ...]
-    patch_of: tuple[int, ...]  # vertex -> its patch root
-
-    def patch_vertices(self, root: int) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.patch_of) if r == root)
+    patch_of: np.ndarray  # vertex -> its patch root, read-only
 
 
 def potential_roots(t: TruncatedCanopy, l: int) -> PatchSet:
@@ -137,17 +147,15 @@ def potential_roots(t: TruncatedCanopy, l: int) -> PatchSet:
         raise TilingMismatchError(
             f"L={t.L} is not congruent to l={l} mod l+1; patches would not tile"
         )
-    roots = tuple(
-        v for v in range(t.vertex_count) if t.depth[v] % (l + 1) == l
-    )
-    patch_of = [-1] * t.vertex_count
-    for v in range(t.vertex_count):
-        target = (t.depth[v] // (l + 1)) * (l + 1) + l
-        w = v
-        while t.depth[w] != target:
-            w = t.parent[w]
-        patch_of[v] = w
-    return PatchSet(l, roots, tuple(patch_of))
+    offset = t.depth % (l + 1)
+    roots = tuple(np.flatnonzero(offset == l).tolist())
+    # the patch root of v, the first vertex at or above v whose depth is
+    # congruent to l, is its ancestor g = l - offset levels up:
+    # (v - tree_size(K, g-1)) // K^g, inverting the descendant formula
+    step = t.K ** (l - offset)
+    patch_of = (np.arange(t.vertex_count) - (step - 1) // (t.K - 1)) // step
+    patch_of.flags.writeable = False
+    return PatchSet(l, roots, patch_of)
 
 
 def to_json(t: TruncatedCanopy) -> str:
@@ -155,7 +163,7 @@ def to_json(t: TruncatedCanopy) -> str:
         {
             "K": t.K,
             "L": t.L,
-            "depth": list(t.depth),
-            "parent": list(t.parent),
+            "depth": t.depth.tolist(),
+            "parent": t.parent.tolist(),
         }
     )

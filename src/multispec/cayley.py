@@ -10,6 +10,7 @@ use interior fibers.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -78,14 +79,11 @@ class GroupSpec:
         for gi in self.generator_indices:
             if self._mul(i, gi) is None:
                 return False
-            inv = self.inverse_generator(gi)
+            # generator inverses always lie in the enumeration for the kinds built here
+            inv = self.inverse(gi)
             if inv is None or self._mul(i, inv) is None:
                 return False
         return True
-
-    def inverse_generator(self, gi: int) -> int | None:
-        # generator inverses always lie in the enumeration for the kinds built here
-        return self.inverse(gi)
 
     def _spot_check(self):
         rng = random.Random(0)
@@ -108,16 +106,40 @@ class GroupSpec:
                     raise InvalidArgumentError("multiplication is not associative")
 
 
-def cyclic_group(m: int, generator: int = 1) -> GroupSpec:
+def _cyclic_order(m: int) -> int:
     if m < 1:
         raise InvalidArgumentError("cyclic order must be >= 1")
+    return m
+
+
+def _product_order(moduli: tuple[int, ...]) -> int:
+    if not moduli or any(m < 1 for m in moduli):
+        raise InvalidArgumentError("moduli must be positive")
+    return math.prod(moduli)
+
+
+def _zd_box_order(d: int, radius: int) -> int:
+    if d < 1 or radius < 0:
+        raise InvalidArgumentError("need d >= 1 and radius >= 0")
+    return (2 * radius + 1) ** d
+
+
+def _free_ball_order(n_generators: int, radius: int) -> int:
+    """1 + sum over k = 1..radius of 2n (2n-1)^(k-1) reduced words."""
+    if n_generators < 1 or radius < 0:
+        raise InvalidArgumentError("need n_generators >= 1 and radius >= 0")
+    n = n_generators
+    return 1 + 2 * radius if n == 1 else 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
+
+
+def cyclic_group(m: int, generator: int = 1) -> GroupSpec:
+    _cyclic_order(m)
     gens = (generator % m,) if m > 1 else (0,)
     return GroupSpec("cyclic", range(m), gens, lambda i, j: (i + j) % m, True)
 
 
 def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
-    if not moduli or any(m < 1 for m in moduli):
-        raise InvalidArgumentError("moduli must be positive")
+    _product_order(moduli)
     elements: list[tuple[int, ...]] = [()]
     for m in moduli:
         elements = [e + (r,) for e in elements for r in range(m)]
@@ -139,8 +161,7 @@ def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
 
 def zd_box(d: int, radius: int) -> GroupSpec:
     """Truncation of Z^d to the box [-radius, radius]^d with unit generators."""
-    if d < 1 or radius < 0:
-        raise InvalidArgumentError("need d >= 1 and radius >= 0")
+    _zd_box_order(d, radius)
     elements: list[tuple[int, ...]] = [()]
     for _ in range(d):
         elements = [e + (r,) for e in elements for r in range(-radius, radius + 1)]
@@ -166,8 +187,7 @@ def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def free_group_ball(n_generators: int, radius: int) -> GroupSpec:
     """Reduced words of length <= radius over n free generators."""
-    if n_generators < 1 or radius < 0:
-        raise InvalidArgumentError("need n_generators >= 1 and radius >= 0")
+    _free_ball_order(n_generators, radius)
     letters = [s for i in range(1, n_generators + 1) for s in (i, -i)]
     elements: list[tuple[int, ...]] = [()]
     frontier: list[tuple[int, ...]] = [()]
@@ -198,23 +218,63 @@ def from_table(elements, table, generators) -> GroupSpec:
     return GroupSpec("table", elements, generators, lambda i, j: table[i][j], True)
 
 
+# descriptor kind -> its parameters, read from the ':'-separated fields
+_DESCRIPTOR_PARAMS = {
+    "cyclic": lambda f: (int(f[0]),),
+    "product": lambda f: (tuple(int(x) for x in f[0].split(",")),),
+    "zbox": lambda f: (int(f[0]), int(f[1])),
+    "free": lambda f: (int(f[0]), int(f[1])),
+}
+
+
+def _from_descriptor(descriptor: str, functions: dict):
+    """Parse a group descriptor and apply functions[kind] to its parameters."""
+    kind, *fields = descriptor.split(":")
+    if kind not in _DESCRIPTOR_PARAMS:
+        raise InvalidArgumentError(f"unknown group kind {kind!r}")
+    try:
+        return functions[kind](*_DESCRIPTOR_PARAMS[kind](fields))
+    except (IndexError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"bad group descriptor {descriptor!r}: {exc}"
+        ) from exc
+
+
 def build_group(descriptor: str) -> GroupSpec:
     """Parse a textual group descriptor: ``cyclic:m``, ``product:m1,m2,...``,
     ``zbox:d:radius`` or ``free:n:radius``."""
-    parts = descriptor.split(":")
-    kind = parts[0]
-    try:
-        if kind == "cyclic":
-            return cyclic_group(int(parts[1]))
-        if kind == "product":
-            return product_of_cyclics(tuple(int(x) for x in parts[1].split(",")))
-        if kind == "zbox":
-            return zd_box(int(parts[1]), int(parts[2]))
-        if kind == "free":
-            return free_group_ball(int(parts[1]), int(parts[2]))
-    except (IndexError, ValueError) as exc:
-        raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: {exc}") from exc
-    raise InvalidArgumentError(f"unknown group kind {kind!r}")
+    return _from_descriptor(
+        descriptor,
+        {
+            "cyclic": cyclic_group,
+            "product": product_of_cyclics,
+            "zbox": zd_box,
+            "free": free_group_ball,
+        },
+    )
+
+
+def group_order(descriptor: str) -> int:
+    """Element count of build_group(descriptor) from the descriptor alone
+    (m, m1*m2*..., (2 radius + 1)^d, or the reduced words of length at most
+    radius), enumerating nothing. A malformed descriptor or a parameter
+    outside the constructor's domain raises build_group's error."""
+    return _from_descriptor(
+        descriptor,
+        {
+            "cyclic": _cyclic_order,
+            "product": _product_order,
+            "zbox": _zd_box_order,
+            "free": _free_ball_order,
+        },
+    )
+
+
+def require_vertex_cap(base_vertices: int, order: int, vertex_cap: int) -> None:
+    """Raise TooLargeError when |G| * |V(base)| exceeds vertex_cap."""
+    total = base_vertices * order
+    if total > vertex_cap:
+        raise TooLargeError(f"Cayley graph would have {total} vertices")
 
 
 @dataclass(frozen=True)
@@ -286,9 +346,8 @@ def build_cayley_graph(
             f"{len(group.generators)} generators"
         )
     nb = template.base.vertex_count
+    require_vertex_cap(nb, group.size, vertex_cap)
     total = nb * group.size
-    if total > vertex_cap:
-        raise TooLargeError(f"Cayley graph would have {total} vertices")
     edges: set[tuple[int, int]] = set()
     for g in range(group.size):
         off = g * nb

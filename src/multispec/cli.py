@@ -79,8 +79,15 @@ def _emit(report: dict, args) -> None:
     print(summary if summary else text)
 
 
-def _prime_paths_template(pieces: int, scale: int, group):
-    glued = graph_core.prime_paths_graph(pieces, scale)
+def _prime_paths_template(args):
+    """The glued prime-paths base, the group of args.group and the Cayley
+    template joining them. The vertex cap is checked on |G| * |V(base)|,
+    with |G| read from the descriptor, before the group is built."""
+    glued = graph_core.prime_paths_graph(args.pieces, args.scale)
+    cayley_mod.require_vertex_cap(
+        glued.graph.vertex_count, cayley_mod.group_order(args.group), _vertex_cap()
+    )
+    group = cayley_mod.build_group(args.group)
     n = len(group.generators)
     anchors = {}
     for i in range(1, n + 1):
@@ -89,7 +96,7 @@ def _prime_paths_template(pieces: int, scale: int, group):
     template = cayley_mod.CayleyTemplate(
         glued.graph, anchors, {i: (1 if i < 0 else 2) for i in anchors}
     )
-    return glued, template
+    return glued, group, template
 
 
 def cmd_canopy_verify(args) -> int:
@@ -171,8 +178,7 @@ def cmd_canopy_verify(args) -> int:
 
 
 def cmd_cayley_verify(args) -> int:
-    group = cayley_mod.build_group(args.group)
-    glued, template = _prime_paths_template(args.pieces, args.scale, group)
+    glued, group, template = _prime_paths_template(args)
     kernel = spectral.junction_kernel_basis(glued, args.E0)
     if not kernel:
         raise CertificateError("junction kernel at E0 is trivial")
@@ -226,8 +232,7 @@ def cmd_cayley_verify(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    group = cayley_mod.build_group(args.group)
-    glued, template = _prime_paths_template(args.pieces, args.scale, group)
+    glued, group, template = _prime_paths_template(args)
     stab = automorphisms(glued.graph, fixed=glued.junctions)
     cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
     spec = DisorderSpec(seed=args.seed)
@@ -278,12 +283,13 @@ def cmd_dos(args) -> int:
     spec = DisorderSpec(seed=args.seed)
     lo, hi = -(args.K + 2), args.K + 2
     edges = np.linspace(lo, hi, args.bins + 1)
-    hist = dos_mod.eigenvalue_histogram(
-        t, p, spec, edges, args.realizations, cap=_eig_cap()
-    )
     r = sample_disorder(spec, p.roots)
+    op = assemble_canopy_operator(t, p, r)
+    hist = dos_mod.eigenvalue_histogram(
+        t, p, spec, edges, args.realizations, cap=_eig_cap(), operator=op
+    )
     total = dos_mod.certified_band_count(
-        t, p, r, (-np.inf, np.inf), enforce=False, cap=_eig_cap()
+        t, p, r, (-np.inf, np.inf), operator=op, enforce=False, cap=_eig_cap()
     )
     report = {
         "config": _config(args),

@@ -49,10 +49,16 @@ def eigenvalue_histogram(
     bin_edges,
     n_realizations: int,
     cap: int = DEFAULT_EIG_CAP,
+    operator=None,
 ) -> Histogram:
     """Accumulate the spectra of n_realizations independent operators
     (seeds spec.seed + 0 .. + n-1) into the given bins; cap bounds the
-    dimension of each dense solve."""
+    dimension of each dense solve.
+
+    operator, if given, is the caller's assembly of realization spec.seed
+    and stands in for the first one, so a spectrum the caller has solved or
+    will solve is solved once.
+    """
     if n_realizations < 1:
         raise InvalidArgumentError("need at least one realization")
     bin_edges = np.asarray(bin_edges, dtype=float)
@@ -60,8 +66,10 @@ def eigenvalue_histogram(
         raise InvalidArgumentError("bin edges must be ascending with >= 2 entries")
     counts = np.zeros(bin_edges.size - 1)
     for i in range(n_realizations):
-        r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
-        op = assemble_canopy_operator(t, p, r)
+        op = operator if i == 0 else None
+        if op is None:
+            r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
+            op = assemble_canopy_operator(t, p, r)
         counts += np.histogram(operator_spectrum(op, cap), bins=bin_edges)[0]
     normalized = counts / (t.vertex_count * n_realizations)
     return Histogram(bin_edges, counts, normalized, n_realizations, t.vertex_count)

@@ -37,7 +37,9 @@ from .canopy import (
     PatchSet,
     TruncatedCanopy,
     build_truncated_canopy,
+    forward_neighbors,
     subtree,
+    tree_adjacency,
 )
 from .cayley import CayleyGraph
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
@@ -141,9 +143,8 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """
     t, p = op.tiling
     K, l = t.K, p.l
-    depth = np.asarray(t.depth)
-    deep = int(np.count_nonzero(depth > l))
-    roots = np.flatnonzero(depth == l)
+    deep = int(np.count_nonzero(t.depth > l))
+    roots = np.flatnonzero(t.depth == l)
     couplings = op.potential[roots]
     chain = deep + (l + 1) * np.arange(roots.size)[:, None] + np.arange(l + 1)
     size = deep + chain.size
@@ -153,7 +154,7 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
     core[chain, chain] = couplings[:, None]
     a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
     core[a, b] = core[b, a] = np.sqrt(K)
-    parents = np.asarray(t.parent)[roots]
+    parents = t.parent[roots]
     linked = parents >= 0  # only a single-patch tree has a parentless root
     heads = chain[linked, 0]
     core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
@@ -243,7 +244,8 @@ def _template_adjacency(
 ) -> np.ndarray:
     """Read-only dense adjacency of the complete K-ary tree of the given
     depth (BFS indexing), built once per process."""
-    m = adjacency_matrix(build_truncated_canopy(K, depth, vertex_cap=vertex_cap).graph)
+    t = build_truncated_canopy(K, depth, vertex_cap=vertex_cap)
+    m = tree_adjacency(t).toarray()
     m.flags.writeable = False
     return m
 
@@ -380,9 +382,9 @@ def canopy_certificates(
     above the depth-l roots of the lower patches, and psi's nonzero leaf
     values leak into them, so the residual check raises CertificateError.
     """
-    if x not in p.roots:
-        raise InvalidArgumentError(f"vertex {x} is not a patch root")
     l = p.l
+    if not (0 <= x < t.vertex_count and t.depth[x] % (l + 1) == l):
+        raise InvalidArgumentError(f"vertex {x} is not a patch root")
     if l < 2:
         raise InvalidArgumentError("construction needs patch depth l >= 2")
     template_adjacency = _template_adjacency(t.K, l - 1)
@@ -400,7 +402,7 @@ def canopy_certificates(
         operator = assemble_canopy_operator(t, p, r)
     # canonical order-preserving isomorphism: BFS order to BFS order, one
     # copy of psi per forward neighbor, weighted by a zero-sum alpha row
-    copies = [subtree(t, y, l - 1) for y in t.children[x]]
+    copies = [subtree(t, y, l - 1) for y in forward_neighbors(t, x)]
     support = tuple(v for copy in copies for v in copy)
     rows = alpha_basis(t.K).rows
     values = (rows[:, :, None] * psi).reshape(len(rows), -1)

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from multispec.anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from multispec.canopy import (
     build_truncated_canopy,
     forward_neighbors,
@@ -14,7 +18,8 @@ from multispec.errors import (
     TilingMismatchError,
     TooLargeError,
 )
-from multispec.graph_core import bfs_distance
+from multispec.graph_core import FiniteGraph, adjacency_sparse, bfs_distance
+from multispec.spectral import canopy_certificates, operator_spectrum, subtree_eigenpairs
 
 
 class TestBuild:
@@ -147,3 +152,93 @@ def test_json_export_roundtrips_depths():
     assert obj["K"] == 3 and obj["L"] == 3
     assert obj["depth"] == list(t.depth)
     assert obj["parent"] == list(t.parent)
+
+
+# ---------------------------------------------------------------------------
+# The array-native tree against an explicit breadth-first construction.
+
+
+def _oracle_tree(K, L):
+    """Depth, parent and children of the complete K-ary depth-L tree,
+    enumerated breadth-first one vertex at a time."""
+    depth, parent, children = [L], [-1], []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if depth[v] == 0:
+                children.append(())
+                continue
+            kids = []
+            for _ in range(K):
+                u = len(depth)
+                depth.append(depth[v] - 1)
+                parent.append(v)
+                kids.append(u)
+                nxt.append(u)
+            children.append(tuple(kids))
+        frontier = nxt
+    return depth, parent, children
+
+
+def _oracle_tiling(depth, parent, l):
+    """Patch roots (depth congruent to l mod l+1) and, for every vertex, the
+    root reached by walking up to the first such depth."""
+    roots = tuple(v for v, d in enumerate(depth) if d % (l + 1) == l)
+    patch_of = []
+    for v, d in enumerate(depth):
+        target = (d // (l + 1)) * (l + 1) + l
+        w = v
+        while depth[w] != target:
+            w = parent[w]
+        patch_of.append(w)
+    return roots, patch_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5)
+    .flatmap(lambda K: st.tuples(st.just(K), st.integers(0, 7)))
+    .filter(lambda KL: tree_size(*KL) <= 3_000),
+    st.integers(0, 2**31 - 1),
+)
+@example((4, 5), 0)  # the largest instances within the size bound
+@example((5, 4), 1)
+@example((2, 7), 2)
+@example((3, 6), 3)
+def test_array_canopy_matches_oracle(KL, seed):
+    K, L = KL
+    depth, parent, children = _oracle_tree(K, L)
+    t = build_truncated_canopy(K, L)
+    assert t.depth.tolist() == depth and t.parent.tolist() == parent
+    assert t.children == tuple(children)
+    edges = tuple((parent[v], v) for v in range(1, len(depth)))
+    expected = adjacency_sparse(FiniteGraph(len(depth), edges))
+    for l in (l for l in range(1, L + 1) if L % (l + 1) == l):
+        roots, patch_of = _oracle_tiling(depth, parent, l)
+        p = potential_roots(t, l)
+        assert p.patch_of.tolist() == patch_of
+        assert p.roots == roots and all(type(x) is int for x in p.roots)
+        r = sample_disorder(DisorderSpec(seed=seed), p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.adjacency, part), getattr(expected, part))
+        assert op.potential.tolist() == [r.values[x] for x in patch_of]
+
+
+def test_large_canopy_pipeline_stays_array_native():
+    # K=4, L=8: 87,381 vertices; nothing on the pipeline builds the graph
+    # or children views, including the refused spectrum
+    t = build_truncated_canopy(4, 8)
+    p = potential_roots(t, 2)
+    r = sample_disorder(DisorderSpec(seed=0), p.roots)
+    op = assemble_canopy_operator(t, p, r)
+    x = next(x for x in p.roots if t.depth[x] == 2)
+    sub = subtree_eigenpairs(4, 1)
+    certs = canopy_certificates(
+        t, p, r, x, float(sub.eigenvalues[0]), sub.eigenvectors[:, 0], operator=op
+    )
+    assert len(certs) == 3
+    with pytest.raises(TooLargeError):
+        operator_spectrum(op)
+    assert "graph" not in vars(t) and "children" not in vars(t)

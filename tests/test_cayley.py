@@ -7,6 +7,7 @@ from multispec.cayley import (
     cyclic_group,
     free_group_ball,
     from_table,
+    group_order,
     product_of_cyclics,
     zd_box,
 )
@@ -56,6 +57,22 @@ class TestGroups:
         assert build_group("free:2:1").size == 5
         with pytest.raises(InvalidArgumentError):
             build_group("nope:3")
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["cyclic:1", "cyclic:6", "product:2,3,4", "zbox:2:2", "zbox:3:1",
+         "free:1:3", "free:2:3", "free:3:2"],
+    )
+    def test_order_from_descriptor(self, descriptor):
+        assert group_order(descriptor) == build_group(descriptor).size
+
+    @pytest.mark.parametrize("descriptor", ["nope:3", "cyclic", "cyclic:0", "free:2:-1"])
+    def test_order_rejects_like_build(self, descriptor):
+        with pytest.raises(InvalidArgumentError) as by_order:
+            group_order(descriptor)
+        with pytest.raises(InvalidArgumentError) as by_build:
+            build_group(descriptor)
+        assert str(by_order.value) == str(by_build.value)
 
     def test_product_identity_and_inverses(self):
         g = product_of_cyclics((2, 3))

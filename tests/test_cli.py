@@ -289,3 +289,35 @@ class TestMalformedInput:
         gf.write_text("3 1\n0 1\n1 2\n")
         err = self._invalid(["spectrum", "--graph", str(gf)], capsys)
         assert "header declares 1 edges but 2 edge lines follow" in err
+
+
+def test_dos_solves_each_realization_once(monkeypatch):
+    # K=3, L=5, l=2: each operator's core has 94 vertices; the first
+    # realization feeds both the histogram and the band count
+    import multispec.spectral as spectral
+
+    solved = []
+    eig_sym = spectral.eig_sym
+
+    def counting(M, *args, **kwargs):
+        solved.append(np.asarray(M).tobytes())
+        return eig_sym(M, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eig_sym", counting)
+    argv = ["dos", "--K", "3", "--L", "5", "--l", "2", "--realizations", "3"]
+    assert run(argv) == EXIT_OK
+    cores = [m for m in solved if len(m) == 94 * 94 * 8]
+    assert len(cores) == 3 and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("command", ["cayley-verify", "aut"])
+def test_group_size_cap_before_group_is_built(command, monkeypatch, capsys):
+    import multispec.cayley as cayley
+
+    def refuse(self, *args):
+        raise AssertionError("group built before the size cap check")
+
+    monkeypatch.setattr(cayley.GroupSpec, "__init__", refuse)
+    assert run([command, "--pieces", "4", "--group", "cyclic:8000"]) == EXIT_TOO_LARGE
+    err = capsys.readouterr().err
+    assert err.startswith("error (size cap):") and err.count("\n") == 1

@@ -45,7 +45,6 @@ from .graph_core import (
     GluedGraph,
     GluedGraphSpec,
     adjacency_matrix,
-    bfs_distance,
     glue_subgraphs,
     path_graph,
     prime_paths_graph,

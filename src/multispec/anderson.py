@@ -151,12 +151,6 @@ class SiteOperator:
         )
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    def export_coordinate_text(self) -> str:
-        coo = sp.triu(self.adjacency).tocoo()
-        lines = [f"{i} {j} {v}" for i, j, v in zip(coo.row, coo.col, coo.data)]
-        lines += [f"{i} {i} {v}" for i, v in enumerate(self.potential)]
-        return "\n".join(lines) + "\n"
-
 
 def assemble_canopy_operator(
     t: TruncatedCanopy, p: PatchSet, r: DisorderRealization
@@ -213,11 +207,9 @@ def covariance_check(
 ) -> tuple[bool, float]:
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
-    shifted couplings. Returns (holds exactly, max entry deviation).
-
-    Both operators share the adjacency of cg.graph, which has no self-loops,
-    so the permuted adjacency and the permuted potential are compared
-    separately, in O(nnz), with the same deviation a dense comparison gives.
+    shifted couplings. Returns (holds exactly, max entry deviation), the
+    deviation from permuted_deviation, as both operators share the adjacency
+    of cg.graph.
     """
     require_finite(cg.group, "covariance_check")
     op = assemble_cayley_operator(cg, r)
@@ -226,9 +218,22 @@ def covariance_check(
     # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]
     gh = np.array([cg.group.mul(g, h) for h in range(cg.group.size)])
     phi = (gh[:, None] * nb + np.arange(nb)).ravel()
-    adjacency_diff = op.adjacency[phi][:, phi] - op.adjacency
-    dev = max(
-        float(np.max(np.abs(adjacency_diff.data), initial=0.0)),
-        float(np.max(np.abs(op.potential[phi] - shifted_potential), initial=0.0)),
-    )
+    dev = permuted_deviation(op, phi, shifted_potential)
     return dev == 0.0, dev
+
+
+def permuted_deviation(
+    op: SiteOperator, phi: np.ndarray, potential: np.ndarray
+) -> float:
+    """max |(U H U*)[a, b] - H'[a, b]| for the permutation unitary
+    (U u)(v) = u(phi(v)), where H' has op's adjacency and the given
+    potential: (U H U*)[a, b] = H[phi(a), phi(b)].
+
+    The adjacency has no self-loops, so the permuted adjacency and the
+    permuted potential are compared separately, in O(nnz), with the same
+    deviation a dense comparison gives."""
+    adjacency_diff = op.adjacency[phi][:, phi] - op.adjacency
+    return max(
+        float(np.max(np.abs(adjacency_diff.data), initial=0.0)),
+        float(np.max(np.abs(op.potential[phi] - potential), initial=0.0)),
+    )

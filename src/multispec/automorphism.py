@@ -9,7 +9,6 @@ are small; auditability beats speed.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .anderson import (
     DisorderRealization,
     SiteOperator,
     assemble_cayley_operator,
+    permuted_deviation,
     require_generic,
 )
 from .cayley import CayleyGraph, require_finite
@@ -68,14 +68,6 @@ class AutGroup:
     def __post_init__(self):
         if self.elements is not None and len(self.elements) != self.order:
             raise InvalidArgumentError("element count disagrees with order")
-
-    def to_json(self) -> str:
-        obj: dict = {"order": self.order, "fixed_set": list(self.fixed_set)}
-        if self.elements is not None:
-            obj["elements"] = [list(p) for p in self.elements]
-        if self.generators is not None:
-            obj["generators"] = [list(p) for p in self.generators]
-        return json.dumps(obj)
 
 
 def _validate_group(g: FiniteGraph, group: AutGroup):
@@ -222,26 +214,30 @@ def theta(per_fiber, cg: CayleyGraph) -> Permutation:
 def conjugation_deviation(op: SiteOperator, perm: Permutation) -> float:
     """Max |(U H U*)[a,b] - H[a,b]| for the permutation unitary
     (U u)(v) = u(perm(v)). Exact zero means the operator is fixed."""
-    n = op.dimension
-    if not is_permutation(perm, n):
+    if not is_permutation(perm, op.dimension):
         raise InvalidArgumentError("not a permutation")
-    dev = 0.0
-    coo = op.adjacency.tocoo()
-    entries = {(i, j): v for i, j, v in zip(coo.row, coo.col, coo.data)}
-    for (i, j), v in entries.items():
-        dev = max(dev, abs(entries.get((perm[i], perm[j]), 0.0) - v))
-    for v in range(n):
-        dev = max(dev, abs(op.potential[perm[v]] - op.potential[v]))
-    return dev
+    return permuted_deviation(op, np.asarray(perm), op.potential)
 
 
 def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
     """The operator-fixing automorphism group, computed structurally: with
     pairwise-distinct couplings every fixing automorphism preserves fibers
     and pins the anchors, so the group is the fiber-wise image of the
-    per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|."""
+    per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|.
+
+    That premise fails when the generator set is closed under inversion
+    (S = S^-1): on the prime-paths base with generators that are all
+    involutions, swapping the two junctions and reversing every path in
+    every fiber fixes the operator. Such groups raise CertificateError
+    instead of reporting an order."""
     require_finite(cg.group, "anderson_automorphisms")
     require_generic(r)
+    generators = set(cg.group.generator_indices)
+    if {cg.group.inverse(g) for g in generators} == generators:
+        raise CertificateError(
+            "generator set is closed under inversion (S = S^-1), so a fixing "
+            "automorphism need not pin the anchors; no order is claimed"
+        )
     base_group = automorphisms(cg.template.base, fixed=cg.template.anchor_vertices())
     op = assemble_cayley_operator(cg, r)
     size = cg.group.size
@@ -293,12 +289,3 @@ def brute_anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> Aut
     group = AutGroup(len(kept), (), elements=kept)
     _validate_group(cg.graph, group)
     return group
-
-
-def permutation_matrix(perm: Permutation) -> np.ndarray:
-    """U with (U u)(v) = u(perm(v)); used only by tests."""
-    n = len(perm)
-    U = np.zeros((n, n))
-    for v in range(n):
-        U[v, perm[v]] = 1.0
-    return U

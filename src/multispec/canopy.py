@@ -14,7 +14,6 @@ positions q in [tree_size(K, m-1), tree_size(K, m)) of level m.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +54,13 @@ class TruncatedCanopy:
     def graph(self) -> FiniteGraph:
         """The tree as a FiniteGraph, built on first access."""
         edges = tuple(zip(self.parent[1:].tolist(), range(1, self.vertex_count)))
-        labels = {v: ("depth", d) for v, d in enumerate(self.depth.tolist())}
-        return FiniteGraph(self.vertex_count, edges, labels)
+        return FiniteGraph(self.vertex_count, edges)
 
     @functools.cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children[v] is forward_neighbors(t, v), for every v; built on
         first access."""
         return tuple(forward_neighbors(self, v) for v in range(self.vertex_count))
-
-    def precedes(self, v: int, w: int) -> bool:
-        """v lies on the path from w down to the boundary (v below-or-equal w)."""
-        gap = int(self.depth[w] - self.depth[v])
-        # the ancestor of v at distance gap, inverting the subtree formula
-        return gap >= 0 and (v - tree_size(self.K, gap - 1)) // self.K**gap == w
 
 
 def build_truncated_canopy(
@@ -156,14 +148,3 @@ def potential_roots(t: TruncatedCanopy, l: int) -> PatchSet:
     patch_of = (np.arange(t.vertex_count) - (step - 1) // (t.K - 1)) // step
     patch_of.flags.writeable = False
     return PatchSet(l, roots, patch_of)
-
-
-def to_json(t: TruncatedCanopy) -> str:
-    return json.dumps(
-        {
-            "K": t.K,
-            "L": t.L,
-            "depth": t.depth.tolist(),
-            "parent": t.parent.tolist(),
-        }
-    )

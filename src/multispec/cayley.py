@@ -9,10 +9,10 @@ use interior fibers.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
 from .graph_core import FiniteGraph
@@ -24,12 +24,16 @@ class GroupSpec:
     """An enumerated finitely generated group (or a truncation of one).
 
     ``mul`` is total for finite kinds and returns None when the product
-    falls outside the enumeration of a truncated kind.
+    falls outside the enumeration of a truncated kind. Each constructor
+    passes the identity index and ``inverse`` (element index to the index
+    of its inverse) in closed form. A fixed sample of elements checks both
+    against ``mul``, and ``mul`` for closure (finite kinds) and associativity.
     """
 
-    def __init__(self, kind, elements, generators, mul, finite):
+    def __init__(self, kind, elements, generators, mul, finite, identity, inverse):
         self.kind = kind
         self.elements = tuple(elements)
+        self.size = len(self.elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise InvalidArgumentError("duplicate group elements")
@@ -38,70 +42,34 @@ class GroupSpec:
                 raise InvalidArgumentError(f"generator {g!r} not in element list")
         self.generators = tuple(generators)
         self.generator_indices = tuple(self.index[g] for g in self.generators)
-        self._mul = mul
+        self.mul = mul
         self.finite = finite
-        self._inv_cache: dict[int, int | None] = {}
-        self.identity = self._find_identity()
-        self.interior = tuple(self._is_interior(i) for i in range(self.size))
+        self.identity = identity
+        self.inverse = inverse
+        steps = [(gi, inverse(gi)) for gi in self.generator_indices]
+        self.interior = tuple(
+            all(mul(i, a) is not None and mul(i, b) is not None for a, b in steps)
+            for i in range(self.size)
+        )
         self._spot_check()
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int | None:
-        return self._mul(i, j)
-
-    def inverse(self, i: int) -> int | None:
-        if i not in self._inv_cache:
-            self._inv_cache[i] = next(
-                (
-                    j
-                    for j in range(self.size)
-                    if self._mul(i, j) == self.identity
-                    and self._mul(j, i) == self.identity
-                ),
-                None,
-            )
-        return self._inv_cache[i]
-
-    def _find_identity(self) -> int:
-        for e in range(self.size):
-            if all(
-                self._mul(e, i) in (i, None) and self._mul(i, e) in (i, None)
-                for i in range(self.size)
-            ):
-                if self._mul(e, e) == e:
-                    return e
-        raise InvalidArgumentError("no identity element found")
-
-    def _is_interior(self, i: int) -> bool:
-        for gi in self.generator_indices:
-            if self._mul(i, gi) is None:
-                return False
-            # generator inverses always lie in the enumeration for the kinds built here
-            inv = self.inverse(gi)
-            if inv is None or self._mul(i, inv) is None:
-                return False
-        return True
 
     def _spot_check(self):
         rng = random.Random(0)
-        n = self.size
-        if self.finite:
-            for i in range(n):
-                if self.inverse(i) is None:
-                    raise InvalidArgumentError(f"element {i} has no inverse")
-                for j in range(n):
-                    if self._mul(i, j) is None:
-                        raise InvalidArgumentError("finite group has partial product")
+        n, e = self.size, self.identity
         for _ in range(min(50, n * n)):
             a, b, c = (rng.randrange(n) for _ in range(3))
-            ab = self._mul(a, b)
-            bc = self._mul(b, c)
+            if not (self.mul(e, a) == a == self.mul(a, e)):
+                raise InvalidArgumentError(f"element {e} is not the identity")
+            inv = self.inverse(a)
+            if not (self.mul(a, inv) == e == self.mul(inv, a)):
+                raise InvalidArgumentError(f"element {inv} is not the inverse of {a}")
+            ab = self.mul(a, b)
+            bc = self.mul(b, c)
+            if self.finite and ab is None:
+                raise InvalidArgumentError("finite group has partial product")
             if ab is not None and bc is not None:
-                left = self._mul(ab, c)
-                right = self._mul(a, bc)
+                left = self.mul(ab, c)
+                right = self.mul(a, bc)
                 if left is not None and right is not None and left != right:
                     raise InvalidArgumentError("multiplication is not associative")
 
@@ -135,19 +103,22 @@ def _free_ball_order(n_generators: int, radius: int) -> int:
 def cyclic_group(m: int, generator: int = 1) -> GroupSpec:
     _cyclic_order(m)
     gens = (generator % m,) if m > 1 else (0,)
-    return GroupSpec("cyclic", range(m), gens, lambda i, j: (i + j) % m, True)
+    return GroupSpec(
+        "cyclic", range(m), gens, lambda i, j: (i + j) % m, True, 0, lambda i: -i % m
+    )
 
 
 def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
     _product_order(moduli)
-    elements: list[tuple[int, ...]] = [()]
-    for m in moduli:
-        elements = [e + (r,) for e in elements for r in range(m)]
+    elements = list(itertools.product(*(range(m) for m in moduli)))
     index = {e: i for i, e in enumerate(elements)}
 
     def mul(i, j):
         a, b = elements[i], elements[j]
         return index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+
+    def inverse(i):
+        return index[tuple(-x % m for x, m in zip(elements[i], moduli))]
 
     gens = [
         tuple(1 if k == d else 0 for k in range(len(moduli)))
@@ -156,23 +127,24 @@ def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
     ]
     if not gens:
         gens = [tuple(0 for _ in moduli)]
-    return GroupSpec("product_of_cyclics", elements, gens, mul, True)
+    return GroupSpec("product_of_cyclics", elements, gens, mul, True, 0, inverse)
 
 
 def zd_box(d: int, radius: int) -> GroupSpec:
     """Truncation of Z^d to the box [-radius, radius]^d with unit generators."""
     _zd_box_order(d, radius)
-    elements: list[tuple[int, ...]] = [()]
-    for _ in range(d):
-        elements = [e + (r,) for e in elements for r in range(-radius, radius + 1)]
+    elements = list(itertools.product(range(-radius, radius + 1), repeat=d))
     index = {e: i for i, e in enumerate(elements)}
 
     def mul(i, j):
         s = tuple(x + y for x, y in zip(elements[i], elements[j]))
         return index.get(s)
 
+    def inverse(i):
+        return index[tuple(-x for x in elements[i])]
+
     gens = [tuple(1 if k == dd else 0 for k in range(d)) for dd in range(d)]
-    return GroupSpec("zd_box", elements, gens, mul, False)
+    return GroupSpec("zd_box", elements, gens, mul, False, index[(0,) * d], inverse)
 
 
 def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -205,17 +177,36 @@ def free_group_ball(n_generators: int, radius: int) -> GroupSpec:
     def mul(i, j):
         return index.get(_reduce_word(elements[i] + elements[j]))
 
+    def inverse(i):  # the reversed word with negated letters
+        return index[tuple(-s for s in reversed(elements[i]))]
+
     gens = [(i,) for i in range(1, n_generators + 1)]
-    return GroupSpec("free_ball", elements, gens, mul, False)
+    return GroupSpec("free_ball", elements, gens, mul, False, 0, inverse)
 
 
 def from_table(elements, table, generators) -> GroupSpec:
-    """Explicit multiplication table: table[i][j] = index of elements[i]*elements[j]."""
+    """Explicit multiplication table: table[i][j] = index of elements[i]*elements[j].
+
+    This is the entry point for groups no built-in kind enumerates, such
+    as non-abelian ones. The table comes from outside the program, so it is
+    checked in full: every entry is an element index, one element is a
+    two-sided identity, and every element has a two-sided inverse."""
     n = len(elements)
-    for row in table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
-            raise InvalidArgumentError("inconsistent multiplication table")
-    return GroupSpec("table", elements, generators, lambda i, j: table[i][j], True)
+    if len(table) != n or any(
+        len(row) != n or any(not (0 <= x < n) for x in row) for row in table
+    ):
+        raise InvalidArgumentError("inconsistent multiplication table")
+    span = range(n)
+    ids = [e for e in span if all(table[e][i] == i == table[i][e] for i in span)]
+    if not ids:
+        raise InvalidArgumentError("no identity element found")
+    e = ids[0]
+    inverse = {i: j for i in span for j in span if table[i][j] == e == table[j][i]}
+    if len(inverse) != n:
+        raise InvalidArgumentError("some element has no inverse")
+    return GroupSpec(
+        "table", elements, generators, lambda i, j: table[i][j], True, e, inverse.get
+    )
 
 
 # descriptor kind -> its parameters, read from the ':'-separated fields
@@ -283,7 +274,6 @@ class CayleyTemplate:
 
     base: FiniteGraph
     anchors: dict[int, int]
-    anchor_assignment: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         keys = set(self.anchors)
@@ -309,12 +299,11 @@ class CayleyGraph:
     """Finite realization of the fibered graph: vertex (v, g) gets the dense
     index g * |V(base)| + v."""
 
-    def __init__(self, graph, template, group, fiber, base_vertex):
+    def __init__(self, graph, template, group, fiber):
         self.graph = graph
         self.template = template
         self.group = group
         self.fiber = fiber  # vertex -> group element index
-        self.base_vertex = base_vertex  # vertex -> base graph vertex
         self.n_base = template.base.vertex_count
         self.boundary_fibers = frozenset(
             g for g in range(group.size) if not group.interior[g]
@@ -323,9 +312,6 @@ class CayleyGraph:
     @property
     def vertex_count(self) -> int:
         return self.graph.vertex_count
-
-    def vertex_index(self, v: int, g: int) -> int:
-        return g * self.n_base + v
 
     def fiber_vertices(self, g: int) -> range:
         return range(g * self.n_base, (g + 1) * self.n_base)
@@ -364,31 +350,11 @@ def build_cayley_graph(
                 # an edge is a 2-element set; the degenerate pair is no edge
                 continue
             edges.add((min(a, b), max(a, b)))
-    labels = {
-        g * nb + v: (v, group.elements[g])
-        for g in range(group.size)
-        for v in range(nb)
-    }
-    graph = FiniteGraph(total, tuple(sorted(edges)), labels)
+    graph = FiniteGraph(total, tuple(sorted(edges)))
     fiber = tuple(idx // nb for idx in range(total))
-    base_vertex = tuple(idx % nb for idx in range(total))
-    return CayleyGraph(graph, template, group, fiber, base_vertex)
+    return CayleyGraph(graph, template, group, fiber)
 
 
 def require_finite(group: GroupSpec, what: str):
     if not group.finite:
         raise UnsupportedError(f"{what} requires a finite group")
-
-
-def to_json(cg: CayleyGraph) -> str:
-    return json.dumps(
-        {
-            "group": {"kind": cg.group.kind, "size": cg.group.size},
-            "fibers": cg.group.size,
-            "vertex_labels": [
-                [cg.base_vertex[i], repr(cg.group.elements[cg.fiber[i]])]
-                for i in range(cg.vertex_count)
-            ],
-            "edges": [list(e) for e in cg.graph.edges],
-        }
-    )

@@ -93,9 +93,7 @@ def _prime_paths_template(args):
     for i in range(1, n + 1):
         anchors[-i] = glued.junctions[0]
         anchors[i] = glued.junctions[1]
-    template = cayley_mod.CayleyTemplate(
-        glued.graph, anchors, {i: (1 if i < 0 else 2) for i in anchors}
-    )
+    template = cayley_mod.CayleyTemplate(glued.graph, anchors)
     return glued, group, template
 
 
@@ -307,30 +305,58 @@ def cmd_dos(args) -> int:
     return EXIT_OK
 
 
+def _spec_value(record, key: str, valid):
+    """record[key] of an example1 spec if valid accepts it; a missing key or
+    a value of the wrong type raises InvalidArgumentError."""
+    if not isinstance(record, dict) or key not in record:
+        raise InvalidArgumentError(f"pieces spec: missing key {key!r}")
+    if not valid(record[key]):
+        raise InvalidArgumentError(f"pieces spec: {key!r} has the wrong type")
+    return record[key]
+
+
+def _ints(value) -> bool:
+    """A list of integers. JSON true and false load as bool, which is no
+    vertex index."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def cmd_example1(args) -> int:
     with open(args.pieces_spec) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"pieces spec is not JSON: {exc}") from None
+
+    def edge_list(value) -> bool:
+        return isinstance(value, list) and all(_ints(e) and len(e) == 2 for e in value)
+
+    records = _spec_value(obj, "pieces", lambda v: isinstance(v, list))
     pieces = tuple(
-        graph_core.make_graph(pc["n"], [tuple(e) for e in pc["edges"]])
-        for pc in obj["pieces"]
+        graph_core.make_graph(
+            _spec_value(pc, "n", lambda v: type(v) is int),
+            _spec_value(pc, "edges", edge_list),
+        )
+        for pc in records
     )
-    attach = tuple(tuple(pc["attach"]) for pc in obj["pieces"])
-    spec = graph_core.GluedGraphSpec(pieces, attach, obj["junction_count"])
-    glued = graph_core.glue_subgraphs(spec)
-    kernel = spectral.junction_kernel_basis(glued, obj["E0"])
+    attach = tuple(tuple(_spec_value(pc, "attach", _ints)) for pc in records)
+    m = _spec_value(obj, "junction_count", lambda v: type(v) is int)
+    E0 = _spec_value(obj, "E0", lambda v: type(v) in (int, float))
+    glued = graph_core.glue_subgraphs(graph_core.GluedGraphSpec(pieces, attach, m))
+    # the kernel step densifies the pieces and the glued graph
+    spectral.require_eig_cap(glued.graph.vertex_count, _eig_cap())
+    kernel = spectral.junction_kernel_basis(glued, E0)
     adj = graph_core.adjacency_matrix(glued.graph)
-    residuals = [
-        float(np.max(np.abs(adj @ v - obj["E0"] * v))) for v in kernel
-    ]
+    residuals = [float(np.max(np.abs(adj @ v - E0 * v))) for v in kernel]
     report = {
-        "config": _config(args) | {"E0": obj["E0"]},
+        "config": _config(args) | {"E0": E0},
         "vertices": glued.graph.vertex_count,
         "edges": glued.graph.edge_count,
         "kernel_dimension": len(kernel),
         "residuals": residuals,
         "summary": (
             f"example1: {glued.graph.vertex_count} vertices, "
-            f"kernel dimension {len(kernel)} at E0={obj['E0']}"
+            f"kernel dimension {len(kernel)} at E0={E0}"
         ),
     }
     _emit(report, args)

@@ -7,9 +7,8 @@ searches) iterates deterministically.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +27,6 @@ class FiniteGraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    labels: dict[int, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -64,10 +62,10 @@ class FiniteGraph:
         return deg
 
 
-def make_graph(vertex_count: int, edges, labels=None) -> FiniteGraph:
+def make_graph(vertex_count: int, edges) -> FiniteGraph:
     """Canonicalize an edge iterable (sort endpoints, sort and dedup pairs)."""
     canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    return FiniteGraph(vertex_count, tuple(canon), dict(labels or {}))
+    return FiniteGraph(vertex_count, tuple(canon))
 
 
 def path_graph(k: int) -> FiniteGraph:
@@ -144,16 +142,13 @@ def glue_subgraphs(spec: GluedGraphSpec) -> GluedGraph:
     """Disjoint union of the pieces plus edges {x_j, v_{i,j}} for every
     piece i and junction j. Junctions occupy indices 0..m-1."""
     m = spec.junction_count
-    labels: dict[int, object] = {j: f"x_{j + 1}" for j in range(m)}
     offsets = []
     edges: list[tuple[int, int]] = []
     base = m
-    for i, piece in enumerate(spec.pieces):
+    for piece in spec.pieces:
         offsets.append(base)
         for u, v in piece.edges:
             edges.append((base + u, base + v))
-        for idx, lab in piece.labels.items():
-            labels[base + idx] = (i, lab)
         base += piece.vertex_count
     logical = len(edges)
     for i, attach in enumerate(spec.attach_points):
@@ -165,7 +160,7 @@ def glue_subgraphs(spec: GluedGraphSpec) -> GluedGraph:
         raise InvalidArgumentError(
             "distinct logical edges collapsed to the same vertex pair"
         )
-    graph = FiniteGraph(base, tuple(canon), labels)
+    graph = FiniteGraph(base, tuple(canon))
     return GluedGraph(graph, tuple(range(m)), tuple(offsets), spec)
 
 
@@ -188,27 +183,6 @@ def prime_paths_graph(piece_count: int, scale: int = 2) -> GluedGraph:
     return glue_subgraphs(spec)
 
 
-def bfs_distance(g: FiniteGraph, u: int, v: int) -> int:
-    """Graph metric d(u,v); UNREACHABLE (-1) across components."""
-    for w in (u, v):
-        if not (0 <= w < g.vertex_count):
-            raise InvalidArgumentError(f"vertex {w} out of range")
-    if u == v:
-        return 0
-    adj = g.neighbors()
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for nb in adj[w]:
-            if nb not in dist:
-                dist[nb] = dist[w] + 1
-                if nb == v:
-                    return dist[nb]
-                queue.append(nb)
-    return UNREACHABLE
-
-
 def bfs_all_distances(g: FiniteGraph, u: int) -> list[int]:
     """Distances from u to every vertex (UNREACHABLE where disconnected)."""
     adj = g.neighbors()
@@ -222,12 +196,6 @@ def bfs_all_distances(g: FiniteGraph, u: int) -> list[int]:
                 dist[nb] = dist[w] + 1
                 queue.append(nb)
     return dist
-
-
-def to_edge_list_text(g: FiniteGraph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
 
 
 def from_edge_list_text(text: str) -> FiniteGraph:
@@ -249,18 +217,3 @@ def from_edge_list_text(text: str) -> FiniteGraph:
             f"edge line {bad.strip()!r} needs two vertex indices"
         )
     return make_graph(n, edges)
-
-
-def to_json(g: FiniteGraph) -> str:
-    return json.dumps(
-        {
-            "n": g.vertex_count,
-            "edges": [list(e) for e in g.edges],
-            "labels": {str(k): repr(v) for k, v in sorted(g.labels.items())},
-        }
-    )
-
-
-def from_json(text: str) -> FiniteGraph:
-    obj = json.loads(text)
-    return make_graph(obj["n"], [tuple(e) for e in obj["edges"]])

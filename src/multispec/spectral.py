@@ -26,7 +26,6 @@ although its core has 2,551 vertices. Other operators are solved densely.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,17 +276,6 @@ class EigenvectorCertificate:
             v[i] = x
         return v
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalue": self.eigenvalue,
-                "residual": self.residual,
-                "support": list(self.support),
-                "provenance": self.provenance,
-                "vector": [[i, x] for i, x in sorted(self.vector.items())],
-            }
-        )
-
 
 def _padded_rows(op: SiteOperator, rows: np.ndarray):
     """CSR storage positions of the given rows as a (len(rows), max degree)
@@ -494,6 +482,8 @@ def junction_kernel_basis(
     spec = glued.spec
     m = spec.junction_count
     pieces = spec.pieces
+    # every piece is solved densely; check them all before densifying any
+    require_eig_cap(max(piece.vertex_count for piece in pieces), DEFAULT_EIG_CAP)
     piece_vecs = []
     for i, piece in enumerate(pieces):
         es = eig_sym(adjacency_matrix(piece))

@@ -181,8 +181,6 @@ class TestCovariance:
 
     def test_permutation_matrix_oracle(self):
         # independent check: materialize U_g and compare matrices directly
-        from multispec.automorphism import permutation_matrix
-
         glued = prime_paths_graph(1, 2)
         tmpl = CayleyTemplate(glued.graph, {-1: 0, 1: 1})
         cg = build_cayley_graph(tmpl, cyclic_group(4))
@@ -195,24 +193,10 @@ class TestCovariance:
             for h in range(4)
             for v in range(nb)
         )
-        U = permutation_matrix(perm)
+        U = np.eye(len(perm))[list(perm)]  # (U u)(v) = u(perm(v))
         shifted = assemble_cayley_operator(cg, shift_disorder(r, g, cg.group))
         assert np.array_equal(U @ op.to_dense() @ U.T, shifted.to_dense())
         assert covariance_check(cg, r, g) == (True, 0.0)
-
-
-def test_coordinate_export_roundtrip(canopy_setup):
-    t, p = canopy_setup
-    r = sample_disorder(DisorderSpec(seed=1), p.roots)
-    op = assemble_canopy_operator(t, p, r)
-    text = op.export_coordinate_text()
-    entries = [line.split() for line in text.strip().splitlines()]
-    dense = np.zeros((op.dimension, op.dimension))
-    for i, j, v in entries:
-        i, j, v = int(i), int(j), float(v)
-        dense[i, j] = v
-        dense[j, i] = v
-    assert np.array_equal(dense, op.to_dense())
 
 
 def _dense_covariance_oracle(cg, r, shifted, g):
@@ -229,7 +213,7 @@ def _dense_covariance_oracle(cg, r, shifted, g):
 
 
 class TestCovarianceOracle:
-    GROUPS = (cyclic_group(3), cyclic_group(7), product_of_cyclics((2, 3)))
+    GROUPS = (cyclic_group(3), cyclic_group(6), cyclic_group(7), product_of_cyclics((2, 3)))
 
     def _graph(self, group):
         glued = prime_paths_graph(2, 2)

@@ -15,11 +15,17 @@ from multispec.automorphism import (
     conjugation_deviation,
     invert,
     is_automorphism,
-    permutation_matrix,
     theta,
 )
-from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, zd_box
+from multispec.cayley import (
+    CayleyTemplate,
+    build_cayley_graph,
+    build_group,
+    cyclic_group,
+    zd_box,
+)
 from multispec.errors import (
+    CertificateError,
     DegenerateDisorderError,
     InvalidArgumentError,
     TooLargeError,
@@ -185,6 +191,41 @@ class TestAndersonGroup:
         with pytest.raises(UnsupportedError):
             anderson_automorphisms(cg, r)
 
+    # (base, descriptor) pairs; S = S^-1 exactly when every generator is an
+    # involution, as for cyclic:1, cyclic:2 and the products of 1s and 2s
+    SWEEP = [
+        (pieces, d)
+        for pieces in (1, 2)
+        for d in ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "product:1,2",
+                  "product:2,2", "product:2,2,2", "product:2,3", "product:2,5",
+                  "product:3,3", "product:2,2,3", "product:2,3,3")
+    ] + [("pendant", d) for d in ("cyclic:2", "cyclic:3", "cyclic:4")]
+
+    @pytest.mark.parametrize("base, descriptor", SWEEP)
+    def test_structural_raises_or_equals_brute(self, base, descriptor):
+        group = build_group(descriptor)
+        if base == "pendant":
+            tmpl = CayleyTemplate(pendant_base(), {-1: 0, 1: 1})
+        else:
+            glued = prime_paths_graph(base, 2)
+            anchors = {}
+            for i in range(1, len(group.generators) + 1):
+                anchors[-i], anchors[i] = glued.junctions
+            tmpl = CayleyTemplate(glued.graph, anchors)
+        cg = build_cayley_graph(tmpl, group)
+        r = sample_disorder(DisorderSpec(seed=1), range(group.size))
+        brute = brute_anderson_automorphisms(cg, r)
+        gens = set(group.generator_indices)
+        if {group.inverse(g) for g in gens} == gens:
+            # the structural formula would be wrong here
+            stab = automorphisms(tmpl.base, fixed=tmpl.anchor_vertices())
+            assert brute.order != stab.order**group.size
+            with pytest.raises(CertificateError, match="S = S\\^-1"):
+                anderson_automorphisms(cg, r)
+        else:
+            structural = anderson_automorphisms(cg, r)
+            assert set(structural.elements) == set(brute.elements)
+
     def test_brute_cap(self):
         glued = prime_paths_graph(4, 2)
         tmpl = CayleyTemplate(glued.graph, {-1: 0, 1: 1})
@@ -194,16 +235,42 @@ class TestAndersonGroup:
             brute_anderson_automorphisms(cg, r)
 
 
+def dense_conjugation_deviation(op, perm):
+    """max |U H U^T - H| with (U u)(v) = u(perm(v)) materialized densely."""
+    U = np.eye(len(perm))[list(perm)]
+    H = op.to_dense()
+    return float(np.max(np.abs(U @ H @ U.T - H)))
+
+
 class TestConjugation:
     def test_matrix_oracle(self, pendant_cayley):
         # materialize U and check dev == max |U H U^T - H| entrywise
         cg, r = pendant_cayley
         op = assemble_cayley_operator(cg, r)
-        H = op.to_dense()
         for p in anderson_automorphisms(cg, r).elements:
-            U = permutation_matrix(p)
             assert conjugation_deviation(op, p) == 0.0
-            assert np.array_equal(U @ H @ U.T, H)
+            assert dense_conjugation_deviation(op, p) == 0.0
+
+    def test_matrix_oracle_non_fixing(self, pendant_cayley):
+        # permutations that do not fix H: random ones and fiber swaps, which
+        # break the adjacency, and fiber translations, which keep it and
+        # move only the potential
+        cg, r = pendant_cayley
+        op = assemble_cayley_operator(cg, r)
+        rng = np.random.default_rng(7)
+        nb = cg.n_base
+        perms = [tuple(rng.permutation(cg.vertex_count).tolist()) for _ in range(20)]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            perm = list(range(cg.vertex_count))
+            perm[a * nb:(a + 1) * nb], perm[b * nb:(b + 1) * nb] = (
+                perm[b * nb:(b + 1) * nb], perm[a * nb:(a + 1) * nb])
+            perms.append(tuple(perm))
+        for g in (1, 2):
+            perms.append(tuple((h + g) % 3 * nb + v for h in range(3) for v in range(nb)))
+        for p in perms:
+            dev = conjugation_deviation(op, p)
+            assert dev > 0.0
+            assert dev == dense_conjugation_deviation(op, p)
 
     def test_nonfixing_permutation_detected(self, pendant_cayley):
         cg, r = pendant_cayley
@@ -223,12 +290,3 @@ class TestConjugation:
         op = assemble_cayley_operator(cg, r)
         with pytest.raises(InvalidArgumentError):
             conjugation_deviation(op, tuple([0] * cg.vertex_count))
-
-
-def test_group_json_roundtrip():
-    import json
-
-    g = automorphisms(path_graph(3))
-    obj = json.loads(g.to_json())
-    assert obj["order"] == 2
-    assert sorted(tuple(p) for p in obj["elements"]) == sorted(g.elements)

@@ -9,7 +9,6 @@ from multispec.canopy import (
     forward_neighbors,
     potential_roots,
     subtree,
-    to_json,
     tree_size,
 )
 from multispec.errors import (
@@ -18,7 +17,7 @@ from multispec.errors import (
     TilingMismatchError,
     TooLargeError,
 )
-from multispec.graph_core import FiniteGraph, adjacency_sparse, bfs_distance
+from multispec.graph_core import FiniteGraph, adjacency_sparse
 from multispec.spectral import canopy_certificates, operator_spectrum, subtree_eigenpairs
 
 
@@ -90,19 +89,6 @@ class TestSubtree:
             subtree(t, leaf, 1)
 
 
-class TestPrecedes:
-    def test_characterization_via_bfs(self):
-        # v below w iff distance equals the depth gap
-        t = build_truncated_canopy(2, 4)
-        pairs = [(v, w) for v in range(0, t.vertex_count, 3) for w in range(0, t.vertex_count, 5)]
-        for v, w in pairs:
-            expected = (
-                t.depth[v] <= t.depth[w]
-                and bfs_distance(t.graph, v, w) == t.depth[w] - t.depth[v]
-            )
-            assert t.precedes(v, w) == expected
-
-
 class TestPatchSet:
     def test_root_counts_k3_l5(self):
         t = build_truncated_canopy(3, 5)
@@ -142,16 +128,6 @@ class TestPatchSet:
         t = build_truncated_canopy(3, 4)
         with pytest.raises(TilingMismatchError):
             potential_roots(t, 2)
-
-
-def test_json_export_roundtrips_depths():
-    import json
-
-    t = build_truncated_canopy(3, 3)
-    obj = json.loads(to_json(t))
-    assert obj["K"] == 3 and obj["L"] == 3
-    assert obj["depth"] == list(t.depth)
-    assert obj["parent"] == list(t.parent)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from multispec.cayley import (
     CayleyTemplate,
+    GroupSpec,
     build_cayley_graph,
     build_group,
     cyclic_group,
@@ -45,10 +46,19 @@ class TestGroups:
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
         g = from_table([0, 1, 2], table, [1])
         assert g.size == 3 and g.finite
+        assert g.identity == 0 and [g.inverse(i) for i in range(3)] == [0, 2, 1]
 
     def test_inconsistent_table_rejected(self):
         with pytest.raises(InvalidArgumentError):
             from_table([0, 1], [[0, 1], [1, 5]], [1])
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [([[0, 0], [0, 0]], "no identity"), ([[0, 0], [0, 1]], "no inverse")],
+    )
+    def test_table_without_identity_or_inverse_rejected(self, table, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            from_table([0, 1], table, [1])
 
     def test_descriptor_parsing(self):
         assert build_group("cyclic:6").size == 6
@@ -194,3 +204,55 @@ class TestBuild:
             build_cayley_graph(
                 CayleyTemplate(base, {-1: 0, 1: 2, -2: 0, 2: 2}), cyclic_group(6)
             )
+
+
+# every build_group descriptor of at most 60 elements over a grid of parameters
+SMALL_GROUPS = [
+    d
+    for d in [f"cyclic:{m}" for m in range(1, 61)]
+    + [f"product:{a},{b}" for a in range(1, 8) for b in range(1, 8)]
+    + [f"product:2,{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+    + [f"zbox:{d}:{r}" for d in (1, 2, 3) for r in range(1, 30)]
+    + [f"free:{n}:{r}" for n in (1, 2, 3, 4) for r in range(1, 30)]
+    if group_order(d) <= 60
+]
+
+
+@pytest.mark.parametrize("descriptor", SMALL_GROUPS)
+def test_closed_form_identity_and_inverse_match_search(descriptor):
+    # the search every group used to run: the first element that fixes
+    # every product it takes part in (truncated products may leave the
+    # enumeration), and for each element the first two-sided inverse
+    g = build_group(descriptor)
+    identity = next(
+        e
+        for e in range(g.size)
+        if all(g.mul(e, i) in (i, None) and g.mul(i, e) in (i, None) for i in range(g.size))
+        and g.mul(e, e) == e
+    )
+    assert g.identity == identity
+    for i in range(g.size):
+        inverse = next(
+            j for j in range(g.size) if g.mul(i, j) == identity == g.mul(j, i)
+        )
+        assert g.inverse(i) == inverse
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:2000", "product:40,50", "zbox:2:22", "free:2:6"])
+def test_setup_multiplies_linearly_often(descriptor, monkeypatch):
+    # a deterministic guard against quadratic set-up: count the products
+    # GroupSpec takes while it is built
+    calls = 0
+    init = GroupSpec.__init__
+
+    def counting_init(self, kind, elements, generators, mul, *rest):
+        def counted(i, j):
+            nonlocal calls
+            calls += 1
+            return mul(i, j)
+
+        init(self, kind, elements, generators, counted, *rest)
+
+    monkeypatch.setattr(GroupSpec, "__init__", counting_init)
+    g = build_group(descriptor)
+    assert calls <= 10 * g.size + 200

@@ -129,6 +129,16 @@ class TestAut:
         assert report["aut_and_order"] == 1
         assert report["brute_order"] == 1
 
+    def test_involutive_generators_refused(self, tmp_path, capsys):
+        # 512 vertices, over the brute cap: swapping the junctions and
+        # reversing every path in every fiber fixes H, so no order is claimed
+        out = tmp_path / "report.json"
+        argv = ["aut", "--pieces", "4", "--group", "product:2,2,2,2", "--out", str(out)]
+        assert run(argv) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("error (verification):") and err.count("\n") == 1
+        assert "S = S^-1" in err and not out.exists()
+
 
 class TestSpectrum:
     def test_path_three(self, tmp_path, capsys):
@@ -204,6 +214,56 @@ class TestExample1:
         sf = tmp_path / "pieces.json"
         sf.write_text(json.dumps({"junction_count": 1, "E0": 5.0, "pieces": []}))
         assert run(["example1", "--pieces-spec", str(sf)]) == EXIT_INVALID
+
+    PIECE = {"n": 3, "edges": [[0, 1], [1, 2]], "attach": [1]}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"pieces": [', "not JSON"),
+            (json.dumps({"junction_count": 1, "pieces": [PIECE]}), "missing key 'E0'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [{"n": 3, "attach": [1]}]}),
+             "missing key 'edges'"),
+            (json.dumps([PIECE]), "missing key 'pieces'"),
+            (json.dumps({"junction_count": 1, "E0": "0", "pieces": [PIECE]}), "'E0'"),
+            (json.dumps({"junction_count": 1.0, "E0": 0, "pieces": [PIECE]}), "'junction_count'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [PIECE | {"n": "3"}]}), "'n'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [PIECE | {"n": True}]}), "'n'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [PIECE | {"edges": [[0, 1, 2]]}]}),
+             "'edges'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [PIECE | {"edges": [[0, 1.5]]}]}),
+             "'edges'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [PIECE | {"attach": 1}]}), "'attach'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": {"a": PIECE}}), "'pieces'"),
+            (json.dumps({"junction_count": 1, "E0": 0, "pieces": [3]}), "missing key 'n'"),
+        ],
+    )
+    def test_malformed_spec_one_line(self, text, message, tmp_path, capsys):
+        sf = tmp_path / "pieces.json"
+        sf.write_text(text)
+        assert run(["example1", "--pieces-spec", str(sf)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error (invalid config):") and err.count("\n") == 1
+        assert message in err
+
+    def test_oversized_piece_hits_the_eig_cap(self, tmp_path, monkeypatch, capsys):
+        # 60,000 vertices: exit 3 before any piece or the glued graph is
+        # densified (this used to end in numpy's MemoryError)
+        import multispec.graph_core as graph_core
+        import multispec.spectral as spectral
+
+        def refuse(g):
+            raise AssertionError("graph densified before the cap check")
+
+        monkeypatch.setattr(graph_core, "adjacency_matrix", refuse)
+        monkeypatch.setattr(spectral, "adjacency_matrix", refuse)
+        spec = {"junction_count": 1, "E0": 0.0, "pieces": [
+            {"n": 60_000, "edges": [[v, v + 1] for v in range(59_999)], "attach": [0]}]}
+        sf = tmp_path / "pieces.json"
+        sf.write_text(json.dumps(spec))
+        assert run(["example1", "--pieces-spec", str(sf)]) == EXIT_TOO_LARGE
+        err = capsys.readouterr().err
+        assert err == "error (size cap): dimension 60001 exceeds eig cap 5000\n"
 
 
 def test_summary_goes_to_stdout(capsys, tmp_path):

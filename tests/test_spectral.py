@@ -298,6 +298,17 @@ class TestJunctionKernel:
         with pytest.raises(InvalidArgumentError):
             junction_kernel_basis(glue_subgraphs(spec), 0.0)
 
+    def test_piece_cap_before_densifying(self, monkeypatch):
+        # a piece over the eig cap is refused before any piece is densified
+        def refuse(g):
+            raise AssertionError("piece densified before the cap check")
+
+        monkeypatch.setattr(spectral, "adjacency_matrix", refuse)
+        big = make_graph(spectral.DEFAULT_EIG_CAP + 1, [])
+        spec = GluedGraphSpec((path_graph(3), big), ((1,), (0,)), 1)
+        with pytest.raises(TooLargeError, match="exceeds eig cap"):
+            junction_kernel_basis(glue_subgraphs(spec), 0.0)
+
 
 @pytest.fixture(scope="module")
 def instance():

@@ -49,9 +49,6 @@ class DisorderSpec:
                 f"unknown distribution {self.distribution!r}"
             )
 
-    def max_abs(self) -> float:
-        return max(abs(p) for p in self.params)
-
 
 @dataclass(frozen=True)
 class DisorderRealization:
@@ -59,10 +56,6 @@ class DisorderRealization:
     spec: DisorderSpec
 
     def max_abs(self) -> float:
-        return self._max_abs
-
-    @functools.cached_property
-    def _max_abs(self) -> float:
         return max((abs(v) for v in self.values.values()), default=0.0)
 
     def is_generic(self) -> bool:
@@ -100,7 +93,8 @@ class SiteOperator:
     The operator is immutable after assembly: the potential is a read-only
     view, neither attribute can be rebound, and the adjacency must not be
     edited in place. spectral.operator_spectrum therefore solves the
-    spectrum once and caches it on the instance.
+    spectrum once and caches it on the instance, and norm_bound is
+    computed once.
 
     tiling is the (TruncatedCanopy, PatchSet) a canopy operator was
     assembled from, and None for every other operator; it lets
@@ -138,8 +132,13 @@ class SiteOperator:
     def dimension(self) -> int:
         return self.potential.shape[0]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.adjacency @ v + self.potential * v
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        """The largest row sum of |adjacency| plus max|potential|, a bound
+        on the operator norm; computed on first use."""
+        row_sums = abs(self.adjacency) @ np.ones(self.dimension)
+        potential = np.abs(self.potential)
+        return float(row_sums.max(initial=0.0)) + float(potential.max(initial=0.0))
 
     def to_dense(self) -> np.ndarray:
         return self.adjacency.toarray() + np.diag(self.potential)

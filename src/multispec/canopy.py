@@ -25,9 +25,7 @@ from .errors import (
     TilingMismatchError,
     TooLargeError,
 )
-from .graph_core import FiniteGraph
-
-DEFAULT_VERTEX_CAP = 200_000
+from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph
 
 
 def tree_size(k: int, depth: int) -> int:
@@ -43,10 +41,6 @@ class TruncatedCanopy:
     parent: np.ndarray  # -1 for the root, read-only
 
     @property
-    def root(self) -> int:
-        return 0
-
-    @property
     def vertex_count(self) -> int:
         return self.depth.size
 
@@ -55,12 +49,6 @@ class TruncatedCanopy:
         """The tree as a FiniteGraph, built on first access."""
         edges = tuple(zip(self.parent[1:].tolist(), range(1, self.vertex_count)))
         return FiniteGraph(self.vertex_count, edges)
-
-    @functools.cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """children[v] is forward_neighbors(t, v), for every v; built on
-        first access."""
-        return tuple(forward_neighbors(self, v) for v in range(self.vertex_count))
 
 
 def build_truncated_canopy(

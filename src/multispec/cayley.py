@@ -15,9 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
-from .graph_core import FiniteGraph
-
-DEFAULT_VERTEX_CAP = 200_000
+from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph
 
 
 class GroupSpec:
@@ -87,15 +85,20 @@ def _product_order(moduli: tuple[int, ...]) -> int:
 
 
 def _zd_box_order(d: int, radius: int) -> int:
-    if d < 1 or radius < 0:
-        raise InvalidArgumentError("need d >= 1 and radius >= 0")
+    if d < 1 or radius < 1:
+        raise InvalidArgumentError(
+            f"need d >= 1 and radius >= 1, got d={d}, radius={radius}"
+        )
     return (2 * radius + 1) ** d
 
 
 def _free_ball_order(n_generators: int, radius: int) -> int:
     """1 + sum over k = 1..radius of 2n (2n-1)^(k-1) reduced words."""
-    if n_generators < 1 or radius < 0:
-        raise InvalidArgumentError("need n_generators >= 1 and radius >= 0")
+    if n_generators < 1 or radius < 1:
+        raise InvalidArgumentError(
+            f"need n_generators >= 1 and radius >= 1, got "
+            f"n_generators={n_generators}, radius={radius}"
+        )
     n = n_generators
     return 1 + 2 * radius if n == 1 else 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
 

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .errors import InvalidArgumentError
 
 UNREACHABLE = -1
+DEFAULT_VERTEX_CAP = 200_000  # the largest canopy or Cayley graph built
 
 # First ten primes, enough for every construction exercised here.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

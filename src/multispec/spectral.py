@@ -11,7 +11,11 @@ Three certificate constructions are provided:
     eigenvectors at E0 that cancel at every junction.
 
 Every returned certificate is re-verified by multiplying the fully
-assembled operator (not the construction shortcut) against the vector.
+assembled operator (not the construction shortcut) against the vector,
+within residual_tolerance, built on the operator's cached norm bound. The
+subtree psi, the base-graph vectors and the junction kernel vectors pass
+check_eigenvectors against the cached subtree template or a CSR adjacency;
+no other graph matrix is densified except for an eigensolve.
 
 operator_spectrum solves each operator once. A canopy operator is solved on
 its symmetry-reduced core, the vertices above depth l plus an (l+1)-vertex
@@ -32,7 +36,6 @@ import numpy as np
 
 from .anderson import SiteOperator, assemble_canopy_operator, assemble_cayley_operator
 from .canopy import (
-    DEFAULT_VERTEX_CAP,
     PatchSet,
     TruncatedCanopy,
     build_truncated_canopy,
@@ -42,12 +45,18 @@ from .canopy import (
 )
 from .cayley import CayleyGraph
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
-from .graph_core import GluedGraph, adjacency_matrix
+from .graph_core import GluedGraph, adjacency_matrix, adjacency_sparse
 
 DEFAULT_EIG_CAP = 5_000
+TOL_SCALE = 1e-9  # relative scale of the solver, power-sum and certificate tolerances
 ORTHO_TOL = 1e-10
-PSI_RESIDUAL_TOL = 1e-10
+EIGENVECTOR_TOL = 1e-10
+UNIT_NORM_TOL = 1e-12
 ANCHOR_VANISH_TOL = 1e-12
+ALPHA_SUM_TOL = 1e-14
+ALPHA_GRAM_TOL = 1e-13
+PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
+RANK_TOL = 1e-10  # relative to the junction system's largest entry
 
 
 @dataclass(frozen=True)
@@ -75,14 +84,14 @@ def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
     w, v = np.linalg.eigh(M)
     residual = float(np.max(np.abs(M @ v - v * w))) if M.size else 0.0
     max_entry = float(np.max(np.abs(M))) if M.size else 0.0
-    bound = 1e-9 * (1.0 + max_entry * M.shape[0])
+    bound = TOL_SCALE * (1.0 + max_entry * M.shape[0])
     if residual > bound:
         raise CertificateError(
             f"eigensolver residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     if M.size:
         gram_dev = float(np.max(np.abs(v.T @ v - np.eye(M.shape[0]))))
-        if gram_dev > 1e-10:
+        if gram_dev > ORTHO_TOL:
             raise CertificateError(f"eigenvectors not orthonormal ({gram_dev:.3e})")
     return EigenSystem(w, v, residual)
 
@@ -106,7 +115,7 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
         else:
             core, local = _canopy_blocks(op, cap)
             w = np.sort(np.concatenate([core, local.ravel()]))
-            _check_power_sums(op, w, op.tiling[0].K)
+            _check_power_sums(op, w)
         w.flags.writeable = False
         op._eigenvalues = w
     return op._eigenvalues
@@ -161,21 +170,20 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return core_values, couplings[:, None] + _patch_block_spectrum(K, l)
 
 
-def _check_power_sums(op: SiteOperator, w: np.ndarray, K: int) -> None:
+def _check_power_sums(op: SiteOperator, w: np.ndarray) -> None:
     """Raise CertificateError unless w has op.dimension values whose first
     two power sums equal tr H = sum(potential) and ||H||_F^2 =
     sum(adjacency entries^2) + sum(potential^2), the k-th within
-    1e-9 * n * (K + 1 + max|omega|)^k, n times the k-th power of the norm
+    TOL_SCALE * n * op.norm_bound^k, n times the k-th power of the norm
     bound."""
     n = op.dimension
     if w.size != n:
         raise CertificateError(f"merged spectrum has {w.size} values, dimension {n}")
-    max_abs = float(np.max(np.abs(op.potential), initial=0.0))
     data = op.adjacency.data
     expected = (op.potential.sum(), data @ data + op.potential @ op.potential)
     for k, target in enumerate(expected, start=1):
         deviation = abs(float(np.sum(w**k)) - float(target))
-        tolerance = 1e-9 * n * (K + 1 + max_abs) ** k
+        tolerance = TOL_SCALE * n * op.norm_bound**k
         if deviation > tolerance:
             raise CertificateError(
                 f"merged spectrum power sum {k} deviates by {deviation:.3e} "
@@ -183,10 +191,24 @@ def _check_power_sums(op: SiteOperator, w: np.ndarray, K: int) -> None:
             )
 
 
-def canopy_tolerance(E: float, K: int, max_abs: float) -> float:
-    """Residual tolerance of a canopy certificate at subtree energy E:
-    1e-9 * (1 + |E| + the operator-norm bound K + 1 + max|omega|)."""
-    return 1e-9 * (1.0 + abs(E) + K + 1 + max_abs)
+def residual_tolerance(op: SiteOperator, E: float) -> float:
+    """Residual tolerance of a certificate of op built at energy E (the
+    subtree or base-graph eigenvalue): TOL_SCALE * (1 + |E| + op.norm_bound)."""
+    return TOL_SCALE * (1.0 + abs(E) + op.norm_bound)
+
+
+def check_eigenvectors(matrix, vectors, E: float, error: type, what: str) -> np.ndarray:
+    """The residuals max_i |(M v - E v)_i| of the given vectors (one vector,
+    or a sequence of them) against a dense or CSR matrix M; raises error,
+    naming what, when one exceeds EIGENVECTOR_TOL."""
+    columns = np.asarray(vectors, dtype=float).reshape(-1, matrix.shape[0]).T
+    residuals = np.abs(matrix @ columns - E * columns).max(axis=0, initial=0.0)
+    worst = float(residuals.max(initial=0.0))
+    if worst > EIGENVECTOR_TOL:
+        raise error(
+            f"{what} residual {worst:.3e} at E = {E} exceeds {EIGENVECTOR_TOL}"
+        )
+    return residuals
 
 
 def cluster_multiplicities(eigenvalues, tau: float) -> list[tuple[float, int]]:
@@ -217,7 +239,8 @@ class AlphaBasis:
     def __post_init__(self):
         sums = np.abs(self.rows.sum(axis=1))
         gram = self.rows @ self.rows.T
-        if np.max(sums) > 1e-14 or np.max(np.abs(gram - np.eye(self.K - 1))) > 1e-13:
+        gram_dev = np.max(np.abs(gram - np.eye(self.K - 1)))
+        if np.max(sums) > ALPHA_SUM_TOL or gram_dev > ALPHA_GRAM_TOL:
             raise CertificateError("alpha basis violates zero-sum/orthonormality")
 
 
@@ -238,22 +261,22 @@ def alpha_basis(K: int) -> AlphaBasis:
 
 
 @functools.lru_cache(maxsize=8)
-def _template_adjacency(
-    K: int, depth: int, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> np.ndarray:
+def _template_adjacency(K: int, depth: int) -> np.ndarray:
     """Read-only dense adjacency of the complete K-ary tree of the given
-    depth (BFS indexing), built once per process."""
-    t = build_truncated_canopy(K, depth, vertex_cap=vertex_cap)
+    depth (BFS indexing), built once per process. The tree is refused
+    before it is densified when it exceeds the eig cap."""
+    t = build_truncated_canopy(K, depth)
+    require_eig_cap(t.vertex_count, DEFAULT_EIG_CAP)
     m = tree_adjacency(t).toarray()
     m.flags.writeable = False
     return m
 
 
 @functools.lru_cache(maxsize=8)
-def subtree_eigenpairs(K: int, depth: int, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
+def subtree_eigenpairs(K: int, depth: int) -> EigenSystem:
     """Spectrum of the complete K-ary tree of the given depth (BFS indexing),
     solved once per process; the arrays are read-only."""
-    es = eig_sym(_template_adjacency(K, depth, cap), cap=cap)
+    es = eig_sym(_template_adjacency(K, depth))
     es.eigenvalues.flags.writeable = False
     es.eigenvectors.flags.writeable = False
     return es
@@ -332,7 +355,7 @@ def _verify(
     residuals = support_residuals(op, np.array(support), values, eigenvalue)
     certs = []
     for row, norm, residual, provenance in zip(values, norms, residuals, provenances):
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise CertificateError(f"certificate vector norm {norm} is not 1")
         if residual > tolerance:
             raise CertificateError(
@@ -379,13 +402,11 @@ def canopy_certificates(
     psi = np.asarray(psi, dtype=float)
     if psi.shape != template_adjacency.shape[:1]:
         raise InvalidArgumentError("psi has the wrong dimension")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
         raise InvalidArgumentError("psi must be unit norm")
-    psi_res = float(np.max(np.abs(template_adjacency @ psi - E * psi)))
-    if psi_res > PSI_RESIDUAL_TOL:
-        raise InvalidArgumentError(
-            f"psi residual {psi_res:.3e} against the subtree adjacency"
-        )
+    check_eigenvectors(
+        template_adjacency, psi, E, InvalidArgumentError, "psi on the subtree"
+    )
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
     # canonical order-preserving isomorphism: BFS order to BFS order, one
@@ -403,7 +424,7 @@ def canopy_certificates(
         support,
         values,
         E + r.values[x],
-        canopy_tolerance(E, t.K, r.max_abs()),
+        residual_tolerance(operator, E),
         provenances,
     )
 
@@ -420,27 +441,19 @@ def cayley_certificates(
     anchors, each supported on the single fiber g and certifying E0 + omega_g."""
     if g in cg.boundary_fibers:
         raise InvalidArgumentError(f"fiber {g} is not interior")
-    base_adj = adjacency_matrix(cg.template.base)
-    anchors = cg.template.anchor_vertices()
-    psis = [np.asarray(psi, dtype=float) for psi in psis]
-    for psi in psis:
-        bad = max(abs(psi[a]) for a in anchors)
-        if bad > ANCHOR_VANISH_TOL:
-            raise InvalidArgumentError(
-                f"eigenvector does not vanish at an anchor (|value| = {bad:.3e})"
-            )
-        res = float(np.max(np.abs(base_adj @ psi - E0 * psi)))
-        if res > PSI_RESIDUAL_TOL:
-            raise InvalidArgumentError(
-                f"base eigenvector residual {res:.3e} at E0 = {E0}"
-            )
+    psis = np.asarray(psis, dtype=float).reshape(-1, cg.n_base)
+    anchors = list(cg.template.anchor_vertices())
+    bad = float(np.max(np.abs(psis[:, anchors]), initial=0.0))
+    if bad > ANCHOR_VANISH_TOL:
+        raise InvalidArgumentError(
+            f"eigenvector does not vanish at an anchor (|value| = {bad:.3e})"
+        )
+    base = adjacency_sparse(cg.template.base)
+    check_eigenvectors(base, psis, E0, InvalidArgumentError, "base eigenvector")
     if operator is None:
         operator = assemble_cayley_operator(cg, r)
-    if not psis:
+    if not len(psis):
         return []
-    # the adjacency has no self-loops, so a row's stored entries are its degree
-    max_deg = int(np.diff(operator.adjacency.indptr).max(initial=0))
-    tolerance = 1e-9 * (1.0 + abs(E0) + max_deg + r.max_abs())
     provenances = [
         {
             "construction": "cayley",
@@ -453,9 +466,9 @@ def cayley_certificates(
     return _verify(
         operator,
         tuple(cg.fiber_vertices(g)),
-        np.stack(psis),
+        psis,
         E0 + r.values[g],
-        tolerance,
+        residual_tolerance(operator, E0),
         provenances,
     )
 
@@ -469,9 +482,7 @@ def _check_gram(values: np.ndarray):
         raise CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
 
 
-def junction_kernel_basis(
-    glued: GluedGraph, E0: float, eig_tol: float = 1e-8
-) -> list[np.ndarray]:
+def junction_kernel_basis(glued: GluedGraph, E0: float) -> list[np.ndarray]:
     """Orthonormal vectors on the glued graph that are exact E0-eigenvectors
     of its adjacency matrix and vanish at every junction.
 
@@ -480,42 +491,30 @@ def junction_kernel_basis(
     kernel element over the pieces.
     """
     spec = glued.spec
-    m = spec.junction_count
     pieces = spec.pieces
     # every piece is solved densely; check them all before densifying any
     require_eig_cap(max(piece.vertex_count for piece in pieces), DEFAULT_EIG_CAP)
     piece_vecs = []
     for i, piece in enumerate(pieces):
         es = eig_sym(adjacency_matrix(piece))
-        hits = np.where(np.abs(es.eigenvalues - E0) <= eig_tol)[0]
+        hits = np.where(np.abs(es.eigenvalues - E0) <= PIECE_EIG_TOL)[0]
         if hits.size == 0:
             raise InvalidArgumentError(
-                f"piece {i} has no eigenvalue within {eig_tol} of E0 = {E0}"
+                f"piece {i} has no eigenvalue within {PIECE_EIG_TOL} of E0 = {E0}"
             )
         piece_vecs.append(es.eigenvectors[:, hits[0]])
-    M = np.zeros((m, len(pieces)))
-    for i, (attach, psi) in enumerate(zip(spec.attach_points, piece_vecs)):
-        for j, v in enumerate(attach):
-            M[j, i] = psi[v]
+    # M[j, i] = psi_i(v_{i,j})
+    M = np.array([psi[list(a)] for a, psi in zip(spec.attach_points, piece_vecs)]).T
     # kernel via SVD with a rank tolerance tied to the matrix scale
     _, s, vt = np.linalg.svd(M)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(M))))
+    tol = RANK_TOL * max(1.0, float(np.max(np.abs(M))))
     rank = int(np.sum(s > tol))
-    kernel = vt[rank:].T  # columns: orthonormal alpha tuples
-    n = glued.graph.vertex_count
-    adj = adjacency_matrix(glued.graph)
-    out = []
-    for k in range(kernel.shape[1]):
-        alpha = kernel[:, k]
-        vec = np.zeros(n)
-        for i, psi in enumerate(piece_vecs):
-            vec[list(glued.piece_vertices(i))] = alpha[i] * psi
-        res = float(np.max(np.abs(adj @ vec - E0 * vec)))
-        if res > 1e-10:
-            raise CertificateError(
-                f"kernel vector residual {res:.3e} exceeds 1e-10"
-            )
-        if any(vec[j] != 0.0 for j in glued.junctions):
-            raise CertificateError("kernel vector is nonzero at a junction")
-        out.append(vec)
-    return out
+    alphas = vt[rank:]  # rows: orthonormal alpha tuples
+    vectors = np.zeros((len(alphas), glued.graph.vertex_count))
+    for i, psi in enumerate(piece_vecs):
+        vectors[:, list(glued.piece_vertices(i))] = np.outer(alphas[:, i], psi)
+    adjacency = adjacency_sparse(glued.graph)
+    check_eigenvectors(adjacency, vectors, E0, CertificateError, "kernel vector")
+    if np.any(vectors[:, list(glued.junctions)]):
+        raise CertificateError("kernel vector is nonzero at a junction")
+    return list(vectors)

@@ -24,7 +24,7 @@ from multispec.spectral import canopy_certificates, operator_spectrum, subtree_e
 class TestBuild:
     def test_depth_zero_is_single_vertex(self):
         t = build_truncated_canopy(2, 0)
-        assert t.vertex_count == 1 and t.children[0] == ()
+        assert t.vertex_count == 1 and forward_neighbors(t, 0) == ()
 
     def test_geometric_sum_sizes(self):
         assert build_truncated_canopy(3, 2).vertex_count == 13
@@ -42,12 +42,12 @@ class TestBuild:
         t = build_truncated_canopy(3, 4)
         for v in range(1, t.vertex_count):
             assert t.depth[t.parent[v]] == t.depth[v] + 1
-            assert v in t.children[t.parent[v]]
+            assert v in forward_neighbors(t, t.parent[v])
 
     def test_leaves_are_exactly_depth_zero(self):
         t = build_truncated_canopy(2, 3)
         for v in range(t.vertex_count):
-            assert (t.children[v] == ()) == (t.depth[v] == 0)
+            assert (forward_neighbors(t, v) == ()) == (t.depth[v] == 0)
 
 
 class TestForwardNeighbors:
@@ -187,7 +187,7 @@ def test_array_canopy_matches_oracle(KL, seed):
     depth, parent, children = _oracle_tree(K, L)
     t = build_truncated_canopy(K, L)
     assert t.depth.tolist() == depth and t.parent.tolist() == parent
-    assert t.children == tuple(children)
+    assert tuple(forward_neighbors(t, v) for v in range(t.vertex_count)) == tuple(children)
     edges = tuple((parent[v], v) for v in range(1, len(depth)))
     expected = adjacency_sparse(FiniteGraph(len(depth), edges))
     for l in (l for l in range(1, L + 1) if L % (l + 1) == l):
@@ -204,7 +204,7 @@ def test_array_canopy_matches_oracle(KL, seed):
 
 def test_large_canopy_pipeline_stays_array_native():
     # K=4, L=8: 87,381 vertices; nothing on the pipeline builds the graph
-    # or children views, including the refused spectrum
+    # view, including the refused spectrum
     t = build_truncated_canopy(4, 8)
     p = potential_roots(t, 2)
     r = sample_disorder(DisorderSpec(seed=0), p.roots)
@@ -217,4 +217,4 @@ def test_large_canopy_pipeline_stays_array_native():
     assert len(certs) == 3
     with pytest.raises(TooLargeError):
         operator_spectrum(op)
-    assert "graph" not in vars(t) and "children" not in vars(t)
+    assert "graph" not in vars(t)

@@ -76,13 +76,17 @@ class TestGroups:
     def test_order_from_descriptor(self, descriptor):
         assert group_order(descriptor) == build_group(descriptor).size
 
-    @pytest.mark.parametrize("descriptor", ["nope:3", "cyclic", "cyclic:0", "free:2:-1"])
+    @pytest.mark.parametrize(
+        "descriptor", ["nope:3", "cyclic", "cyclic:0", "free:2:-1", "zbox:1:0", "free:2:0"]
+    )
     def test_order_rejects_like_build(self, descriptor):
         with pytest.raises(InvalidArgumentError) as by_order:
             group_order(descriptor)
         with pytest.raises(InvalidArgumentError) as by_build:
             build_group(descriptor)
         assert str(by_order.value) == str(by_build.value)
+        if descriptor in ("zbox:1:0", "free:2:0"):
+            assert "radius >= 1" in str(by_order.value)
 
     def test_product_identity_and_inverses(self):
         g = product_of_cyclics((2, 3))

@@ -266,6 +266,81 @@ class TestExample1:
         assert err == "error (size cap): dimension 60001 exceeds eig cap 5000\n"
 
 
+def _example1_spec(glued, E0=0.0) -> dict:
+    spec = glued.spec
+    pieces = [
+        {"n": g.vertex_count, "edges": [list(e) for e in g.edges], "attach": list(a)}
+        for g, a in zip(spec.pieces, spec.attach_points)
+    ]
+    return {"junction_count": spec.junction_count, "E0": E0, "pieces": pieces}
+
+
+class TestDenseOnlyForEigensolves:
+    """Only the pieces' eigensolves densify a graph: the Cayley base and the
+    glued graph are checked on CSR."""
+
+    @pytest.fixture
+    def densified(self, monkeypatch):
+        import multispec.graph_core as graph_core
+        import multispec.spectral as spectral
+
+        seen = []
+        dense = graph_core.adjacency_matrix
+
+        def recording(g):
+            seen.append(g)
+            return dense(g)
+
+        monkeypatch.setattr(graph_core, "adjacency_matrix", recording)
+        monkeypatch.setattr(spectral, "adjacency_matrix", recording)
+        return seen
+
+    def test_cayley_verify(self, densified):
+        from multispec.graph_core import prime_paths_graph
+
+        assert run(["cayley-verify", "--pieces", "4", "--group", "cyclic:6"]) == EXIT_OK
+        assert densified == list(prime_paths_graph(4, 2).spec.pieces)
+
+    def test_example1(self, densified, tmp_path):
+        from multispec.graph_core import prime_paths_graph
+
+        glued = prime_paths_graph(4, 2)
+        sf = tmp_path / "pieces.json"
+        sf.write_text(json.dumps(_example1_spec(glued)))
+        assert run(["example1", "--pieces-spec", str(sf)]) == EXIT_OK
+        assert densified == list(glued.spec.pieces)
+
+
+def test_example1_residuals_equal_dense_oracle(tmp_path):
+    # the report's CSR residuals equal max |A v - E0 v| with the dense
+    # adjacency, bit for bit, on 39 kernel vectors: prime paths with 1-10
+    # pieces at scale 2 and 3 (a scale-3 path of even length has no
+    # eigenvalue 0, so those specs exit 1) plus three 3-paths on one junction
+    from multispec.graph_core import (
+        GluedGraphSpec,
+        adjacency_matrix,
+        glue_subgraphs,
+        path_graph,
+        prime_paths_graph,
+    )
+    from multispec.spectral import junction_kernel_basis
+
+    three = GluedGraphSpec((path_graph(3),) * 3, ((1,),) * 3, 1)
+    instances = [prime_paths_graph(k, s) for s in (2, 3) for k in range(1, 11)]
+    checked = 0
+    for glued in [*instances, glue_subgraphs(three)]:
+        sf, out = tmp_path / "pieces.json", tmp_path / "report.json"
+        sf.write_text(json.dumps(_example1_spec(glued)))
+        if run(["example1", "--pieces-spec", str(sf), "--out", str(out)]) != EXIT_OK:
+            continue
+        adj, E0 = adjacency_matrix(glued.graph), 0.0
+        kernel = junction_kernel_basis(glued, E0)
+        oracle = [float(np.max(np.abs(adj @ v - E0 * v))) for v in kernel]
+        assert json.loads(out.read_text())["residuals"] == oracle
+        checked += len(oracle)
+    assert checked == 39
+
+
 def test_summary_goes_to_stdout(capsys, tmp_path):
     gf = tmp_path / "graph.txt"
     gf.write_text("2 1\n0 1\n")

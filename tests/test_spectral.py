@@ -13,7 +13,13 @@ from multispec.anderson import (
     assemble_cayley_operator,
     sample_disorder,
 )
-from multispec.canopy import build_truncated_canopy, potential_roots, subtree, tree_size
+from multispec.canopy import (
+    build_truncated_canopy,
+    forward_neighbors,
+    potential_roots,
+    subtree,
+    tree_size,
+)
 from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics
 from multispec.errors import CertificateError, InvalidArgumentError, TooLargeError
 from multispec.graph_core import (
@@ -27,12 +33,12 @@ from multispec.graph_core import (
 from multispec.spectral import (
     alpha_basis,
     canopy_certificates,
-    canopy_tolerance,
     cayley_certificates,
     cluster_multiplicities,
     eig_sym,
     junction_kernel_basis,
     operator_spectrum,
+    residual_tolerance,
     subtree_eigenpairs,
     support_residuals,
 )
@@ -236,7 +242,7 @@ class TestCanopyCertificates:
         t, p, r, op, sub = canopy_instance
         with pytest.raises(CertificateError):
             canopy_certificates(
-                t, p, r, t.root, float(sub.eigenvalues[0]), sub.eigenvectors[:, 0],
+                t, p, r, 0, float(sub.eigenvalues[0]), sub.eigenvectors[:, 0],
                 operator=op,
             )
 
@@ -385,12 +391,13 @@ def _dense_residuals(op, support, values, eigenvalue):
     for row in values:
         dense = np.zeros(op.dimension)
         dense[list(support)] = row
-        out.append(float(np.max(np.abs(op.matvec(dense) - eigenvalue * dense))))
+        h_dense = op.adjacency @ dense + op.potential * dense
+        out.append(float(np.max(np.abs(h_dense - eigenvalue * dense))))
     return out
 
 
 class TestSupportLocalResiduals:
-    """The support-local residual equals the dense op.matvec residual bit for
+    """The support-local residual equals the dense H v residual bit for
     bit, and certificate pass/fail agrees with the dense check."""
 
     @settings(max_examples=40, deadline=None)
@@ -416,7 +423,7 @@ class TestSupportLocalResiduals:
         x = roots[pick % len(roots)]
         k %= sub.eigenvalues.size
         E, psi = float(sub.eigenvalues[k]), sub.eigenvectors[:, k]
-        support = tuple(v for y in t.children[x] for v in subtree(t, y, l - 1))
+        support = tuple(v for y in forward_neighbors(t, x) for v in subtree(t, y, l - 1))
         values = (alpha_basis(K).rows[:, :, None] * psi).reshape(K - 1, -1)
         eigenvalue = E + r.values[x]
         dense = _dense_residuals(op, support, values, eigenvalue)
@@ -427,7 +434,7 @@ class TestSupportLocalResiduals:
         assert support_residuals(op, np.array(support), noise, eigenvalue).tolist() == (
             _dense_residuals(op, support, noise, eigenvalue)
         )
-        tol = canopy_tolerance(E, K, r.max_abs())
+        tol = residual_tolerance(op, E)
         try:
             certs = canopy_certificates(t, p, r, x, E, psi, operator=op)
         except CertificateError:
@@ -509,6 +516,12 @@ class TestCaching:
         with pytest.raises(ValueError):
             es.eigenvectors[0, 0] = 1.0
 
+    def test_subtree_template_cap_before_densifying(self, monkeypatch):
+        # K=2, depth 12: 8,191 vertices, over the eig cap, under the vertex cap
+        monkeypatch.setattr(spectral, "tree_adjacency", lambda t: pytest.fail("densified"))
+        with pytest.raises(TooLargeError, match="^dimension 8191 exceeds eig cap 5000$"):
+            subtree_eigenpairs(2, 12)
+
 
 DISORDERS = [
     DisorderSpec(UNIFORM, (0.0, 1.0)),
@@ -589,3 +602,64 @@ class TestReducedCanopySpectrum:
         monkeypatch.setattr(spectral, "_canopy_blocks", lambda *a: pytest.fail("solve"))
         with pytest.raises(TooLargeError, match="dimension 9841 exceeds eig cap 5000"):
             operator_spectrum(op)
+
+
+def _cayley_operator(group, pieces, seed):
+    glued = prime_paths_graph(pieces, 2)
+    anchors = {}
+    for i in range(1, len(group.generators) + 1):
+        anchors[-i] = glued.junctions[0]
+        anchors[i] = glued.junctions[1]
+    cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
+    r = sample_disorder(DisorderSpec(seed=seed), range(group.size))
+    return r, assemble_cayley_operator(cg, r)
+
+
+class TestResidualTolerance:
+    """residual_tolerance(op, E) reads the operator's cached norm bound. For
+    canopies with L >= 2 and for Cayley operators it equals the per-family
+    formulas it replaced, up to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 5),
+        l=st.integers(1, 3),
+        blocks=st.integers(0, 3),
+        disorder=st.sampled_from(DISORDERS),
+        seed=st.integers(0, 2**31 - 1),
+        E=st.floats(-10.0, 10.0),
+    )
+    def test_canopy_formula(self, K, l, blocks, disorder, seed, E):
+        L = l + blocks * (l + 1)
+        assume(L >= 2 and tree_size(K, L) <= 2_000)
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        spec = DisorderSpec(disorder.distribution, disorder.params, seed)
+        r = sample_disorder(spec, p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        former = 1e-9 * (1.0 + abs(E) + K + 1 + r.max_abs())
+        assert residual_tolerance(op, E) == pytest.approx(former, rel=1e-15, abs=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        group=st.sampled_from(
+            [cyclic_group(1), cyclic_group(2), cyclic_group(7), product_of_cyclics((2, 3)),
+             product_of_cyclics((3, 4))]
+        ),
+        pieces=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        E0=st.floats(-5.0, 5.0),
+    )
+    def test_cayley_formula(self, group, pieces, seed, E0):
+        r, op = _cayley_operator(group, pieces, seed)
+        max_deg = int(np.diff(op.adjacency.indptr).max(initial=0))
+        former = 1e-9 * (1.0 + abs(E0) + max_deg + r.max_abs())
+        assert residual_tolerance(op, E0) == pytest.approx(former, rel=1e-15, abs=0)
+
+    def test_norm_bound_cached(self, canopy_instance):
+        t, p, r, _, _ = canopy_instance
+        op = assemble_canopy_operator(t, p, r)
+        assert "norm_bound" not in vars(op)
+        residual_tolerance(op, 0.0)
+        assert vars(op)["norm_bound"] == 3 + 1 + r.max_abs()
+

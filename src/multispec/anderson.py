@@ -140,9 +140,6 @@ class SiteOperator:
         potential = np.abs(self.potential)
         return float(row_sums.max(initial=0.0)) + float(potential.max(initial=0.0))
 
-    def to_dense(self) -> np.ndarray:
-        return self.adjacency.toarray() + np.diag(self.potential)
-
     def structure_hash(self) -> str:
         coo = self.adjacency.tocoo()
         payload = (
@@ -202,16 +199,20 @@ def shift_disorder(
 
 
 def covariance_check(
-    cg: CayleyGraph, r: DisorderRealization, g: int
+    cg: CayleyGraph,
+    r: DisorderRealization,
+    g: int,
+    operator: SiteOperator | None = None,
 ) -> tuple[bool, float]:
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
     shifted couplings. Returns (holds exactly, max entry deviation), the
     deviation from permuted_deviation, as both operators share the adjacency
-    of cg.graph.
+    of cg.graph. operator, when given, is the assembled operator of (cg, r),
+    so a caller checking many elements assembles it once.
     """
     require_finite(cg.group, "covariance_check")
-    op = assemble_cayley_operator(cg, r)
+    op = assemble_cayley_operator(cg, r) if operator is None else operator
     shifted_potential = _fiber_potential(cg, shift_disorder(r, g, cg.group))
     nb = cg.n_base
     # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]

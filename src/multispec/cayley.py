@@ -9,13 +9,16 @@ use interior fibers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
+import scipy.sparse as sp
+
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
-from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph
+from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph, adjacency_sparse
 
 
 class GroupSpec:
@@ -296,6 +299,12 @@ class CayleyTemplate:
 
     def anchor_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.anchors.values())))
+
+    @functools.cached_property
+    def base_adjacency(self) -> sp.csr_matrix:
+        """CSR adjacency of the base graph, built on first use; read it,
+        do not edit it."""
+        return adjacency_sparse(self.base)
 
 
 class CayleyGraph:

@@ -212,7 +212,7 @@ def cmd_cayley_verify(args) -> int:
     covariance = []
     if group.finite:
         for g in range(group.size):
-            holds, dev = covariance_check(cg, r, g)
+            holds, dev = covariance_check(cg, r, g, operator=op)
             covariance.append({"g": g, "holds": holds, "deviation": dev})
             if not holds:
                 failures.append(f"covariance broken at g={g} (dev {dev})")

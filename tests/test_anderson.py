@@ -16,6 +16,7 @@ from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics, zd_box
 from multispec.errors import DegenerateDisorderError, InvalidArgumentError, UnsupportedError
 from multispec.graph_core import adjacency_matrix, prime_paths_graph
+from oracle import dense_operator
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ class TestCanopyAssembly:
         t, p = canopy_setup
         r = sample_disorder(DisorderSpec(POINT_MASS, (0.0,), seed=0), p.roots)
         op = assemble_canopy_operator(t, p, r)
-        assert np.array_equal(op.to_dense(), adjacency_matrix(t.graph))
+        assert np.array_equal(dense_operator(op), adjacency_matrix(t.graph))
 
     def test_diagonal_constant_on_patches(self, canopy_setup):
         t, p = canopy_setup
@@ -80,7 +81,7 @@ class TestCanopyAssembly:
     def test_exactly_symmetric(self, canopy_setup):
         t, p = canopy_setup
         r = sample_disorder(DisorderSpec(seed=1), p.roots)
-        m = assemble_canopy_operator(t, p, r).to_dense()
+        m = dense_operator(assemble_canopy_operator(t, p, r))
         assert np.array_equal(m, m.T)
 
     def test_missing_site_rejected(self, canopy_setup):
@@ -95,7 +96,7 @@ class TestCanopyAssembly:
         a = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
         b = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
         assert a.structure_hash() == b.structure_hash()
-        assert np.array_equal(a.to_dense(), b.to_dense())
+        assert np.array_equal(dense_operator(a), dense_operator(b))
 
 
 class TestCayleyAssembly:
@@ -110,7 +111,7 @@ class TestCayleyAssembly:
         cg = cayley_setup
         r = sample_disorder(DisorderSpec(seed=2), range(6))
         op = assemble_cayley_operator(cg, r)
-        m = op.to_dense()
+        m = dense_operator(op)
         inf_norm = np.max(np.abs(m).sum(axis=1))
         assert inf_norm <= max(cg.graph.degrees()) + r.max_abs()
 
@@ -121,7 +122,7 @@ class TestCayleyAssembly:
         r = sample_disorder(DisorderSpec(POINT_MASS, (0.5,), seed=0), range(1))
         op = assemble_cayley_operator(cg, r)
         expect = adjacency_matrix(glued.graph) + 0.5 * np.eye(glued.graph.vertex_count)
-        assert np.array_equal(op.to_dense(), expect)
+        assert np.array_equal(dense_operator(op), expect)
 
 
 class TestShift:
@@ -195,7 +196,7 @@ class TestCovariance:
         )
         U = np.eye(len(perm))[list(perm)]  # (U u)(v) = u(perm(v))
         shifted = assemble_cayley_operator(cg, shift_disorder(r, g, cg.group))
-        assert np.array_equal(U @ op.to_dense() @ U.T, shifted.to_dense())
+        assert np.array_equal(U @ dense_operator(op) @ U.T, dense_operator(shifted))
         assert covariance_check(cg, r, g) == (True, 0.0)
 
 
@@ -207,8 +208,8 @@ def _dense_covariance_oracle(cg, r, shifted, g):
         gh = cg.group.mul(g, h)
         for v in range(nb):
             U[h * nb + v, gh * nb + v] = 1.0
-    H = assemble_cayley_operator(cg, r).to_dense()
-    H_shifted = assemble_cayley_operator(cg, shifted).to_dense()
+    H = dense_operator(assemble_cayley_operator(cg, r))
+    H_shifted = dense_operator(assemble_cayley_operator(cg, shifted))
     return float(np.max(np.abs(U @ H @ U.T - H_shifted)))
 
 
@@ -227,10 +228,12 @@ class TestCovarianceOracle:
         for group in self.GROUPS:
             cg = self._graph(group)
             r = sample_disorder(DisorderSpec(seed=5), range(group.size))
+            op = assemble_cayley_operator(cg, r)
             for g in range(group.size):
                 dev = _dense_covariance_oracle(cg, r, shift_disorder(r, g, group), g)
                 assert dev == 0.0
                 assert covariance_check(cg, r, g) == (True, dev)
+                assert covariance_check(cg, r, g, operator=op) == (True, dev)
 
     def test_negative_control_unshifted_couplings(self, monkeypatch):
         # with the shift removed, the identity fails at every non-identity
@@ -241,7 +244,9 @@ class TestCovarianceOracle:
         for group in self.GROUPS:
             cg = self._graph(group)
             r = sample_disorder(DisorderSpec(seed=6), range(group.size))
+            op = assemble_cayley_operator(cg, r)
             for g in range(group.size):
                 dev = _dense_covariance_oracle(cg, r, r, g)
                 assert covariance_check(cg, r, g) == (dev == 0.0, dev)
+                assert covariance_check(cg, r, g, operator=op) == (dev == 0.0, dev)
                 assert (dev == 0.0) == (g == group.identity)

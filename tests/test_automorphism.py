@@ -32,6 +32,7 @@ from multispec.errors import (
     UnsupportedError,
 )
 from multispec.graph_core import FiniteGraph, make_graph, path_graph, prime_paths_graph
+from oracle import dense_operator
 
 
 def pendant_base():
@@ -238,7 +239,7 @@ class TestAndersonGroup:
 def dense_conjugation_deviation(op, perm):
     """max |U H U^T - H| with (U u)(v) = u(perm(v)) materialized densely."""
     U = np.eye(len(perm))[list(perm)]
-    H = op.to_dense()
+    H = dense_operator(op)
     return float(np.max(np.abs(U @ H @ U.T - H)))
 
 

@@ -351,16 +351,17 @@ def test_summary_goes_to_stdout(capsys, tmp_path):
 
 class TestCapsBeforeDensifying:
     """Size caps end in exit 3 with a one-line message, and no operator is
-    densified on the way there."""
+    densified or solved on the way there."""
 
     @pytest.fixture(autouse=True)
-    def no_densify(self, monkeypatch):
-        from multispec.anderson import SiteOperator
+    def no_solve(self, monkeypatch):
+        import multispec.spectral as spectral
 
-        def refuse(self):
-            raise AssertionError("operator densified before the cap check")
+        def refuse(*args):
+            raise AssertionError("operator solved before the cap check")
 
-        monkeypatch.setattr(SiteOperator, "to_dense", refuse)
+        monkeypatch.setattr(spectral, "_canopy_blocks", refuse)
+        monkeypatch.setattr(spectral, "_band_eigenvalues", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -443,6 +444,63 @@ def test_dos_solves_each_realization_once(monkeypatch):
     assert run(argv) == EXIT_OK
     cores = [m for m in solved if len(m) == 94 * 94 * 8]
     assert len(cores) == 3 and len(set(solved)) == len(solved)
+
+
+def test_cayley_verify_never_solves_the_operator_densely(monkeypatch):
+    # cyclic:6 over the 32-vertex base: only the pieces, each smaller than
+    # the base, reach eig_sym, and the 192-vertex operator is solved once,
+    # by the band solve
+    import multispec.spectral as spectral
+
+    dims, bands = [], []
+    eig_sym, band = spectral.eig_sym, spectral._band_eigenvalues
+
+    def counting(M, *args, **kwargs):
+        dims.append(np.asarray(M).shape[0])
+        return eig_sym(M, *args, **kwargs)
+
+    def counting_band(op):
+        bands.append(op.dimension)
+        return band(op)
+
+    monkeypatch.setattr(spectral, "eig_sym", counting)
+    monkeypatch.setattr(spectral, "_band_eigenvalues", counting_band)
+    assert run(["cayley-verify", "--pieces", "4", "--group", "cyclic:6"]) == EXIT_OK
+    assert dims and max(dims) < 32
+    assert bands == [6 * 32]
+
+
+def test_cayley_verify_builds_each_sparse_matrix_once(monkeypatch):
+    # one operator for every fiber certificate and every covariance check;
+    # the 32-vertex base CSR is built once for the junction kernel check and
+    # once for the fiber certificates, however many fibers there are
+    import multispec.anderson as anderson
+    import multispec.cayley as cayley
+    import multispec.graph_core as graph_core
+    import multispec.spectral as spectral
+
+    operators = []
+    base_builds = []
+    init, adjacency_sparse = anderson.SiteOperator.__init__, graph_core.adjacency_sparse
+
+    def counting_init(self, *args, **kwargs):
+        operators.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_adjacency(g):
+        if g.vertex_count == 32:
+            base_builds.append(g)
+        return adjacency_sparse(g)
+
+    monkeypatch.setattr(anderson.SiteOperator, "__init__", counting_init)
+    for module in (anderson, cayley, graph_core, spectral):
+        monkeypatch.setattr(module, "adjacency_sparse", counting_adjacency, raising=False)
+    for group in ("cyclic:3", "cyclic:9"):
+        operators.clear()
+        base_builds.clear()
+        assert run(["cayley-verify", "--pieces", "4", "--group", group]) == EXIT_OK
+        assert len(operators) == 1
+        assert len(base_builds) == 2
 
 
 @pytest.mark.parametrize("command", ["cayley-verify", "aut"])

@@ -11,6 +11,7 @@ from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.dos import certified_band_count, eigenvalue_histogram
 from multispec.errors import CertificateError, InvalidArgumentError
 from multispec.spectral import eig_sym, subtree_eigenpairs
+from oracle import dense_operator
 
 
 @pytest.fixture(scope="module")
@@ -189,17 +190,18 @@ def test_band_queries_solve_the_operator_once(instance, realization, monkeypatch
     assert solved == first_query
     assert [c.observed_count for c in counts][0] == op.dimension
     # the cached spectrum gives the dense solve's counts
-    eigs = eig_sym(op.to_dense()).eigenvalues
+    eigs = eig_sym(dense_operator(op)).eigenvalues
     for c, (a, b) in zip(counts[1:], ((-1.0, 1.0), (0.2, 0.9), (50.0, 60.0))):
         assert c.observed_count == int(np.sum((eigs >= a) & (eigs <= b)))
 
 
 def test_cap_checked_before_densifying(instance, realization, monkeypatch):
-    from multispec.anderson import SiteOperator
+    import multispec.spectral as spectral
     from multispec.errors import TooLargeError
 
     t, p = instance
-    monkeypatch.setattr(SiteOperator, "to_dense", lambda self: pytest.fail("densified"))
+    for solve in ("_canopy_blocks", "_band_eigenvalues"):
+        monkeypatch.setattr(spectral, solve, lambda *a: pytest.fail("solved"))
     with pytest.raises(TooLargeError):
         eigenvalue_histogram(t, p, DisorderSpec(seed=0), [-5.0, 5.0], 2, cap=5)
     with pytest.raises(TooLargeError):

@@ -9,6 +9,7 @@ from multispec.anderson import (
     TWO_POINT,
     UNIFORM,
     DisorderSpec,
+    SiteOperator,
     assemble_canopy_operator,
     assemble_cayley_operator,
     sample_disorder,
@@ -42,6 +43,7 @@ from multispec.spectral import (
     subtree_eigenpairs,
     support_residuals,
 )
+from oracle import dense_operator
 
 
 def path_spectrum(k):
@@ -202,7 +204,7 @@ class TestCanopyCertificates:
 
     def test_oracle_eigenvalue_match(self, canopy_instance):
         t, p, r, op, sub = canopy_instance
-        eigs = eig_sym(op.to_dense()).eigenvalues
+        eigs = eig_sym(dense_operator(op)).eigenvalues
         for x in p.roots:
             if t.depth[x] != 2:
                 continue
@@ -271,6 +273,16 @@ class TestCanopyCertificates:
         with pytest.raises(InvalidArgumentError):
             canopy_certificates(t, p, r, x, 1.0, bad, operator=op)
 
+    def test_rejects_nan_psi(self, canopy_instance):
+        # a NaN fails every tolerance comparison, so each check must be
+        # written to raise on it rather than to pass it
+        t, p, r, op, sub = canopy_instance
+        x = next(x for x in p.roots if t.depth[x] == 2)
+        psi = sub.eigenvectors[:, 0].copy()
+        psi[1] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            canopy_certificates(t, p, r, x, float(sub.eigenvalues[0]), psi, operator=op)
+
 
 class TestJunctionKernel:
     def test_all_attach_values_zero(self):
@@ -302,6 +314,22 @@ class TestJunctionKernel:
     def test_rejects_missing_eigenvalue(self):
         spec = GluedGraphSpec((path_graph(2),), ((0,),), 1)
         with pytest.raises(InvalidArgumentError):
+            junction_kernel_basis(glue_subgraphs(spec), 0.0)
+
+    def test_rejects_nan_piece_vector(self, monkeypatch):
+        # the 3-path E0 = 0 eigenvector (1, 0, -1)/sqrt(2) with a NaN off its
+        # attach point: the junction system stays finite, the kernel does not
+        solve = spectral.eig_sym
+
+        def poisoned(M, *args, **kwargs):
+            es = solve(M, *args, **kwargs)
+            vectors = es.eigenvectors.copy()
+            vectors[0] = np.nan
+            return spectral.EigenSystem(es.eigenvalues, vectors, es.residual_bound)
+
+        monkeypatch.setattr(spectral, "eig_sym", poisoned)
+        spec = GluedGraphSpec((path_graph(3), path_graph(3)), ((1,), (1,)), 1)
+        with pytest.raises(CertificateError, match="kernel vector residual nan"):
             junction_kernel_basis(glue_subgraphs(spec), 0.0)
 
     def test_piece_cap_before_densifying(self, monkeypatch):
@@ -353,6 +381,14 @@ class TestCayleyCertificates:
         certs = cayley_certificates(cg, r, 0, 0.0, kernel)
         assert all(c.eigenvalue == 0.25 for c in certs)
 
+    def test_nan_base_vector_rejected(self, instance):
+        cg, r, kernel = instance
+        anchors = set(cg.template.anchor_vertices())
+        bad = kernel[0].copy()
+        bad[next(v for v in range(cg.n_base) if v not in anchors)] = np.nan
+        with pytest.raises(InvalidArgumentError, match="base eigenvector residual nan"):
+            cayley_certificates(cg, r, 0, 0.0, [bad])
+
     def test_anchor_vanishing_enforced(self, instance):
         cg, r, _ = instance
         n = cg.n_base
@@ -378,7 +414,7 @@ class TestCayleyCertificates:
         from multispec.anderson import assemble_cayley_operator
 
         op = assemble_cayley_operator(cg, r)
-        eigs = eig_sym(op.to_dense()).eigenvalues
+        eigs = eig_sym(dense_operator(op)).eigenvalues
         for g in range(6):
             target = r.values[g]
             assert np.sum(np.abs(eigs - target) <= 1e-7) >= len(kernel)
@@ -493,7 +529,8 @@ class TestCaching:
     def test_operator_spectrum_cap_before_densifying(self, canopy_instance, monkeypatch):
         t, p, r, _, _ = canopy_instance
         op = assemble_canopy_operator(t, p, r)
-        monkeypatch.setattr(type(op), "to_dense", lambda self: pytest.fail("densified"))
+        for solve in ("_canopy_blocks", "_band_eigenvalues"):
+            monkeypatch.setattr(spectral, solve, lambda *a: pytest.fail("solved"))
         with pytest.raises(TooLargeError):
             operator_spectrum(op, cap=op.dimension - 1)
 
@@ -502,7 +539,7 @@ class TestCaching:
         op = assemble_canopy_operator(t, p, r)
         w = operator_spectrum(op)
         assert operator_spectrum(op) is w
-        assert np.max(np.abs(w - eig_sym(op.to_dense()).eigenvalues)) <= 1e-12
+        assert np.max(np.abs(w - eig_sym(dense_operator(op)).eigenvalues)) <= 1e-12
         with pytest.raises(ValueError):
             w[0] = 0.0
         with pytest.raises(ValueError):
@@ -550,7 +587,7 @@ class TestReducedCanopySpectrum:
         assert local.shape == (roots, tree_size(t.K, p.l) - (p.l + 1))
         w = operator_spectrum(op)
         assert w.size == op.dimension
-        assert np.max(np.abs(w - eig_sym(op.to_dense()).eigenvalues)) <= 1e-12
+        assert np.max(np.abs(w - eig_sym(dense_operator(op)).eigenvalues)) <= 1e-12
         return core.size
 
     @settings(max_examples=40, deadline=None)
@@ -569,22 +606,22 @@ class TestReducedCanopySpectrum:
     def test_k4_l5(self):
         assert self._check(*_canopy_operator(4, 5, 2, DISORDERS[0], 3)) == 213
 
-    def test_cayley_keeps_dense_path(self, instance):
-        cg, r, _ = instance
-        op = assemble_cayley_operator(cg, r)
-        assert op.tiling is None
-        assert np.array_equal(operator_spectrum(op), eig_sym(op.to_dense()).eigenvalues)
-
     @staticmethod
     def _wrong_coupling(core, local):
         local = local.copy()
         local[0] += 1e-3  # one root's patch blocks at a shifted coupling
         return core, local
 
+    @staticmethod
+    def _nan_value(core, local):
+        core = core.copy()
+        core[0] = np.nan
+        return core, local
+
     @pytest.mark.parametrize(
         "tamper",
-        [_wrong_coupling, lambda core, local: (core[1:], local)],
-        ids=["wrong_coupling", "dropped_value"],
+        [_wrong_coupling, lambda core, local: (core[1:], local), _nan_value],
+        ids=["wrong_coupling", "dropped_value", "nan_value"],
     )
     def test_merge_check_rejects(self, tamper, monkeypatch):
         _, _, op = _canopy_operator(4, 5, 2, DISORDERS[0], 3)
@@ -613,6 +650,64 @@ def _cayley_operator(group, pieces, seed):
     cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
     r = sample_disorder(DisorderSpec(seed=seed), range(group.size))
     return r, assemble_cayley_operator(cg, r)
+
+
+class TestCayleyBandSpectrum:
+    """operator_spectrum solves every operator without a tiling, the Cayley
+    operators, by the eigenvalues-only band solve, and checks the values
+    against the operator's dimension, trace and Frobenius norm."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        group=st.one_of(
+            st.integers(1, 45).map(cyclic_group),
+            st.tuples(st.integers(1, 7), st.integers(1, 7)).map(product_of_cyclics),
+        ),
+        pieces=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense(self, group, pieces, seed):
+        assume(group.size * prime_paths_graph(pieces, 2).graph.vertex_count <= 1_500)
+        _, op = _cayley_operator(group, pieces, seed)
+        assert op.tiling is None
+        w = operator_spectrum(op)
+        dense = np.linalg.eigvalsh(dense_operator(op))
+        assert w.size == op.dimension
+        assert np.max(np.abs(w - dense)) <= 1e-12
+
+    @staticmethod
+    def _shifted(w):
+        w = w.copy()
+        w[0] += 1e-3
+        return w
+
+    @staticmethod
+    def _nan_value(w):
+        w = w.copy()
+        w[0] = np.nan
+        return w
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_shifted, lambda w: w[1:], _nan_value],
+        ids=["shifted_value", "dropped_value", "nan_value"],
+    )
+    def test_power_sum_check_rejects(self, tamper, monkeypatch):
+        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        solve = spectral._band_eigenvalues
+        monkeypatch.setattr(spectral, "_band_eigenvalues", lambda op: tamper(solve(op)))
+        with pytest.raises(CertificateError):
+            operator_spectrum(op)
+        assert op._eigenvalues is None  # nothing unchecked is cached
+
+    def test_asymmetric_adjacency_rejected(self):
+        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        adjacency = op.adjacency.copy()
+        adjacency.data[0] = 2.0  # one direction of one edge
+        lopsided = SiteOperator(adjacency, op.potential, op.provenance)
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            operator_spectrum(lopsided)
+        assert lopsided._eigenvalues is None
 
 
 class TestResidualTolerance:

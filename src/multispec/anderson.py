@@ -140,6 +140,16 @@ class SiteOperator:
         potential = np.abs(self.potential)
         return float(row_sums.max(initial=0.0)) + float(potential.max(initial=0.0))
 
+    @functools.cached_property
+    def padded_rows(self) -> np.ndarray:
+        """The CSR storage positions of each row's entries as an (n, max
+        degree) table padded with -1; computed on first use."""
+        indptr = self.adjacency.indptr
+        degree = np.diff(indptr)
+        step = np.arange(degree.max(initial=0))
+        table = np.where(step < degree[:, None], indptr[:-1, None] + step, -1)
+        return table.astype(indptr.dtype)
+
     def structure_hash(self) -> str:
         coo = self.adjacency.tocoo()
         payload = (

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -64,6 +66,24 @@ def _eig_cap() -> int:
     return _env_int("MULTISPEC_EIG_CAP", spectral.DEFAULT_EIG_CAP)
 
 
+def _window(text: str) -> float:
+    """A --tau value: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in exit 1 with one line, not in argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -107,33 +127,28 @@ def cmd_canopy_verify(args) -> int:
     op = assemble_canopy_operator(t, p, r)
     eigenvalues = spectral.operator_spectrum(op, cap=_eig_cap())
     sub = spectral.subtree_eigenpairs(t.K, args.l - 1)
+    outcomes = spectral.canopy_certificates(
+        t, p, r, p.roots, sub.eigenvalues, sub.eigenvectors, operator=op
+    )
+    pairs = itertools.product(p.roots, sub.eigenvalues.tolist())
     results = []
     failures = []
     all_certs = []
-    for x in p.roots:
-        for k in range(sub.eigenvalues.size):
-            E = float(sub.eigenvalues[k])
-            psi = sub.eigenvectors[:, k]
-            target = E + r.values[x]
-            nearby = int(np.sum(np.abs(eigenvalues - target) < MATCH_WINDOW))
-            entry = {
-                "patch_root": x,
-                "E": E,
-                "claimed": target,
-                "eig_matches": nearby,
-            }
-            try:
-                certs = spectral.canopy_certificates(t, p, r, x, E, psi, operator=op)
-                all_certs.extend(certs)
-                entry["residuals"] = [c.residual for c in certs]
-                entry["status"] = "pass" if nearby >= t.K - 1 else "fail"
-                if nearby < t.K - 1:
-                    failures.append(f"root {x} E {E}: only {nearby} matches")
-            except CertificateError as exc:
-                entry["status"] = "fail"
-                entry["error"] = str(exc)
-                failures.append(f"root {x} E {E}: {exc}")
-            results.append(entry)
+    for (x, E), outcome in zip(pairs, outcomes):
+        target = E + r.values[x]
+        nearby = int(np.sum(np.abs(eigenvalues - target) < MATCH_WINDOW))
+        entry = {"patch_root": x, "E": E, "claimed": target, "eig_matches": nearby}
+        if isinstance(outcome, CertificateError):
+            entry["status"] = "fail"
+            entry["error"] = str(outcome)
+            failures.append(f"root {x} E {E}: {outcome}")
+        else:
+            all_certs.extend(outcome)
+            entry["residuals"] = [c.residual for c in outcome]
+            entry["status"] = "pass" if nearby >= t.K - 1 else "fail"
+            if nearby < t.K - 1:
+                failures.append(f"root {x} E {E}: only {nearby} matches")
+        results.append(entry)
     clusters = spectral.cluster_multiplicities(eigenvalues.tolist(), args.tau)
     if args.self_test and all_certs:
         # perturb the first certificate on its own support and run the
@@ -189,26 +204,25 @@ def cmd_cayley_verify(args) -> int:
     eigenvalues = spectral.operator_spectrum(op, cap=_eig_cap())
     failures = []
     per_fiber = []
-    for g in cg.interior_fibers():
+    fibers = cg.interior_fibers()
+    # kernel vectors live on the glued graph, which is the Cayley base
+    outcomes = spectral.cayley_certificates(cg, r, fibers, args.E0, kernel, operator=op)
+    for g, outcome in zip(fibers, outcomes):
+        if isinstance(outcome, CertificateError):
+            failures.append(f"fiber {g}: {outcome}")
+            continue
         target = args.E0 + r.values[g]
         nearby = int(np.sum(np.abs(eigenvalues - target) < args.tau))
-        try:
-            # kernel vectors live on the glued graph, which is the Cayley base
-            certs = spectral.cayley_certificates(
-                cg, r, g, args.E0, kernel, operator=op
-            )
-            per_fiber.append(
-                {
-                    "fiber": g,
-                    "claimed": target,
-                    "residuals": [c.residual for c in certs],
-                    "eig_matches": nearby,
-                }
-            )
-            if nearby < len(certs):
-                failures.append(f"fiber {g}: only {nearby} matching eigenvalues")
-        except CertificateError as exc:
-            failures.append(f"fiber {g}: {exc}")
+        per_fiber.append(
+            {
+                "fiber": g,
+                "claimed": target,
+                "residuals": [c.residual for c in outcome],
+                "eig_matches": nearby,
+            }
+        )
+        if nearby < len(outcome):
+            failures.append(f"fiber {g}: only {nearby} matching eigenvalues")
     covariance = []
     if group.finite:
         for g in range(group.size):
@@ -369,7 +383,7 @@ def cmd_example1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multispec",
         description=(
             "Anderson-type operators on canopy trees and Cayley-type graphs "
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--tau", type=float, default=MATCH_WINDOW)
+    p.add_argument("--tau", type=_window, default=MATCH_WINDOW)
     p.add_argument(
         "--self-test",
         action="store_true",
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=2, choices=[2, 3])
     p.add_argument("--group", required=True, help="e.g. cyclic:6 or product:2,2")
     p.add_argument("--E0", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=MATCH_WINDOW)
+    p.add_argument("--tau", type=_window, default=MATCH_WINDOW)
     common(p)
     p.set_defaults(func=cmd_cayley_verify)
 
@@ -435,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TooLargeError as exc:
         print(f"error (size cap): {exc}", file=sys.stderr)

@@ -17,6 +17,13 @@ subtree psi, the base-graph vectors and the junction kernel vectors pass
 check_eigenvectors against the cached subtree template or a CSR adjacency;
 no other graph matrix is densified except for an eigensolve.
 
+The canopy and Cayley constructions issue many families in one call (all
+patch roots times all subtree eigenpairs, or all interior fibers), and a
+single pair is the one-family case of the same path. Each psi is checked
+once, norms and Gram deviations once per psi, and support_residuals takes
+the residuals of a stack of supports in one support-local pass, equal bit
+for bit to the dense H v - E v of each.
+
 operator_spectrum solves each operator once. A canopy operator is solved on
 its symmetry-reduced core, the vertices above depth l plus an (l+1)-vertex
 level chain per depth-l patch root (213 instead of 1,365 vertices for K=4,
@@ -35,7 +42,9 @@ used and the canopy core.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,6 +72,7 @@ ALPHA_SUM_TOL = 1e-14
 ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
+RESIDUAL_BLOCK = 2_048  # support entries per support_residuals pass, to bound memory
 
 
 @dataclass(frozen=True)
@@ -304,6 +314,19 @@ def _template_adjacency(K: int, depth: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=64)
+def _check_subtree_eigenvector(K: int, depth: int, E: float, psi: bytes) -> None:
+    """Raise InvalidArgumentError unless psi, the float64 bytes of a vector
+    on the complete K-ary tree of the given depth, is a unit eigenvector of
+    its adjacency at E. Passing pairs are remembered: canopy_certificates
+    meets the same few eigenpairs at every patch root."""
+    vector = np.frombuffer(psi)
+    if not abs(np.linalg.norm(vector) - 1.0) <= UNIT_NORM_TOL:
+        raise InvalidArgumentError("psi must be unit norm")
+    adjacency = _template_adjacency(K, depth)
+    check_eigenvectors(adjacency, vector, E, InvalidArgumentError, "psi on the subtree")
+
+
 @functools.lru_cache(maxsize=8)
 def subtree_eigenpairs(K: int, depth: int) -> EigenSystem:
     """Spectrum of the complete K-ary tree of the given depth (BFS indexing),
@@ -332,87 +355,130 @@ class EigenvectorCertificate:
         return v
 
 
-def _padded_rows(op: SiteOperator, rows: np.ndarray):
-    """CSR storage positions of the given rows as a (len(rows), max degree)
-    table, plus the mask of the positions that exist."""
-    indptr = op.adjacency.indptr
-    lo = indptr[rows]
-    degree = indptr[rows + 1] - lo
-    step = np.arange(degree.max(initial=0))
-    live = step < degree[:, None]
-    return np.where(live, lo[:, None] + step, 0), live
-
-
 def support_residuals(
-    op: SiteOperator, support: np.ndarray, values: np.ndarray, eigenvalue: float
+    op: SiteOperator, support: np.ndarray, values: np.ndarray, eigenvalue
 ) -> np.ndarray:
-    """max_i |(H v - E v)_i| for each row v of values (one entry per support
-    vertex), evaluated only on the rows support + N(support), outside which
-    (H - E)v vanishes.
+    """max_i |(H v - E v)_i| for each vector v, shape (..., k): a stack of
+    supports (..., s), k vectors per support with one entry per support
+    vertex (..., k, s) and one E per support (...). A single support (s,)
+    with vectors (k, s) and a scalar E is the empty stack.
 
-    Each row sum adds its products in CSR storage order, as scipy's CSR
-    matvec does, so the result equals the dense residual bit for bit.
+    Keyed family * n + vertex, one sort gives the rows support + N(support)
+    of every family, outside which (H - E)v vanishes. Each row sum adds its
+    products in CSR storage order, as scipy's CSR matvec does, so every
+    result equals the dense residual bit for bit.
     """
-    order = np.argsort(support)
-    keys, vals = support[order], values[:, order]
+    n, indices = op.dimension, op.adjacency.indices
+    support, values = np.asarray(support), np.asarray(values, dtype=float)
+    lead, (k, s) = support.shape[:-1], values.shape[-2:]
+    families = math.prod(lead)
+    if not (s and families):
+        return np.zeros(lead + (k,))
+    first = np.arange(0, families * n, n)  # the key of each family's vertex 0
+    keys = (support.reshape(families, s) + first[:, None]).ravel()
+    order = keys.argsort()
+    keys = keys[order]
+    vals = values.reshape(families, k, s).transpose(1, 0, 2).reshape(k, keys.size)
+    vals = vals[:, order]
 
-    def at(vertices):  # v at the given vertices, 0 off the support
-        pos = np.minimum(np.searchsorted(keys, vertices), keys.size - 1)
-        return np.where(keys[pos] == vertices, vals[:, pos], 0.0)
+    def at(query):  # v at the given keys, 0 off the supports
+        pos = np.minimum(keys.searchsorted(query), keys.size - 1)
+        return np.where(keys[pos] == query, vals[:, pos], 0.0)
 
-    indices = op.adjacency.indices
-    ptr, live = _padded_rows(op, support)
-    rows = np.union1d(support, indices[ptr[live]])
-    ptr, live = _padded_rows(op, rows)
-    products = op.adjacency.data[ptr] * np.where(live, at(indices[ptr]), 0.0)
+    def padded(rows):  # the keys of each row's CSR entries, in storage order
+        vertex = rows % n
+        ptr = op.padded_rows[vertex]
+        return (rows - vertex)[:, None] + indices[ptr], ptr, vertex
+
+    adjacent, ptr, _ = padded(keys)
+    rows = np.concatenate([keys, adjacent[ptr >= 0]])
+    rows.sort()  # deduplicated below: np.union1d's overhead dominates a small family
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    adjacent, ptr, vertex = padded(rows)
+    products = op.adjacency.data[ptr] * np.where(ptr >= 0, at(adjacent), 0.0)
     acc = np.zeros(products.shape[:2])
-    for k in range(products.shape[2]):
-        acc += products[:, :, k]
+    for j in range(products.shape[2]):
+        acc += products[:, :, j]
     v = at(rows)
-    residual = (acc + op.potential[rows] * v) - eigenvalue * v
-    return np.abs(residual).max(axis=1, initial=0.0)
+    energy = np.asarray(eigenvalue, dtype=float).reshape(-1)[rows // n]
+    residual = np.abs((acc + op.potential[vertex] * v) - energy * v)
+    starts = rows.searchsorted(first)
+    return np.maximum.reduceat(residual, starts, axis=1).T.reshape(lead + (k,))
 
 
-def _verify(
-    op: SiteOperator,
-    support: tuple[int, ...],
-    values: np.ndarray,
-    eigenvalue: float,
-    tolerance: float,
-    provenances: list[dict],
-) -> list[EigenvectorCertificate]:
-    """Check each row of values (a vector on support) for unit norm and for
-    its residual against op at eigenvalue, in one support-local pass."""
-    norms = np.linalg.norm(values, axis=1)
-    residuals = support_residuals(op, np.array(support), values, eigenvalue)
-    certs = []
-    for row, norm, residual, provenance in zip(values, norms, residuals, provenances):
+def _issue(op, supports, values, eigenvalues, energies, provenance) -> list:
+    """Certificates for every family (i, j): the k rows of values[j], shape
+    (m, k, s), on the vertices supports[i], claiming eigenvalues[i, j] within
+    the residual tolerance of energies[j], described by provenance(i, j, row).
+    Returns, family by family in row-major order, its certificates or the
+    CertificateError of _rejection. Norms and Gram deviations are taken once
+    per j, residuals in blocks of at most RESIDUAL_BLOCK support entries."""
+    m, k, s = values.shape
+    families = len(supports) * m
+    support_rows = np.array(supports, dtype=np.intp).reshape(-1, s)
+    residuals = np.empty((families, k))
+    step = max(1, RESIDUAL_BLOCK // max(s, 1))
+    for lo in range(0, families, step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, families)), m)
+        residuals[lo : lo + step] = support_residuals(
+            op, support_rows[i], values[j], eigenvalues[i, j]
+        )
+    norms = np.sqrt((values * values).sum(axis=2)).tolist()
+    gram = np.abs(values @ values.transpose(0, 2, 1) - np.eye(k))
+    gram = gram.max(axis=(1, 2), initial=0.0).tolist()
+    tolerances = [residual_tolerance(op, E) for E in energies.tolist()]
+    kept = (values != 0.0).tolist()  # a certificate lists its nonzero entries
+    entries = [[[x for x in row if x != 0.0] for row in v] for v in values.tolist()]
+    claims = eigenvalues.tolist()
+    outcomes = []
+    for f, residual in enumerate(residuals.tolist()):
+        i, j = divmod(f, m)
+        claim, support = claims[i][j], supports[i]
+        error = _rejection(norms[j], residual, tolerances[j], claim, gram[j])
+        outcomes.append(error or [
+            EigenvectorCertificate(
+                dict(zip(compress(support, kept[j][a]), entries[j][a])),
+                claim, support, residual[a], provenance(i, j, a),
+            )
+            for a in range(k)
+        ])
+    return outcomes
+
+
+def _rejection(norms, residuals, tolerance, eigenvalue, dev):
+    """The CertificateError of a family, None if it passes: the first vector
+    whose norm is off 1 or, after that, whose residual is over tolerance;
+    then a Gram matrix off the identity by dev."""
+    for norm, residual in zip(norms, residuals):
         if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-            raise CertificateError(f"certificate vector norm {norm} is not 1")
+            return CertificateError(f"certificate vector norm {norm} is not 1")
         if not residual <= tolerance:
-            raise CertificateError(
+            return CertificateError(
                 f"certificate residual {residual:.3e} exceeds tolerance "
                 f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
             )
-        vector = {i: x for i, x in zip(support, row.tolist()) if x != 0.0}
-        certs.append(
-            EigenvectorCertificate(
-                vector, eigenvalue, support, float(residual), provenance
-            )
-        )
-    _check_gram(values)
-    return certs
+    if not dev <= ORTHO_TOL:
+        return CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
+    return None
+
+
+def _single(outcomes: list) -> list:
+    """The certificates of a one-family call; raises its CertificateError."""
+    (outcome,) = outcomes
+    if isinstance(outcome, CertificateError):
+        raise outcome
+    return outcome
 
 
 def canopy_certificates(
     t: TruncatedCanopy,
     p: PatchSet,
     r,
-    x: int,
-    E: float,
+    x,
+    E,
     psi: np.ndarray,
     operator: SiteOperator | None = None,
-) -> list[EigenvectorCertificate]:
+) -> list:
     """K-1 orthonormal certificates for the eigenvalue E + omega_x, built by
     spreading the depth-(l-1) subtree eigenvector psi over the forward
     neighbors of the patch root x with zero-sum weights.
@@ -424,55 +490,65 @@ def canopy_certificates(
     copies of psi end at the leaves. Below a deeper root the copies end just
     above the depth-l roots of the lower patches, and psi's nonzero leaf
     values leak into them, so the residual check raises CertificateError.
+
+    With a sequence of roots x, m eigenvalues E and psi the matrix of their
+    eigenvectors as columns, every (root, eigenpair) family is issued in one
+    pass; the result holds, root by root and eigenpair by eigenpair, each
+    family's certificates or the CertificateError that rejects it.
     """
     l = p.l
-    if not (0 <= x < t.vertex_count and t.depth[x] % (l + 1) == l):
-        raise InvalidArgumentError(f"vertex {x} is not a patch root")
+    roots = np.asarray(x, dtype=np.intp)
+    single, roots = roots.ndim == 0, roots.reshape(-1)
+    outside = p.patch_of.take(roots, mode="clip") != roots  # a root is its own patch
+    if outside.any():
+        raise InvalidArgumentError(f"vertex {roots[outside][0]} is not a patch root")
     if l < 2:
         raise InvalidArgumentError("construction needs patch depth l >= 2")
-    template_adjacency = _template_adjacency(t.K, l - 1)
+    energies = np.asarray(E, dtype=float).reshape(-1)
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != template_adjacency.shape[:1]:
+    psi = psi[:, None] if psi.ndim == 1 else psi
+    if psi.shape != (_template_adjacency(t.K, l - 1).shape[0], energies.size):
         raise InvalidArgumentError("psi has the wrong dimension")
-    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:
-        raise InvalidArgumentError("psi must be unit norm")
-    check_eigenvectors(
-        template_adjacency, psi, E, InvalidArgumentError, "psi on the subtree"
-    )
+    for E_j, column in zip(energies.tolist(), psi.T):
+        _check_subtree_eigenvector(t.K, l - 1, E_j, column.tobytes())
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
     # canonical order-preserving isomorphism: BFS order to BFS order, one
     # copy of psi per forward neighbor, weighted by a zero-sum alpha row
-    copies = [subtree(t, y, l - 1) for y in forward_neighbors(t, x)]
-    support = tuple(v for copy in copies for v in copy)
-    rows = alpha_basis(t.K).rows
-    values = (rows[:, :, None] * psi).reshape(len(rows), -1)
-    provenances = [
-        {"construction": "canopy", "patch_root": x, "E": float(E), "alpha_index": a}
-        for a in range(len(rows))
+    roots, energy_list = roots.tolist(), energies.tolist()
+    supports = [
+        sum((subtree(t, y, l - 1) for y in forward_neighbors(t, x)), ()) for x in roots
     ]
-    return _verify(
-        operator,
-        support,
-        values,
-        E + r.values[x],
-        residual_tolerance(operator, E),
-        provenances,
-    )
+    rows = alpha_basis(t.K).rows
+    spread = rows[:, :, None] * psi.T[:, None, None]  # (m, K-1, K, subtree size)
+    claims = energies + np.array([r.values[x] for x in roots])[:, None]
+
+    def provenance(i, j, a):
+        x, E = roots[i], energy_list[j]
+        return {"construction": "canopy", "patch_root": x, "E": E, "alpha_index": a}
+
+    values = spread.reshape(energies.size, len(rows), -1)
+    outcomes = _issue(operator, supports, values, claims, energies, provenance)
+    return _single(outcomes) if single else outcomes
 
 
 def cayley_certificates(
     cg: CayleyGraph,
     r,
-    g: int,
+    g,
     E0: float,
     psis,
     operator: SiteOperator | None = None,
-) -> list[EigenvectorCertificate]:
+) -> list:
     """One certificate per base-graph eigenvector psi_i at E0 vanishing on all
-    anchors, each supported on the single fiber g and certifying E0 + omega_g."""
-    if g in cg.boundary_fibers:
-        raise InvalidArgumentError(f"fiber {g} is not interior")
+    anchors, each supported on the single fiber g and certifying E0 + omega_g.
+    With a sequence of fibers g, every fiber is issued in one pass; the result
+    holds, fiber by fiber, its certificates or the CertificateError that
+    rejects it."""
+    fibers = np.asarray(g).reshape(-1).tolist()
+    boundary = [f for f in fibers if f in cg.boundary_fibers]
+    if boundary:
+        raise InvalidArgumentError(f"fiber {boundary[0]} is not interior")
     psis = np.asarray(psis, dtype=float).reshape(-1, cg.n_base)
     anchors = list(cg.template.anchor_vertices())
     bad = float(np.max(np.abs(psis[:, anchors]), initial=0.0))
@@ -485,34 +561,16 @@ def cayley_certificates(
     )
     if operator is None:
         operator = assemble_cayley_operator(cg, r)
-    if not len(psis):
-        return []
-    provenances = [
-        {
-            "construction": "cayley",
-            "fiber": repr(cg.group.elements[g]),
-            "E0": float(E0),
-            "i": i,
-        }
-        for i in range(len(psis))
-    ]
-    return _verify(
-        operator,
-        tuple(cg.fiber_vertices(g)),
-        psis,
-        E0 + r.values[g],
-        residual_tolerance(operator, E0),
-        provenances,
-    )
+    supports = [tuple(cg.fiber_vertices(f)) for f in fibers]
+    claims = E0 + np.array([r.values[f] for f in fibers]).reshape(-1, 1)
 
+    def provenance(i, j, a):
+        fiber = repr(cg.group.elements[fibers[i]])
+        return {"construction": "cayley", "fiber": fiber, "E0": float(E0), "i": a}
 
-def _check_gram(values: np.ndarray):
-    """Orthonormality of the rows of values, vectors on one shared support."""
-    if len(values) < 2:
-        return
-    dev = float(np.max(np.abs(values @ values.T - np.eye(len(values)))))
-    if not dev <= ORTHO_TOL:
-        raise CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
+    energies = np.array([E0], dtype=float)
+    outcomes = _issue(operator, supports, psis[None], claims, energies, provenance)
+    return _single(outcomes) if np.ndim(g) == 0 else outcomes
 
 
 def junction_kernel_basis(glued: GluedGraph, E0: float) -> list[np.ndarray]:

@@ -426,6 +426,30 @@ class TestMalformedInput:
         err = self._invalid(["spectrum", "--graph", str(gf)], capsys)
         assert "header declares 1 edges but 2 edge lines follow" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["canopy-verify", "--K", "abc", "--L", "2", "--l", "2"], "invalid int value"),
+            (["canopy-verify", "--K", "3", "--L", "2"], "required: --l"),
+            (["cayley-verify", "--pieces", "4", "--group", "cyclic:2", "--scale", "4"],
+             "invalid choice"),
+            ([], "required: command"),
+        ],
+    )
+    def test_usage_error(self, argv, message, capsys):
+        # argparse would exit 2, the verification-failure code, with a
+        # multi-line usage text
+        assert message in self._invalid(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command", [["canopy-verify", "--K", "3", "--L", "2", "--l", "2"],
+                    ["cayley-verify", "--pieces", "4", "--group", "cyclic:2"]],
+    )
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf", "abc"])
+    def test_tau_not_finite_and_positive(self, command, tau, capsys):
+        err = self._invalid([*command, "--tau", tau], capsys)
+        assert f"argument --tau: must be finite and above 0, got '{tau}'" in err
+
 
 def test_dos_solves_each_realization_once(monkeypatch):
     # K=3, L=5, l=2: each operator's core has 94 vertices; the first
@@ -501,6 +525,47 @@ def test_cayley_verify_builds_each_sparse_matrix_once(monkeypatch):
         assert run(["cayley-verify", "--pieces", "4", "--group", group]) == EXIT_OK
         assert len(operators) == 1
         assert len(base_builds) == 2
+
+
+def test_cayley_verify_checks_the_kernel_once(monkeypatch):
+    # cyclic:9 has 9 interior fibers: the kernel vectors are checked against
+    # the base graph once for the junction kernel and once for all fibers
+    import multispec.spectral as spectral
+
+    checked = []
+    base = spectral.check_eigenvectors
+
+    def counting(matrix, vectors, E, error, what):
+        checked.append(what)
+        return base(matrix, vectors, E, error, what)
+
+    monkeypatch.setattr(spectral, "check_eigenvectors", counting)
+    assert run(["cayley-verify", "--pieces", "4", "--group", "cyclic:9"]) == EXIT_OK
+    assert checked == ["kernel vector", "base eigenvector"]
+
+
+def test_canopy_verify_issues_every_family_in_one_call(monkeypatch, tmp_path):
+    # one call for the 28 roots x 4 eigenpairs of K=3, L=5, l=2; the report
+    # is the one the per-pair calls gave
+    import multispec.spectral as spectral
+
+    calls = []
+    issue = spectral.canopy_certificates
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return issue(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "canopy_certificates", counting)
+    out = tmp_path / "report.json"
+    argv = ["canopy-verify", "--K", "3", "--L", "5", "--l", "2", "--out", str(out)]
+    assert run(argv) == EXIT_VERIFICATION
+    assert len(calls) == 1 and len(calls[0]) == 28
+    report = json.loads(out.read_text())
+    assert report["certificates_issued"] == 27 * 4 * 2
+    assert [e["patch_root"] for e in report["per_pair"]] == [
+        x for x in calls[0] for _ in range(4)
+    ]
 
 
 @pytest.mark.parametrize("command", ["cayley-verify", "aut"])

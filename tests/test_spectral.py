@@ -1,3 +1,7 @@
+import itertools
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -284,6 +288,139 @@ class TestCanopyCertificates:
             canopy_certificates(t, p, r, x, float(sub.eigenvalues[0]), psi, operator=op)
 
 
+def _fields(certs):
+    """Everything a certificate states, for exact comparison."""
+    return [(c.vector, c.eigenvalue, c.support, c.residual, c.provenance) for c in certs]
+
+
+def _same_outcome(batch_outcome, single_call):
+    """A family of a batched call equals the single-pair call bit for bit:
+    the same certificates, or a CertificateError with the same text."""
+    try:
+        single = single_call()
+    except CertificateError as exc:
+        assert isinstance(batch_outcome, CertificateError)
+        assert str(batch_outcome) == str(exc)
+    else:
+        assert not isinstance(batch_outcome, CertificateError), str(batch_outcome)
+        assert _fields(batch_outcome) == _fields(single)
+
+
+class TestCertificateBatch:
+    """One call for many (root, eigenpair) families or many fibers equals
+    the single-pair calls, family by family and in the same order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        l=st.integers(2, 3),
+        blocks=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+        pick=st.integers(0, 2**31 - 1),
+        block=st.sampled_from([1, 7, 64, spectral.RESIDUAL_BLOCK]),
+    )
+    def test_canopy_families_equal_single_pairs(self, K, l, blocks, seed, pick, block):
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 2_000)
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        r = sample_disorder(DisorderSpec(seed=seed), p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        sub = subtree_eigenpairs(K, l - 1)
+        rng = np.random.default_rng(pick)
+        # every deep root, where the construction fails, and some depth-l ones
+        deep = [x for x in p.roots if t.depth[x] > l]
+        shallow = [x for x in p.roots if t.depth[x] == l]
+        roots = deep + rng.choice(shallow, min(len(shallow), 6), replace=False).tolist()
+        roots = rng.permutation(roots).tolist()
+        ks = rng.permutation(sub.eigenvalues.size)[: rng.integers(1, 4)].tolist()
+        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block):
+            batch = canopy_certificates(
+                t, p, r, roots, sub.eigenvalues[ks], sub.eigenvectors[:, ks], operator=op
+            )
+        assert len(batch) == len(roots) * len(ks)
+        for (x, k), outcome in zip(itertools.product(roots, ks), batch):
+            E, psi = float(sub.eigenvalues[k]), sub.eigenvectors[:, k]
+            _same_outcome(
+                outcome, lambda: canopy_certificates(t, p, r, x, E, psi, operator=op)
+            )
+            assert isinstance(outcome, CertificateError) == (x in deep)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        group=st.sampled_from([cyclic_group(5), product_of_cyclics((2, 3))]),
+        seed=st.integers(0, 2**31 - 1),
+        block=st.sampled_from([1, 40, spectral.RESIDUAL_BLOCK]),
+        E0=st.sampled_from([0.0, 0.5]),
+    )
+    def test_cayley_fibers_equal_single_fibers(self, group, seed, block, E0):
+        glued = prime_paths_graph(4, 2)
+        anchors = {}
+        for i in range(1, len(group.generators) + 1):
+            anchors[-i] = glued.junctions[0]
+            anchors[i] = glued.junctions[1]
+        cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
+        kernel = junction_kernel_basis(glued, 0.0)
+        r = sample_disorder(DisorderSpec(seed=seed), range(group.size))
+        op = assemble_cayley_operator(cg, r)
+        fibers = np.random.default_rng(seed).permutation(group.size).tolist()
+        # at E0 = 0.5 the kernel vectors are no eigenvectors: every fiber fails
+        # its residual check, which the base check at E0 = 0 does not see
+        base = spectral.check_eigenvectors
+        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block), mock.patch.object(
+            spectral, "check_eigenvectors", lambda m, v, E, *a: base(m, v, 0.0, *a)
+        ):
+            batch = cayley_certificates(cg, r, fibers, E0, kernel, operator=op)
+            assert len(batch) == len(fibers)
+            for g, outcome in zip(fibers, batch):
+                _same_outcome(
+                    outcome, lambda: cayley_certificates(cg, r, g, E0, kernel, operator=op)
+                )
+                assert isinstance(outcome, CertificateError) == (E0 != 0.0)
+
+    def test_each_psi_checked_once(self, canopy_instance, monkeypatch):
+        # 28 patch roots, 4 subtree eigenpairs: one check per eigenpair, and
+        # none when the same eigenpairs come again
+        t, p, r, op, sub = canopy_instance
+        spectral._check_subtree_eigenvector.cache_clear()
+        checked = []
+        base = spectral.check_eigenvectors
+
+        def counting(matrix, vectors, E, error, what):
+            checked.append(E)
+            return base(matrix, vectors, E, error, what)
+
+        monkeypatch.setattr(spectral, "check_eigenvectors", counting)
+        for _ in range(2):
+            outcomes = canopy_certificates(
+                t, p, r, p.roots, sub.eigenvalues, sub.eigenvectors, operator=op
+            )
+            assert len(outcomes) == len(p.roots) * 4
+        assert checked == sub.eigenvalues.tolist()
+
+    def test_empty_batches(self, canopy_instance, instance):
+        t, p, r, op, sub = canopy_instance
+        assert canopy_certificates(t, p, r, [], sub.eigenvalues, sub.eigenvectors) == []
+        cg, r, kernel = instance
+        assert cayley_certificates(cg, r, [], 0.0, kernel) == []
+        assert cayley_certificates(cg, r, 0, 0.0, np.zeros((0, cg.n_base))) == []
+        assert cayley_certificates(cg, r, [0, 1], 0.0, []) == [[], []]
+
+    def test_batch_rejects_bad_input_whole(self, canopy_instance):
+        t, p, r, op, sub = canopy_instance
+        non_root = next(v for v in range(t.vertex_count) if v not in p.roots)
+        with pytest.raises(InvalidArgumentError, match=f"vertex {non_root} is not"):
+            canopy_certificates(
+                t, p, r, [p.roots[0], non_root], sub.eigenvalues, sub.eigenvectors
+            )
+        with pytest.raises(InvalidArgumentError, match="wrong dimension"):
+            canopy_certificates(t, p, r, p.roots, sub.eigenvalues[:2], sub.eigenvectors)
+        bad = sub.eigenvectors.copy()
+        bad[:, 2] *= 2.0
+        with pytest.raises(InvalidArgumentError, match="unit norm"):
+            canopy_certificates(t, p, r, p.roots, sub.eigenvalues, bad, operator=op)
+
+
 class TestJunctionKernel:
     def test_all_attach_values_zero(self):
         # E0 = 0 eigenvector of the 3-path is (1, 0, -1)/sqrt(2): attaching at
@@ -389,6 +526,31 @@ class TestCayleyCertificates:
         with pytest.raises(InvalidArgumentError, match="base eigenvector residual nan"):
             cayley_certificates(cg, r, 0, 0.0, [bad])
 
+    @pytest.mark.parametrize(
+        "scale, E0, message",
+        [
+            # vector 0 fails its residual first, before vector 1 its norm
+            ((1.0, 1.001), 0.5, "certificate residual .* exceeds tolerance"),
+            # within one vector the norm is checked before the residual
+            ((1.001, 1.0), 0.5, "certificate vector norm 1.001 is not 1"),
+            # the Gram check comes after every vector passed
+            ((1.0, None), 0.0, "certificate Gram deviates from identity by 1.000e"),
+        ],
+    )
+    def test_first_failure_reported(self, instance, monkeypatch, scale, E0, message):
+        cg, r, kernel = instance
+        psis = [kernel[0] * scale[0], kernel[1] * scale[1] if scale[1] else kernel[0]]
+        # the kernel is an eigenvector at 0; claim E0 past the base check
+        base = spectral.check_eigenvectors
+        monkeypatch.setattr(
+            spectral, "check_eigenvectors", lambda m, v, E, *a: base(m, v, 0.0, *a)
+        )
+        with pytest.raises(CertificateError, match=message):
+            cayley_certificates(cg, r, 0, E0, psis)
+        (outcome,) = cayley_certificates(cg, r, [0], E0, psis)
+        assert isinstance(outcome, CertificateError)
+        assert re.match(message, str(outcome))
+
     def test_anchor_vanishing_enforced(self, instance):
         cg, r, _ = instance
         n = cg.n_base
@@ -478,6 +640,37 @@ class TestSupportLocalResiduals:
         else:
             assert max(dense) <= tol
             assert [c.residual for c in certs] == dense
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        depths=st.sampled_from([(3, 1), (5, 1), (2, 2), (5, 2), (3, 3)]),
+        seed=st.integers(0, 2**31 - 1),
+        lead=st.sampled_from([(1,), (3,), (2, 3), (4, 1)]),
+        s=st.integers(1, 12),
+        k=st.integers(1, 3),
+    )
+    def test_stack_of_supports(self, K, depths, seed, lead, s, k):
+        # random supports, overlapping from family to family, with random
+        # vectors and eigenvalues: each family equals its dense residual
+        L, l = depths
+        t = build_truncated_canopy(K, L)
+        assume(t.vertex_count <= 2_000 and s <= t.vertex_count)
+        p = potential_roots(t, l)
+        op = assemble_canopy_operator(t, p, sample_disorder(DisorderSpec(seed=seed), p.roots))
+        rng = np.random.default_rng(seed)
+        families = int(np.prod(lead))
+        supports = np.array(
+            [rng.choice(t.vertex_count, s, replace=False) for _ in range(families)]
+        ).reshape(lead + (s,))
+        values = rng.standard_normal(lead + (k, s))
+        eigenvalues = rng.uniform(-3.0, 3.0, lead)
+        stack = support_residuals(op, supports, values, eigenvalues)
+        assert stack.shape == lead + (k,)
+        for f in np.ndindex(*lead):
+            assert stack[f].tolist() == _dense_residuals(
+                op, supports[f].tolist(), values[f], eigenvalues[f]
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -56,6 +56,7 @@ from .spectral import (
     alpha_basis,
     canopy_certificates,
     cayley_certificates,
+    cayley_window_counts,
     cluster_multiplicities,
     eig_sym,
     junction_kernel_basis,

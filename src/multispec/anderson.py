@@ -23,6 +23,7 @@ from .graph_core import adjacency_sparse
 UNIFORM = "uniform"
 POINT_MASS = "point_mass"
 TWO_POINT = "two_point"
+PERMUTATION_BLOCK = 1 << 15  # permuted entries per covariance_check pass, to bound memory
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,7 @@ def _fiber_potential(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:
     missing = [g for g in range(cg.group.size) if g not in r.values]
     if missing:
         raise InvalidArgumentError(f"realization misses fibers {missing[:5]}")
-    per_fiber = np.array([r.values[g] for g in range(cg.group.size)])
-    return per_fiber[np.asarray(cg.fiber, dtype=np.intp)]
+    return np.repeat([r.values[g] for g in range(cg.group.size)], cg.n_base)
 
 
 def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOperator:
@@ -211,39 +211,65 @@ def shift_disorder(
 def covariance_check(
     cg: CayleyGraph,
     r: DisorderRealization,
-    g: int,
+    g,
     operator: SiteOperator | None = None,
-) -> tuple[bool, float]:
+):
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
     shifted couplings. Returns (holds exactly, max entry deviation), the
     deviation from permuted_deviation, as both operators share the adjacency
     of cg.graph. operator, when given, is the assembled operator of (cg, r),
     so a caller checking many elements assembles it once.
+
+    With a sequence of elements g, every element is checked in stacked
+    passes of at most PERMUTATION_BLOCK permuted entries, and the result
+    lists (holds, deviation) element by element.
     """
     require_finite(cg.group, "covariance_check")
     op = assemble_cayley_operator(cg, r) if operator is None else operator
-    shifted_potential = _fiber_potential(cg, shift_disorder(r, g, cg.group))
-    nb = cg.n_base
-    # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]
-    gh = np.array([cg.group.mul(g, h) for h in range(cg.group.size)])
-    phi = (gh[:, None] * nb + np.arange(nb)).ravel()
-    dev = permuted_deviation(op, phi, shifted_potential)
-    return dev == 0.0, dev
+    elements, nb = np.asarray(g).reshape(-1).tolist(), cg.n_base
+    step = max(1, PERMUTATION_BLOCK // max(op.dimension, op.adjacency.nnz))
+    deviations = []
+    for lo in range(0, len(elements), step):
+        block = elements[lo : lo + step]
+        shifted = [_fiber_potential(cg, shift_disorder(r, e, cg.group)) for e in block]
+        # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]
+        gh = np.array([[cg.group.mul(e, h) for h in range(cg.group.size)] for e in block])
+        phi = (gh[:, :, None] * nb + np.arange(nb)).reshape(len(block), -1)
+        deviations += permuted_deviation(op, phi, np.array(shifted)).tolist()
+    checks = [(dev == 0.0, dev) for dev in deviations]
+    return checks[0] if np.ndim(g) == 0 else checks
 
 
-def permuted_deviation(
-    op: SiteOperator, phi: np.ndarray, potential: np.ndarray
-) -> float:
+def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray):
     """max |(U H U*)[a, b] - H'[a, b]| for the permutation unitary
     (U u)(v) = u(phi(v)), where H' has op's adjacency and the given
-    potential: (U H U*)[a, b] = H[phi(a), phi(b)].
+    potential: (U H U*)[a, b] = H[phi(a), phi(b)]. A stack of permutations
+    phi (k, n) with potentials (k, n) gives k deviations; a single phi (n,)
+    gives a float.
 
     The adjacency has no self-loops, so the permuted adjacency and the
-    permuted potential are compared separately, in O(nnz), with the same
-    deviation a dense comparison gives."""
-    adjacency_diff = op.adjacency[phi][:, phi] - op.adjacency
-    return max(
-        float(np.max(np.abs(adjacency_diff.data), initial=0.0)),
-        float(np.max(np.abs(op.potential[phi] - potential), initial=0.0)),
-    )
+    permuted potential are compared separately, in O(nnz) per permutation:
+    each stored (a, b) is looked up at (phi(a), phi(b)) among the sorted
+    keys row * n + col, and stored entries no lookup hits are compared with
+    0. The deviation is the one a dense comparison gives."""
+    n, coo = op.dimension, op.adjacency.tocoo()
+    keys = coo.row.astype(np.int64) * n + coo.col
+    order = keys.argsort()
+    # a sentinel above every key keeps each lookup position in range
+    keys, values = np.append(keys[order], n * n), np.append(coo.data[order], 0.0)
+    perms = np.asarray(phi, dtype=np.int64).reshape(-1, n)
+    target = perms[:, coo.row[order]] * n + perms[:, coo.col[order]]
+    pos = keys.searchsorted(target)
+    found = keys[pos] == target
+    stored = values[:-1]
+    deviation = np.abs(np.where(found, values[pos] - stored, stored))
+    deviation = deviation.max(axis=1, initial=0.0)
+    if not found.all():  # else phi maps the stored entries onto themselves
+        hit = np.zeros((len(perms), keys.size), dtype=bool)
+        hit[np.nonzero(found)[0], pos[found]] = True
+        missed = np.where(hit, 0.0, np.abs(values)).max(axis=1, initial=0.0)
+        deviation = np.maximum(deviation, missed)
+    potential = np.abs(op.potential[perms] - potential.reshape(perms.shape))
+    deviation = np.maximum(deviation, potential.max(axis=1, initial=0.0))
+    return deviation if np.ndim(phi) > 1 else float(deviation[0])

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
@@ -305,6 +306,20 @@ class CayleyTemplate:
         """CSR adjacency of the base graph, built on first use; read it,
         do not edit it."""
         return adjacency_sparse(self.base)
+
+    @functools.cached_property
+    def interior_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The non-anchor vertices I, the eigenvalues mu of the base adjacency
+        among them, solved once by the self-checked eig_sym, and the coupling
+        Q^T A_IA of their orthonormal eigenvectors Q to the anchor_vertices();
+        read them, do not edit them."""
+        from .spectral import eig_sym  # spectral imports this module
+
+        anchors = list(self.anchor_vertices())
+        interior = np.setdiff1d(np.arange(self.base.vertex_count), anchors)
+        rows = self.base_adjacency[interior]
+        es = eig_sym(rows[:, interior].toarray())
+        return interior, es.eigenvalues, (rows[:, anchors].T @ es.eigenvectors).T
 
 
 class CayleyGraph:

@@ -30,13 +30,16 @@ level chain per depth-l patch root (213 instead of 1,365 vertices for K=4,
 L=5, l=2; 94 instead of 364 for K=3, L=5; 364 instead of 3,280 for K=3, L=7,
 l=3), plus closed-form (K-1)-fold patch blocks. The eig cap still bounds the
 full dimension, so K=3, L=8 is refused although its core has 2,551 vertices.
-Every other operator (the Cayley operators) is renumbered by reverse
-Cuthill-McKee to a narrow band (15 for the 1,280-vertex cyclic:40 operator,
-16 for the 3,200-vertex cyclic:100 one) and solved for eigenvalues only by
-LAPACK's banded symmetric solver. Either way the values are checked against
-the assembled operator's dimension, trace and Frobenius norm. eig_sym, which
-self-checks the eigenvectors it returns, serves the solves whose vectors are
-used and the canopy core.
+Any other operator is solved densely for eigenvalues only. Either way the
+values are checked against the assembled operator's dimension, trace and
+Frobenius norm. eig_sym, which self-checks the eigenvectors it returns,
+serves the solves whose vectors are used and the canopy core.
+
+A Cayley operator's spectrum is never solved: cayley_window_counts counts
+its eigenvalues in windows by inertia, #{lambda < s} = neg(H - s), on the
+anchor Schur complement (Haynsworth), under the same eig cap. The operator
+must be fibered over its Cayley graph, and the counts must bracket 0 and n
+and grow with the shift.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
 RESIDUAL_BLOCK = 2_048  # support entries per support_residuals pass, to bound memory
+SCHUR_BLOCK_BYTES = 2 << 20  # anchor Schur complements per eigvalsh pass, to bound memory
+PIVOT_TOL = 1e-6  # eliminating a pivot d scales rounding by |coupling|^2 / |d|
 
 
 @dataclass(frozen=True)
@@ -120,14 +125,14 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
 
     A canopy operator (op.tiling set) is solved on its symmetry-reduced
     core plus the closed-form patch blocks (see _canopy_blocks); any other
-    operator by the eigenvalues-only band solve (see _band_eigenvalues).
+    operator densely, for eigenvalues only (see _dense_eigenvalues).
     Either way the values must reproduce the dimension, trace and Frobenius
     norm of the assembled operator before they are cached.
     """
     require_eig_cap(op.dimension, cap)
     if op._eigenvalues is None:
         if op.tiling is None:
-            w = _band_eigenvalues(op)
+            w = _dense_eigenvalues(op)
         else:
             core, local = _canopy_blocks(op, cap)
             w = np.sort(np.concatenate([core, local.ravel()]))
@@ -137,29 +142,90 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
     return op._eigenvalues
 
 
-def _band_eigenvalues(op: SiteOperator) -> np.ndarray:
-    """Ascending eigenvalues of op, without eigenvectors. Reverse
-    Cuthill-McKee renumbers the vertices so that every edge joins two close
-    indices; the lower band of the renumbered operator goes into LAPACK band
-    storage (row d holds the d-th subdiagonal) for scipy.linalg.eig_banded.
-    The adjacency must be exactly symmetric, as eig_sym requires.
-
-    scipy.linalg and scipy.sparse.csgraph are imported here, not with the
-    module: importing them takes about 0.1 s, which every command that
-    solves no Cayley operator would pay."""
-    import scipy.linalg
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    adjacency = op.adjacency
-    if (adjacency != adjacency.T).nnz:
+def _dense_eigenvalues(op: SiteOperator) -> np.ndarray:
+    """Ascending eigenvalues of an operator without a tiling, by a dense
+    eigenvalues-only solve; the adjacency must be exactly symmetric."""
+    if (op.adjacency != op.adjacency.T).nnz:
         raise InvalidArgumentError("matrix must be symmetric")
-    order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-    h = (adjacency + sp.diags(op.potential)).tocsr()[order][:, order]
-    lower = sp.tril(h).tocoo()
-    offset = lower.row - lower.col
-    bands = np.zeros((offset.max(initial=0) + 1, op.dimension))
-    bands[offset, lower.col] = lower.data
-    return scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True)
+    return np.linalg.eigvalsh(op.adjacency.toarray() + np.diag(op.potential))
+
+
+def cayley_window_counts(
+    cg: CayleyGraph, op: SiteOperator, targets, tau: float, cap: int = DEFAULT_EIG_CAP
+) -> np.ndarray:
+    """#{eigenvalues lambda of op : |lambda - t| < tau} for each target t, by
+    inertia (see _counts_below): the count below t + tau minus the count below
+    the float after t - tau. The cap is checked on op.dimension first. The
+    shifts -+(norm_bound + 1) must count 0 and n, and no count may fall as the
+    shift grows; otherwise CertificateError."""
+    require_eig_cap(op.dimension, cap)
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    bracket = op.norm_bound + 1.0
+    shifts = np.concatenate(
+        [targets + tau, np.nextafter(targets - tau, np.inf), [-bracket, bracket]]
+    )
+    below = _counts_below(cg, op, shifts)
+    if below[-2] != 0 or below[-1] != op.dimension:
+        counts = f"inertia counts {below[-2]} and {below[-1]} at -+{bracket}"
+        raise CertificateError(f"{counts}, not 0 and {op.dimension}")
+    if np.any(np.diff(below[shifts.argsort(kind="stable")]) < 0):
+        raise CertificateError("inertia counts decrease as the shift grows")
+    return below[: targets.size] - below[targets.size : -2]
+
+
+def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
+    """#{lambda < s} = neg(H - s) for each shift s (Sylvester), split by
+    Haynsworth's additivity into neg(P - s), P the non-anchor block, plus
+    neg(S(s)), S its anchor Schur complement. op must be fibered over cg,
+    checked in O(nnz): symmetric, its non-anchor rows I_G (x) the base's, its
+    potential omega constant on each fiber; otherwise CertificateError.
+
+    In P's eigenbasis (cg.template.interior_modes) mode k of fiber h is a
+    pivot d = mu_k + omega_h - s, coupled to the anchors of h only, by row c
+    of Q^T A_IA. A pivot with |d| >= PIVOT_TOL counts 1 if d < 0 and adds
+    -c c^T / d to S; a smaller one stays in S as its own row, and rows with
+    diagonal 1 pad each S of a pass to one size. neg(S) comes from eigvalsh
+    over the stacked shifts, in passes of at most SCHUR_BLOCK_BYTES."""
+    interior, mu, coupling = cg.template.interior_modes
+    fibers, nb = cg.group.size, cg.n_base
+    first = nb * np.arange(fibers)[:, None]
+    inner = sp.kron(sp.identity(fibers), cg.template.base_adjacency[interior], "csr")
+    adjacency, omega = op.adjacency, op.potential[::nb]
+    if (
+        op.dimension != fibers * nb
+        or (adjacency != adjacency.T).nnz
+        or (adjacency[(first + interior).ravel()] != inner).nnz
+        or np.any(op.potential != np.repeat(omega, nb))
+    ):
+        raise CertificateError("operator is not fibered over the Cayley graph")
+    anchors = (first + cg.template.anchor_vertices()).ravel()
+    m, (modes, links) = anchors.size, coupling.shape
+    base = adjacency[anchors][:, anchors].toarray() + np.diag(op.potential[anchors])
+    block = np.arange(m).reshape(fibers, links)  # the rows of each fiber's anchors in S
+    outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, -1)
+    below = np.empty(shifts.size, dtype=np.intp)
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * m * m))
+    for lo in range(0, shifts.size, step):
+        s = shifts[lo : lo + step]
+        d = mu[:, None] + omega - s[:, None, None]  # (shift, mode, fiber)
+        kept = np.abs(d) < PIVOT_TOL
+        inverse = np.divide(1.0, d, out=np.zeros_like(d), where=~kept)
+        at, k, h = np.nonzero(kept)
+        row = m + np.arange(at.size) - at.searchsorted(at)  # the rows of kept pivots
+        size = int(row.max(initial=m - 1)) + 1
+        schur = np.zeros((s.size, size, size))
+        schur[:, :m, :m] = base - s[:, None, None] * np.eye(m)
+        correction = inverse.transpose(0, 2, 1) @ outer  # (shift, fiber, links^2)
+        schur[:, block[:, :, None], block[:, None, :]] -= correction.reshape(
+            s.size, fibers, links, links
+        )
+        schur[:, m:, m:] = np.eye(size - m)
+        schur[at, row, row] = d[at, k, h]
+        schur[at[:, None], row[:, None], block[h]] = coupling[k]
+        schur[at[:, None], block[h], row[:, None]] = coupling[k]
+        below[lo : lo + step] = np.count_nonzero((d < 0) & ~kept, axis=(1, 2))
+        below[lo : lo + step] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0, axis=1)
+    return below
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multispec import anderson
 from multispec.anderson import (
     POINT_MASS,
     TWO_POINT,
     DisorderSpec,
+    SiteOperator,
     assemble_canopy_operator,
     assemble_cayley_operator,
     covariance_check,
+    permuted_deviation,
     require_generic,
     sample_disorder,
     shift_disorder,
@@ -250,3 +256,63 @@ class TestCovarianceOracle:
                 assert covariance_check(cg, r, g) == (dev == 0.0, dev)
                 assert covariance_check(cg, r, g, operator=op) == (dev == 0.0, dev)
                 assert (dev == 0.0) == (g == group.identity)
+
+
+class TestCovarianceBatch:
+    """covariance_check over a sequence of group elements returns each
+    element's (holds, deviation) as the single-element call does, in stacked
+    passes of at most PERMUTATION_BLOCK permuted entries."""
+
+    @pytest.mark.parametrize("block", [1, 700, 1 << 17])
+    def test_batch_equals_single_calls(self, block, monkeypatch):
+        monkeypatch.setattr(anderson, "PERMUTATION_BLOCK", block)
+        for group in TestCovarianceOracle.GROUPS:
+            cg = TestCovarianceOracle()._graph(group)
+            r = sample_disorder(DisorderSpec(seed=8), range(group.size))
+            op = assemble_cayley_operator(cg, r)
+            singles = [covariance_check(cg, r, g, operator=op) for g in range(group.size)]
+            assert covariance_check(cg, r, range(group.size), operator=op) == singles
+            assert singles == [(True, 0.0)] * group.size
+            assert covariance_check(cg, r, [], operator=op) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        stack=st.integers(1, 4),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_deviation_matches_dense(self, n, density, stack, weighted, seed):
+        # random symmetric adjacency (weighted or 0/1) without self-loops, a
+        # stack of permutations, some of them automorphisms of the pattern
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        weights = rng.choice([0.5, 1.0, 2.0], size=(n, n)) if weighted else np.ones((n, n))
+        dense = np.where(upper, weights, 0.0)
+        dense = dense + dense.T
+        potential = rng.choice([0.0, 1.0], size=n)
+        op = SiteOperator(sp.csr_matrix(dense), potential, {})
+        phi = np.array([rng.permutation(n) for _ in range(stack)])
+        phi[0] = np.arange(n)
+        other = rng.choice([0.0, 1.0], size=(stack, n))
+        oracle = [
+            max(np.max(np.abs(dense[p][:, p] - dense), initial=0.0),
+                np.max(np.abs(potential[p] - q), initial=0.0))
+            for p, q in zip(phi, other)
+        ]
+        assert permuted_deviation(op, phi, other).tolist() == oracle
+        assert permuted_deviation(op, phi[1 % stack], other[1 % stack]) == oracle[1 % stack]
+
+    def test_entry_no_image_lands_on(self):
+        # edges (0,1) and (2,3) of weight 2 and (4,5) of weight 0.5; phi
+        # sends (0,1) onto (2,3), (2,3) onto (4,5) and (4,5) off the graph,
+        # so (U H U*) misses the weight-2 edge (0,1): deviation 2, though
+        # every lookup from a stored entry is off by at most 1.5
+        dense = np.zeros((7, 7))
+        for (a, b), w in {(0, 1): 2.0, (2, 3): 2.0, (4, 5): 0.5}.items():
+            dense[a, b] = dense[b, a] = w
+        op = SiteOperator(sp.csr_matrix(dense), np.zeros(7), {})
+        phi = np.array([2, 3, 4, 5, 0, 6, 1])
+        assert np.max(np.abs(dense[phi][:, phi] - dense)) == 2.0
+        assert permuted_deviation(op, phi, np.zeros(7)) == 2.0

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import multispec
 
 from multispec.cli import (
     EXIT_INVALID,
@@ -360,8 +366,8 @@ class TestCapsBeforeDensifying:
         def refuse(*args):
             raise AssertionError("operator solved before the cap check")
 
-        monkeypatch.setattr(spectral, "_canopy_blocks", refuse)
-        monkeypatch.setattr(spectral, "_band_eigenvalues", refuse)
+        for solve in ("_canopy_blocks", "_dense_eigenvalues", "_counts_below"):
+            monkeypatch.setattr(spectral, solve, refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -471,27 +477,46 @@ def test_dos_solves_each_realization_once(monkeypatch):
 
 
 def test_cayley_verify_never_solves_the_operator_densely(monkeypatch):
-    # cyclic:6 over the 32-vertex base: only the pieces, each smaller than
-    # the base, reach eig_sym, and the 192-vertex operator is solved once,
-    # by the band solve
+    # cyclic:6 over the 32-vertex base: no spectrum of the 192-vertex
+    # operator is solved. eig_sym sees only the pieces and the 30 non-anchor
+    # base vertices, and eigvalsh only anchor Schur complements: 6 fibers x
+    # 2 anchors, plus the 4 zero modes of a fiber kept as their own rows
     import multispec.spectral as spectral
 
-    dims, bands = [], []
-    eig_sym, band = spectral.eig_sym, spectral._band_eigenvalues
+    dims, schur = [], []
+    eig_sym, eigvalsh = spectral.eig_sym, np.linalg.eigvalsh
 
     def counting(M, *args, **kwargs):
         dims.append(np.asarray(M).shape[0])
         return eig_sym(M, *args, **kwargs)
 
-    def counting_band(op):
-        bands.append(op.dimension)
-        return band(op)
+    def counting_eigvalsh(M, *args, **kwargs):
+        schur.append(M.shape[-1])
+        return eigvalsh(M, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "eig_sym", counting)
-    monkeypatch.setattr(spectral, "_band_eigenvalues", counting_band)
+    monkeypatch.setattr(spectral, "operator_spectrum", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     assert run(["cayley-verify", "--pieces", "4", "--group", "cyclic:6"]) == EXIT_OK
     assert dims and max(dims) < 32
-    assert bands == [6 * 32]
+    assert schur == [6 * 2 + 4]
+
+
+def test_cayley_verify_loads_no_scipy_solver():
+    # the counts need numpy's eigvalsh alone: scipy.linalg and
+    # scipy.sparse.csgraph are never imported, in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from multispec.cli import run\n"
+        "assert run(['cayley-verify', '--pieces', '4', '--group', 'cyclic:6']) == 0\n"
+        "print([m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse.csgraph'))])"
+    )
+    src = str(Path(multispec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cayley_verify_builds_each_sparse_matrix_once(monkeypatch):

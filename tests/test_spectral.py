@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -722,7 +723,7 @@ class TestCaching:
     def test_operator_spectrum_cap_before_densifying(self, canopy_instance, monkeypatch):
         t, p, r, _, _ = canopy_instance
         op = assemble_canopy_operator(t, p, r)
-        for solve in ("_canopy_blocks", "_band_eigenvalues"):
+        for solve in ("_canopy_blocks", "_dense_eigenvalues"):
             monkeypatch.setattr(spectral, solve, lambda *a: pytest.fail("solved"))
         with pytest.raises(TooLargeError):
             operator_spectrum(op, cap=op.dimension - 1)
@@ -834,7 +835,7 @@ class TestReducedCanopySpectrum:
             operator_spectrum(op)
 
 
-def _cayley_operator(group, pieces, seed):
+def _cayley_instance(group, pieces, seed):
     glued = prime_paths_graph(pieces, 2)
     anchors = {}
     for i in range(1, len(group.generators) + 1):
@@ -842,13 +843,19 @@ def _cayley_operator(group, pieces, seed):
         anchors[i] = glued.junctions[1]
     cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
     r = sample_disorder(DisorderSpec(seed=seed), range(group.size))
-    return r, assemble_cayley_operator(cg, r)
+    return cg, r, assemble_cayley_operator(cg, r)
+
+
+def _cayley_operator(group, pieces, seed):
+    return _cayley_instance(group, pieces, seed)[1:]
 
 
 class TestCayleyBandSpectrum:
-    """operator_spectrum solves every operator without a tiling, the Cayley
-    operators, by the eigenvalues-only band solve, and checks the values
-    against the operator's dimension, trace and Frobenius norm."""
+    """operator_spectrum solves every operator without a tiling (a Cayley
+    operator, which cayley-verify counts by inertia instead) by a dense
+    eigenvalues-only solve, and checks the values against the operator's
+    dimension, trace and Frobenius norm. The band solve these tests were
+    written for is gone; the class keeps its name."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -887,8 +894,8 @@ class TestCayleyBandSpectrum:
     )
     def test_power_sum_check_rejects(self, tamper, monkeypatch):
         _, op = _cayley_operator(cyclic_group(6), 4, 5)
-        solve = spectral._band_eigenvalues
-        monkeypatch.setattr(spectral, "_band_eigenvalues", lambda op: tamper(solve(op)))
+        solve = spectral._dense_eigenvalues
+        monkeypatch.setattr(spectral, "_dense_eigenvalues", lambda op: tamper(solve(op)))
         with pytest.raises(CertificateError):
             operator_spectrum(op)
         assert op._eigenvalues is None  # nothing unchecked is cached
@@ -901,6 +908,126 @@ class TestCayleyBandSpectrum:
         with pytest.raises(InvalidArgumentError, match="symmetric"):
             operator_spectrum(lopsided)
         assert lopsided._eigenvalues is None
+
+
+CAYLEY_GROUPS = st.one_of(
+    st.integers(1, 45).map(cyclic_group),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)).map(product_of_cyclics),
+)
+
+
+class TestCayleyWindowCounts:
+    """cayley_window_counts counts a Cayley operator's eigenvalues by
+    Haynsworth inertia on the anchor Schur complement. The counts are those
+    of the dense eigvalsh spectrum: exactly, wherever no dense eigenvalue
+    lies within the solver margin of a shift, and between the two one-sided
+    dense counts where one does (an eigenvalue on a shift is a tie either
+    solve may break either way)."""
+
+    @staticmethod
+    def _dense_bounds(op, shifts):
+        w = np.linalg.eigvalsh(dense_operator(op))
+        margin = spectral.TOL_SCALE * (1.0 + op.norm_bound)
+        return w.searchsorted(shifts - margin), w.searchsorted(shifts + margin)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        group=CAYLEY_GROUPS,
+        pieces=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+        tau=st.sampled_from([1e-7, 1e-3, 0.5]),
+        data=st.data(),
+    )
+    def test_counts_equal_dense(self, group, pieces, seed, tau, data):
+        assume(group.size * prime_paths_graph(pieces, 2).graph.vertex_count <= 1_500)
+        cg, r, op = _cayley_instance(group, pieces, seed)
+        _, mu, _ = cg.template.interior_modes
+        omega = np.array([r.values[g] for g in range(group.size)])
+        targets = omega[list(cg.interior_fibers())]
+        # window edges, random points, and shifts on or 1 ulp from a pivot
+        # mu_k + omega_h, which stays in the Schur complement as its own row
+        k = data.draw(st.lists(st.integers(0, max(mu.size - 1, 0)), min_size=1, max_size=6))
+        h = data.draw(st.lists(st.integers(0, group.size - 1), min_size=len(k), max_size=len(k)))
+        on = mu[k] + omega[h] if mu.size else np.zeros(0)
+        bound = op.norm_bound + 1.0
+        points = data.draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=20))
+        shifts = np.concatenate([
+            targets + tau, targets - tau, on, np.nextafter(on, np.inf),
+            np.nextafter(on, -np.inf), points,
+        ])
+        below = spectral._counts_below(cg, op, shifts)
+        lo, hi = self._dense_bounds(op, shifts)
+        assert np.all((lo <= below) & (below <= hi))
+        isolated = lo == hi
+        assert np.array_equal(below[isolated], lo[isolated])
+
+        counts = spectral.cayley_window_counts(cg, op, targets, tau)
+        w = np.linalg.eigvalsh(dense_operator(op))
+        dense = [int(np.sum(np.abs(w - t) < tau)) for t in targets]
+        edges_lo, edges_hi = self._dense_bounds(op, np.concatenate([targets - tau, targets + tau]))
+        clear = (edges_lo == edges_hi).reshape(2, -1).all(axis=0)
+        assert counts[clear].tolist() == np.array(dense)[clear].tolist()
+
+    def test_bench_windows_match_dense(self):
+        # cyclic:40 at the CLI's 1e-7 window: each fiber's two kernel
+        # eigenvalues are inside, and its four zero modes, 1e-7 from both
+        # edges, are kept as Schur rows
+        cg, r, op = _cayley_instance(cyclic_group(40), 4, 3)
+        targets = np.array([r.values[g] for g in cg.interior_fibers()])
+        w = np.linalg.eigvalsh(dense_operator(op))
+        dense = [int(np.sum(np.abs(w - t) < 1e-7)) for t in targets]
+        counts = spectral.cayley_window_counts(cg, op, targets, 1e-7)
+        assert counts.tolist() == dense and min(dense) >= 2
+
+    @staticmethod
+    def _interior_potential(cg, r, op):
+        potential = op.potential.copy()
+        potential[cg.n_base + 5] += 1e-3  # one non-anchor vertex of fiber 1
+        return SiteOperator(op.adjacency, potential, op.provenance)
+
+    @staticmethod
+    def _cross_fiber_edge(cg, r, op):
+        a, b = 5, cg.n_base + 6  # non-anchor vertices of fibers 0 and 1
+        extra = sp.coo_matrix(([1.0, 1.0], ([a, b], [b, a])), shape=op.adjacency.shape)
+        return SiteOperator((op.adjacency + extra).tocsr(), op.potential, op.provenance)
+
+    @pytest.mark.parametrize("tamper", [_interior_potential, _cross_fiber_edge],
+                             ids=["interior_potential", "cross_fiber_edge"])
+    def test_unfibered_operator_rejected(self, tamper):
+        cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
+        targets = [r.values[g] for g in cg.interior_fibers()]
+        assert spectral.cayley_window_counts(cg, op, targets, 1e-7).min() >= 2
+        with pytest.raises(CertificateError, match="not fibered"):
+            spectral.cayley_window_counts(cg, tamper(cg, r, op), targets, 1e-7)
+
+    def test_cap_before_any_eigensolve(self, monkeypatch):
+        cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
+        monkeypatch.setattr(spectral, "eig_sym", lambda *a, **k: pytest.fail("solved"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(TooLargeError, match="^dimension 192 exceeds eig cap 191$"):
+            spectral.cayley_window_counts(cg, op, [0.5], 1e-7, cap=191)
+        assert "interior_modes" not in vars(cg.template)
+
+    @staticmethod
+    def _one_more(below):
+        return below + 1
+
+    @staticmethod
+    def _decreasing(below):
+        # shifts 0.1, 1.1, 0.9+, -0.1+ and the brackets: 0.9+ under 0.1
+        below = below.copy()
+        below[0], below[3] = below[-1], 0
+        return below
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_one_more, "not 0 and 192"), (_decreasing, "decrease"),
+    ], ids=["bracket", "monotone"])
+    def test_count_checks_reject(self, tamper, message, monkeypatch):
+        cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
+        count = spectral._counts_below
+        monkeypatch.setattr(spectral, "_counts_below", lambda *a: tamper(count(*a)))
+        with pytest.raises(CertificateError, match=message):
+            spectral.cayley_window_counts(cg, op, [0.0, 1.0], 0.1)
 
 
 class TestResidualTolerance:

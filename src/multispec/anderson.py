@@ -202,10 +202,10 @@ def shift_disorder(
     r: DisorderRealization, g: int, group: GroupSpec
 ) -> DisorderRealization:
     """Left shift of the coupling field: the new value at h is the old value
-    at g*h."""
+    at g*h, read from the group's multiplication table."""
     require_finite(group, "shift_disorder")
-    shifted = {h: r.values[group.mul(g, h)] for h in range(group.size)}
-    return DisorderRealization(shifted, r.spec)
+    shifted = map(r.values.__getitem__, group.table[g].tolist())
+    return DisorderRealization(dict(enumerate(shifted)), r.spec)
 
 
 def covariance_check(
@@ -234,7 +234,7 @@ def covariance_check(
         block = elements[lo : lo + step]
         shifted = [_fiber_potential(cg, shift_disorder(r, e, cg.group)) for e in block]
         # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]
-        gh = np.array([[cg.group.mul(e, h) for h in range(cg.group.size)] for e in block])
+        gh = cg.group.table[block]
         phi = (gh[:, :, None] * nb + np.arange(nb)).reshape(len(block), -1)
         deviations += permuted_deviation(op, phi, np.array(shifted)).tolist()
     checks = [(dev == 0.0, dev) for dev in deviations]

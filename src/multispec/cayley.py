@@ -28,11 +28,12 @@ class GroupSpec:
     ``mul`` is total for finite kinds and returns None when the product
     falls outside the enumeration of a truncated kind. Each constructor
     passes the identity index and ``inverse`` (element index to the index
-    of its inverse) in closed form. A fixed sample of elements checks both
-    against ``mul``, and ``mul`` for closure (finite kinds) and associativity.
+    of its inverse) in closed form, and a finite kind the builder of its
+    ``table``. A fixed sample of elements checks both against ``mul``, and
+    ``mul`` for closure (finite kinds) and associativity.
     """
 
-    def __init__(self, kind, elements, generators, mul, finite, identity, inverse):
+    def __init__(self, kind, elements, generators, mul, identity, inverse, table=None):
         self.kind = kind
         self.elements = tuple(elements)
         self.size = len(self.elements)
@@ -45,7 +46,8 @@ class GroupSpec:
         self.generators = tuple(generators)
         self.generator_indices = tuple(self.index[g] for g in self.generators)
         self.mul = mul
-        self.finite = finite
+        self.finite = table is not None
+        self._table = table
         self.identity = identity
         self.inverse = inverse
         steps = [(gi, inverse(gi)) for gi in self.generator_indices]
@@ -54,6 +56,14 @@ class GroupSpec:
             for i in range(self.size)
         )
         self._spot_check()
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """table[i, j] = mul(i, j) of a finite group, built on first use; read-only."""
+        require_finite(self, "a multiplication table")
+        table = np.asarray(self._table(), dtype=np.intp)
+        table.flags.writeable = False
+        return table
 
     def _spot_check(self):
         rng = random.Random(0)
@@ -111,7 +121,8 @@ def cyclic_group(m: int, generator: int = 1) -> GroupSpec:
     _cyclic_order(m)
     gens = (generator % m,) if m > 1 else (0,)
     return GroupSpec(
-        "cyclic", range(m), gens, lambda i, j: (i + j) % m, True, 0, lambda i: -i % m
+        "cyclic", range(m), gens, lambda i, j: (i + j) % m, 0, lambda i: -i % m,
+        lambda: np.add.outer(np.arange(m), np.arange(m)) % m,
     )
 
 
@@ -127,6 +138,11 @@ def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
     def inverse(i):
         return index[tuple(-x % m for x, m in zip(elements[i], moduli))]
 
+    def table():  # digit-wise sums, in the mixed radix of itertools.product
+        digits = np.array(elements).reshape(-1, len(moduli)).T
+        sums = [(a[:, None] + a) % m for a, m in zip(digits, moduli)]
+        return np.ravel_multi_index(sums, moduli)
+
     gens = [
         tuple(1 if k == d else 0 for k in range(len(moduli)))
         for d in range(len(moduli))
@@ -134,7 +150,7 @@ def product_of_cyclics(moduli: tuple[int, ...]) -> GroupSpec:
     ]
     if not gens:
         gens = [tuple(0 for _ in moduli)]
-    return GroupSpec("product_of_cyclics", elements, gens, mul, True, 0, inverse)
+    return GroupSpec("product_of_cyclics", elements, gens, mul, 0, inverse, table)
 
 
 def zd_box(d: int, radius: int) -> GroupSpec:
@@ -151,7 +167,7 @@ def zd_box(d: int, radius: int) -> GroupSpec:
         return index[tuple(-x for x in elements[i])]
 
     gens = [tuple(1 if k == dd else 0 for k in range(d)) for dd in range(d)]
-    return GroupSpec("zd_box", elements, gens, mul, False, index[(0,) * d], inverse)
+    return GroupSpec("zd_box", elements, gens, mul, index[(0,) * d], inverse)
 
 
 def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -188,7 +204,7 @@ def free_group_ball(n_generators: int, radius: int) -> GroupSpec:
         return index[tuple(-s for s in reversed(elements[i]))]
 
     gens = [(i,) for i in range(1, n_generators + 1)]
-    return GroupSpec("free_ball", elements, gens, mul, False, 0, inverse)
+    return GroupSpec("free_ball", elements, gens, mul, 0, inverse)
 
 
 def from_table(elements, table, generators) -> GroupSpec:
@@ -212,7 +228,8 @@ def from_table(elements, table, generators) -> GroupSpec:
     if len(inverse) != n:
         raise InvalidArgumentError("some element has no inverse")
     return GroupSpec(
-        "table", elements, generators, lambda i, j: table[i][j], True, e, inverse.get
+        "table", elements, generators, lambda i, j: table[i][j], e, inverse.get,
+        lambda: table,
     )
 
 

@@ -37,9 +37,10 @@ serves the solves whose vectors are used and the canopy core.
 
 A Cayley operator's spectrum is never solved: cayley_window_counts counts
 its eigenvalues in windows by inertia, #{lambda < s} = neg(H - s), on the
-anchor Schur complement (Haynsworth), under the same eig cap. The operator
-must be fibered over its Cayley graph, and the counts must bracket 0 and n
-and grow with the shift.
+anchor Schur complement (Haynsworth), under the same eig cap, eliminated
+level by level in the BFS spheres of the fibers, where it is
+block-tridiagonal. The operator must be fibered over its Cayley graph, and
+the counts must bracket 0 and n and grow with the shift.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
 RESIDUAL_BLOCK = 2_048  # support entries per support_residuals pass, to bound memory
-SCHUR_BLOCK_BYTES = 2 << 20  # anchor Schur complements per eigvalsh pass, to bound memory
+SCHUR_BLOCK_BYTES = 2 << 20  # shifts per Schur complement pass, to bound memory
 PIVOT_TOL = 1e-6  # eliminating a pivot d scales rounding by |coupling|^2 / |d|
 
 
@@ -183,9 +184,18 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     In P's eigenbasis (cg.template.interior_modes) mode k of fiber h is a
     pivot d = mu_k + omega_h - s, coupled to the anchors of h only, by row c
     of Q^T A_IA. A pivot with |d| >= PIVOT_TOL counts 1 if d < 0 and adds
-    -c c^T / d to S; a smaller one stays in S as its own row, and rows with
-    diagonal 1 pad each S of a pass to one size. neg(S) comes from eigvalsh
-    over the stacked shifts, in passes of at most SCHUR_BLOCK_BYTES."""
+    -c c^T / d to S; a smaller one stays in S as its own row.
+
+    S is block-tridiagonal in the BFS spheres of the fibers (_sphere_levels),
+    and neg(S) sums the inertias of its block LDL^T pivots. Level j's block
+    D_j, with the kept rows of its fibers and the rows carried into it, is
+    diagonalised by a batched eigh. A direction (lambda, w), w its coupling
+    to level j+1, counts 1 if lambda < 0 and adds -w w^T / lambda to D_(j+1),
+    unless |lambda| < PIVOT_TOL * min(1, |w|^2), when it is carried into
+    D_(j+1), undivided, as its own row. The last level is counted by
+    eigvalsh. Rows with diagonal 1 pad each D_j of a pass to one size, and a
+    pass stacks as many shifts as keep its pivot arrays and its widest level
+    within SCHUR_BLOCK_BYTES."""
     interior, mu, coupling = cg.template.interior_modes
     fibers, nb = cg.group.size, cg.n_base
     first = nb * np.arange(fibers)[:, None]
@@ -199,33 +209,81 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     ):
         raise CertificateError("operator is not fibered over the Cayley graph")
     anchors = (first + cg.template.anchor_vertices()).ravel()
-    m, (modes, links) = anchors.size, coupling.shape
-    base = adjacency[anchors][:, anchors].toarray() + np.diag(op.potential[anchors])
-    block = np.arange(m).reshape(fibers, links)  # the rows of each fiber's anchors in S
+    modes, links = coupling.shape
+    base = (adjacency[anchors][:, anchors] + sp.diags(op.potential[anchors])).tocsr()
+    levels = _sphere_levels(base, links)
+    place, level_of = np.empty(fibers, dtype=np.intp), np.empty(fibers, dtype=np.intp)
+    for j, level in enumerate(levels):
+        place[level], level_of[level] = links * np.arange(level.size), j
+    order = (np.concatenate(levels)[:, None] * links + np.arange(links)).ravel()
+    base, ends = base[order][:, order], np.cumsum([links * f.size for f in levels])
+    # each level's rows of S: its own block, then its coupling to the next level
+    blocks = [base[e - links * f.size : e, e - links * f.size : stop].toarray()
+              for f, e, stop in zip(levels, ends, np.append(ends[1:], ends[-1]))]
     outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, -1)
+    width = links * max(f.size for f in levels)
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * max(fibers * max(modes, links**2), width**2)))
     below = np.empty(shifts.size, dtype=np.intp)
-    step = max(1, SCHUR_BLOCK_BYTES // (8 * m * m))
     for lo in range(0, shifts.size, step):
         s = shifts[lo : lo + step]
         d = mu[:, None] + omega - s[:, None, None]  # (shift, mode, fiber)
         kept = np.abs(d) < PIVOT_TOL
-        inverse = np.divide(1.0, d, out=np.zeros_like(d), where=~kept)
-        at, k, h = np.nonzero(kept)
-        row = m + np.arange(at.size) - at.searchsorted(at)  # the rows of kept pivots
-        size = int(row.max(initial=m - 1)) + 1
-        schur = np.zeros((s.size, size, size))
-        schur[:, :m, :m] = base - s[:, None, None] * np.eye(m)
-        correction = inverse.transpose(0, 2, 1) @ outer  # (shift, fiber, links^2)
-        schur[:, block[:, :, None], block[:, None, :]] -= correction.reshape(
-            s.size, fibers, links, links
-        )
-        schur[:, m:, m:] = np.eye(size - m)
-        schur[at, row, row] = d[at, k, h]
-        schur[at[:, None], row[:, None], block[h]] = coupling[k]
-        schur[at[:, None], block[h], row[:, None]] = coupling[k]
-        below[lo : lo + step] = np.count_nonzero((d < 0) & ~kept, axis=(1, 2))
-        below[lo : lo + step] += np.count_nonzero(np.linalg.eigvalsh(schur) < 0, axis=1)
+        count = np.count_nonzero((d < 0) & ~kept, axis=(1, 2))
+        kept_at, k, h = np.nonzero(kept)  # kept pivots: rows of S in the level of h
+        kept_d, kept_c = d[kept_at, k, h], np.zeros((kept_at.size, width))
+        np.put_along_axis(kept_c, place[h, None] + np.arange(links), coupling[k], 1)
+        d[kept] = np.inf  # 1 / d is 0 at a kept pivot, which is not eliminated
+        inverse = np.reciprocal(d, out=d).transpose(0, 2, 1)  # (shift, fiber, mode)
+        corrections = (inverse @ outer).reshape(-1, fibers, links, links)
+        del d, inverse, kept  # freed before the level stacks, which share the budget
+        lam, w, update = np.zeros((s.size, 0)), np.zeros((s.size, 0, width)), 0.0
+        carried = lam != 0  # nothing is carried into level 0
+        for j, (level, block) in enumerate(zip(levels, blocks)):
+            a, (ca, cj), here = block.shape[0], np.nonzero(carried), level_of[h] == j
+            at = np.concatenate([kept_at[here], ca])
+            by_shift = np.argsort(at, kind="stable")
+            at = at[by_shift]
+            value = np.concatenate([kept_d[here], lam[ca, cj]])[by_shift]
+            joined = np.concatenate([kept_c[here, :a], w[ca, cj, :a]])[by_shift]
+            used = a + np.bincount(at, minlength=s.size)
+            diag = np.arange(used.max())
+            D = np.zeros((s.size, diag.size, diag.size))
+            D[:, :a, :a] = block[:, :a] - update
+            D[:, diag, diag] += np.where(diag < a, -s[:, None], diag >= used[:, None])
+            loc = np.arange(a).reshape(-1, links)
+            D[:, loc[:, :, None], loc[:, None, :]] -= corrections[:, level]
+            row = a + np.arange(at.size) - at.searchsorted(at)
+            D[at, row, row] = value
+            D[at, row, :a] = D[at, :a, row] = joined
+            if j == len(levels) - 1:
+                count += np.count_nonzero(np.linalg.eigvalsh(D) < 0, axis=1)
+                break
+            lam, vectors = np.linalg.eigh(D)
+            w = vectors[:, :a].transpose(0, 2, 1) @ block[:, a:]  # to the next level
+            w2 = np.einsum("sij,sij->si", w, w)
+            carried = np.abs(lam) / PIVOT_TOL < np.minimum(1.0, w2)
+            eliminated = ~carried & (lam != 0)
+            count += np.count_nonzero(eliminated & (lam < 0), axis=1)
+            inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=eliminated)
+            update = (w.transpose(0, 2, 1) * inverse[:, None]) @ w
+        below[lo : lo + step] = count
     return below
+
+
+def _sphere_levels(anchor_block: sp.csr_matrix, links: int) -> list[np.ndarray]:
+    """The fibers by BFS sphere from fiber 0, and from the first fiber not
+    yet reached for each further component, in the graph that joins two
+    fibers when the anchor block (links rows per fiber) has an entry between
+    them. Entries then join only the same or adjacent spheres."""
+    graph, fibers = abs(anchor_block), anchor_block.shape[0] // links
+    seen, frontier, levels = np.zeros(fibers, dtype=bool), np.arange(fibers) == 0, []
+    while frontier.any():
+        seen |= frontier
+        levels.append(np.flatnonzero(frontier))
+        frontier = (graph @ frontier.repeat(links)).reshape(-1, links).any(1) & ~seen
+        if not frontier.any():  # a new component, or none when all are seen
+            frontier[np.argmin(seen)] = not seen.all()
+    return levels
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from multispec.cayley import (
@@ -12,8 +14,15 @@ from multispec.cayley import (
     product_of_cyclics,
     zd_box,
 )
-from multispec.errors import InvalidArgumentError, TooLargeError
+from multispec.errors import InvalidArgumentError, TooLargeError, UnsupportedError
 from multispec.graph_core import FiniteGraph, make_graph, path_graph, prime_paths_graph
+
+
+def _symmetric_group():
+    """S3 as the permutations of (0, 1, 2), composed as (a * b)(i) = a(b(i))."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
+    return from_table(perms, table, [perms[1], perms[3]])
 
 
 class TestGroups:
@@ -47,6 +56,22 @@ class TestGroups:
         g = from_table([0, 1, 2], table, [1])
         assert g.size == 3 and g.finite
         assert g.identity == 0 and [g.inverse(i) for i in range(3)] == [0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "group",
+        [cyclic_group(1), cyclic_group(7), product_of_cyclics((1, 4)),
+         product_of_cyclics((2, 3, 2)), _symmetric_group()],
+        ids=["cyclic1", "cyclic7", "product1x4", "product2x3x2", "s3"],
+    )
+    def test_multiplication_table_is_mul(self, group):
+        n = group.size
+        assert group.table.shape == (n, n) and not group.table.flags.writeable
+        assert group.table.tolist() == [[group.mul(i, j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("group", [zd_box(1, 2), free_group_ball(2, 1)], ids=["zbox", "free"])
+    def test_truncated_group_has_no_table(self, group):
+        with pytest.raises(UnsupportedError, match="finite group"):
+            group.table
 
     def test_inconsistent_table_rejected(self):
         with pytest.raises(InvalidArgumentError):

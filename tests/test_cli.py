@@ -478,28 +478,41 @@ def test_dos_solves_each_realization_once(monkeypatch):
 
 def test_cayley_verify_never_solves_the_operator_densely(monkeypatch):
     # cyclic:6 over the 32-vertex base: no spectrum of the 192-vertex
-    # operator is solved. eig_sym sees only the pieces and the 30 non-anchor
-    # base vertices, and eigvalsh only anchor Schur complements: 6 fibers x
-    # 2 anchors, plus the 4 zero modes of a fiber kept as their own rows
+    # operator is solved, nor its whole anchor Schur complement (6 fibers x
+    # 2 anchors, plus the 4 zero modes of a fiber kept as their own rows).
+    # eig_sym sees only the pieces and the 30 non-anchor base vertices. Every
+    # other eigh or eigvalsh sees one BFS level of the complement, {0},
+    # {1, 5}, {2, 4} or {3}: the widest is 2 fibers x 2 anchors plus the 4
+    # kept rows, which pad that level for every shift of the pass
     import multispec.spectral as spectral
 
-    dims, schur = [], []
-    eig_sym, eigvalsh = spectral.eig_sym, np.linalg.eigvalsh
+    dims, levels, inside = [], [], []
+    eig_sym, eigh, eigvalsh = spectral.eig_sym, np.linalg.eigh, np.linalg.eigvalsh
 
     def counting(M, *args, **kwargs):
         dims.append(np.asarray(M).shape[0])
-        return eig_sym(M, *args, **kwargs)
+        inside.append(M)
+        try:
+            return eig_sym(M, *args, **kwargs)
+        finally:
+            inside.pop()
 
-    def counting_eigvalsh(M, *args, **kwargs):
-        schur.append(M.shape[-1])
-        return eigvalsh(M, *args, **kwargs)
+    def level_counting(solve):
+        def counted(M, *args, **kwargs):
+            if not inside:
+                levels.append(M.shape[-1])
+            return solve(M, *args, **kwargs)
+
+        return counted
 
     monkeypatch.setattr(spectral, "eig_sym", counting)
     monkeypatch.setattr(spectral, "operator_spectrum", lambda *a, **k: pytest.fail("solved"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", level_counting(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", level_counting(eigvalsh))
     assert run(["cayley-verify", "--pieces", "4", "--group", "cyclic:6"]) == EXIT_OK
     assert dims and max(dims) < 32
-    assert schur == [6 * 2 + 4]
+    assert levels and max(levels) < 6 * 2 + 4
+    assert max(levels) == 2 * 2 + 4
 
 
 def test_cayley_verify_loads_no_scipy_solver():

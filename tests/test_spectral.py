@@ -26,7 +26,14 @@ from multispec.canopy import (
     subtree,
     tree_size,
 )
-from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics
+from multispec.cayley import (
+    CayleyTemplate,
+    build_cayley_graph,
+    cyclic_group,
+    free_group_ball,
+    product_of_cyclics,
+    zd_box,
+)
 from multispec.errors import CertificateError, InvalidArgumentError, TooLargeError
 from multispec.graph_core import (
     GluedGraphSpec,
@@ -913,6 +920,10 @@ class TestCayleyBandSpectrum:
 CAYLEY_GROUPS = st.one_of(
     st.integers(1, 45).map(cyclic_group),
     st.tuples(st.integers(1, 7), st.integers(1, 7)).map(product_of_cyclics),
+    # truncated groups: boundary fibers, BFS spheres cut by missing edges,
+    # and exponentially wide last spheres
+    st.tuples(st.integers(1, 2), st.integers(1, 3)).map(lambda a: zd_box(*a)),
+    st.tuples(st.integers(1, 2), st.integers(1, 3)).map(lambda a: free_group_ball(*a)),
 )
 
 
@@ -967,6 +978,30 @@ class TestCayleyWindowCounts:
         edges_lo, edges_hi = self._dense_bounds(op, np.concatenate([targets - tau, targets + tau]))
         clear = (edges_lo == edges_hi).reshape(2, -1).all(axis=0)
         assert counts[clear].tolist() == np.array(dense)[clear].tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        group=CAYLEY_GROUPS,
+        pieces=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+        pivot=st.sampled_from([1e-2, np.inf]),
+        tau=st.sampled_from([1e-7, 0.5]),
+    )
+    def test_pivot_tolerance_keeps_counts(self, group, pieces, seed, pivot, tau):
+        # at PIVOT_TOL = inf nothing is divided through: every interior mode
+        # is a row of S, every coupled direction is carried to the last
+        # level, and that level is all of S but its decoupled directions
+        assume(group.size * prime_paths_graph(pieces, 2).graph.vertex_count <= 200)
+        cg, r, op = _cayley_instance(group, pieces, seed)
+        targets = np.array([r.values[g] for g in cg.interior_fibers()[:3]])
+        bound = op.norm_bound + 1.0
+        shifts = np.concatenate([targets + tau, targets - tau, np.linspace(-bound, bound, 5)])
+        with mock.patch.object(spectral, "PIVOT_TOL", pivot):
+            below = spectral._counts_below(cg, op, shifts)
+        lo, hi = self._dense_bounds(op, shifts)
+        assert np.all((lo <= below) & (below <= hi))
+        isolated = lo == hi
+        assert np.array_equal(below[isolated], lo[isolated])
 
     def test_bench_windows_match_dense(self):
         # cyclic:40 at the CLI's 1e-7 window: each fiber's two kernel

@@ -99,7 +99,8 @@ class SiteOperator:
 
     tiling is the (TruncatedCanopy, PatchSet) a canopy operator was
     assembled from, and None for every other operator; it lets
-    spectral.operator_spectrum solve the symmetry-reduced core instead.
+    spectral.operator_spectrum solve the symmetry-reduced core, and no
+    other operator is solved.
     """
 
     def __init__(

@@ -1,9 +1,11 @@
 """Graph automorphism groups, pointwise stabilizers, the fiber-wise
 embedding into the Cayley-type graph, and the operator-fixing group.
 
-The search is plain color refinement (degree and neighbor-color multisets,
-with fixed vertices as singleton colors) plus backtracking. Instances here
-are small; auditability beats speed.
+The search is plain color refinement plus backtracking. Refinement is
+seeded with the fixed vertices as singleton colors and everything else in
+one color; it splits colors by neighbor-color multisets until the partition
+is equitable, which already separates degrees and distances to the fixed
+vertices. Instances here are small; auditability beats speed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .anderson import (
 )
 from .cayley import CayleyGraph, require_finite
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
-from .graph_core import FiniteGraph, bfs_all_distances
+from .graph_core import FiniteGraph
 
 DEFAULT_SEARCH_CAP = 2_000
 BRUTE_VERTEX_CAP = 200
@@ -62,23 +64,21 @@ def invert(p: Permutation) -> Permutation:
 class AutGroup:
     order: int
     fixed_set: tuple[int, ...]
-    elements: tuple[Permutation, ...] | None = None
-    generators: tuple[Permutation, ...] | None = None
+    elements: tuple[Permutation, ...]
 
     def __post_init__(self):
-        if self.elements is not None and len(self.elements) != self.order:
+        if len(self.elements) != self.order:
             raise InvalidArgumentError("element count disagrees with order")
 
 
 def _validate_group(g: FiniteGraph, group: AutGroup):
-    perms = group.elements or group.generators or ()
-    for p in perms:
+    for p in group.elements:
         if not is_automorphism(g, p):
             raise CertificateError("returned permutation is not an automorphism")
         for v in group.fixed_set:
             if p[v] != v:
                 raise CertificateError("returned permutation moves a fixed vertex")
-    if group.elements and len(group.elements) <= 64:
+    if len(group.elements) <= 64:
         elems = set(group.elements)
         for p in group.elements:
             if invert(p) not in elems:
@@ -117,15 +117,7 @@ def automorphisms(
         if not (0 <= v < n):
             raise InvalidArgumentError(f"fixed vertex {v} out of range")
     adj = g.neighbors()
-    deg = g.degrees()
-    dists = [bfs_all_distances(g, f) for f in fixed]
-    initial = [
-        (("fixed", fixed.index(v)) if v in fixed else ("free",), deg[v])
-        + tuple(d[v] for d in dists)
-        for v in range(n)
-    ]
-    remap = {k: i for i, k in enumerate(sorted(set(initial)))}
-    colors = _refine(adj, [remap[k] for k in initial])
+    colors = _refine(adj, [fixed.index(v) if v in fixed else -1 for v in range(n)])
     class_size = [0] * (max(colors) + 1 if n else 0)
     for c in colors:
         class_size[c] += 1
@@ -223,7 +215,9 @@ def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
     """The operator-fixing automorphism group, computed structurally: with
     pairwise-distinct couplings every fixing automorphism preserves fibers
     and pins the anchors, so the group is the fiber-wise image of the
-    per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|.
+    per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|. Every
+    element is listed and checked, so an order above EXPLICIT_ORDER_CAP
+    raises TooLargeError.
 
     That premise fails when the generator set is closed under inversion
     (S = S^-1): on the prime-paths base with generators that are all
@@ -239,37 +233,26 @@ def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
             "automorphism need not pin the anchors; no order is claimed"
         )
     base_group = automorphisms(cg.template.base, fixed=cg.template.anchor_vertices())
-    op = assemble_cayley_operator(cg, r)
     size = cg.group.size
     order = base_group.order**size
-    fixed: tuple[int, ...] = ()
-    if order <= EXPLICIT_ORDER_CAP:
-        elements = []
-        for combo in itertools.product(base_group.elements, repeat=size):
-            perm = theta(combo, cg)
-            dev = conjugation_deviation(op, perm)
-            if dev != 0.0:
-                raise CertificateError(
-                    f"structural element fails conjugation check (dev {dev})"
-                )
-            if any(cg.fiber[perm[v]] != cg.fiber[v] for v in range(cg.vertex_count)):
-                raise CertificateError("structural element does not preserve fibers")
-            elements.append(perm)
-        group = AutGroup(order, fixed, elements=tuple(sorted(elements)))
-    else:
-        identity = tuple(range(cg.n_base))
-        gens = []
-        for h in range(size):
-            for b in base_group.elements:
-                if b == identity:
-                    continue
-                combo = [identity] * size
-                combo[h] = b
-                perm = theta(combo, cg)
-                if conjugation_deviation(op, perm) != 0.0:
-                    raise CertificateError("generator fails conjugation check")
-                gens.append(perm)
-        group = AutGroup(order, fixed, generators=tuple(gens))
+    if order > EXPLICIT_ORDER_CAP:
+        raise TooLargeError(
+            f"Aut_And order {order} exceeds explicit cap {EXPLICIT_ORDER_CAP}"
+        )
+    op = assemble_cayley_operator(cg, r)
+    elements = []
+    for combo in itertools.product(base_group.elements, repeat=size):
+        perm = theta(combo, cg)
+        dev = conjugation_deviation(op, perm)
+        if dev != 0.0:
+            raise CertificateError(
+                f"structural element fails conjugation check (dev {dev})"
+            )
+        nb = cg.n_base
+        if any(perm[v] // nb != v // nb for v in range(cg.vertex_count)):
+            raise CertificateError("structural element does not preserve fibers")
+        elements.append(perm)
+    group = AutGroup(order, (), elements=tuple(sorted(elements)))
     _validate_group(cg.graph, group)
     return group
 

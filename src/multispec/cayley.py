@@ -343,11 +343,10 @@ class CayleyGraph:
     """Finite realization of the fibered graph: vertex (v, g) gets the dense
     index g * |V(base)| + v."""
 
-    def __init__(self, graph, template, group, fiber):
+    def __init__(self, graph, template, group):
         self.graph = graph
         self.template = template
         self.group = group
-        self.fiber = fiber  # vertex -> group element index
         self.n_base = template.base.vertex_count
         self.boundary_fibers = frozenset(
             g for g in range(group.size) if not group.interior[g]
@@ -395,8 +394,7 @@ def build_cayley_graph(
                 continue
             edges.add((min(a, b), max(a, b)))
     graph = FiniteGraph(total, tuple(sorted(edges)))
-    fiber = tuple(idx // nb for idx in range(total))
-    return CayleyGraph(graph, template, group, fiber)
+    return CayleyGraph(graph, template, group)
 
 
 def require_finite(group: GroupSpec, what: str):

@@ -136,7 +136,7 @@ def cmd_canopy_verify(args) -> int:
     all_certs = []
     for (x, E), outcome in zip(pairs, outcomes):
         target = E + r.values[x]
-        nearby = int(np.sum(np.abs(eigenvalues - target) < MATCH_WINDOW))
+        nearby = int(np.sum(np.abs(eigenvalues - target) < args.tau))
         entry = {"patch_root": x, "E": E, "claimed": target, "eig_matches": nearby}
         if isinstance(outcome, CertificateError):
             entry["status"] = "fail"
@@ -390,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tau_help = "count the eigenvalues closer than this to each claimed one"
 
     def common(p):
         p.add_argument("--out", default=None, help="write the report here")
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--tau", type=_window, default=MATCH_WINDOW)
+    p.add_argument("--tau", type=_window, default=MATCH_WINDOW, help=tau_help)
     p.add_argument(
         "--self-test",
         action="store_true",
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=2, choices=[2, 3])
     p.add_argument("--group", required=True, help="e.g. cyclic:6 or product:2,2")
     p.add_argument("--E0", type=float, default=0.0)
-    p.add_argument("--tau", type=_window, default=MATCH_WINDOW)
+    p.add_argument("--tau", type=_window, default=MATCH_WINDOW, help=tau_help)
     common(p)
     p.set_defaults(func=cmd_cayley_verify)
 

@@ -7,7 +7,6 @@ searches) iterates deterministically.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
-UNREACHABLE = -1
 DEFAULT_VERTEX_CAP = 200_000  # the largest canopy or Cayley graph built
 
 # First ten primes, enough for every construction exercised here.
@@ -54,13 +52,6 @@ class FiniteGraph:
         for lst in adj:
             lst.sort()
         return adj
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 def make_graph(vertex_count: int, edges) -> FiniteGraph:
@@ -182,21 +173,6 @@ def prime_paths_graph(piece_count: int, scale: int = 2) -> GluedGraph:
         attach.append((0, size - 1))
     spec = GluedGraphSpec(tuple(pieces), tuple(attach), junction_count=2)
     return glue_subgraphs(spec)
-
-
-def bfs_all_distances(g: FiniteGraph, u: int) -> list[int]:
-    """Distances from u to every vertex (UNREACHABLE where disconnected)."""
-    adj = g.neighbors()
-    dist = [UNREACHABLE] * g.vertex_count
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for nb in adj[w]:
-            if dist[nb] == UNREACHABLE:
-                dist[nb] = dist[w] + 1
-                queue.append(nb)
-    return dist
 
 
 def from_edge_list_text(text: str) -> FiniteGraph:

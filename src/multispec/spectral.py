@@ -24,13 +24,12 @@ once, norms and Gram deviations once per psi, and support_residuals takes
 the residuals of a stack of supports in one support-local pass, equal bit
 for bit to the dense H v - E v of each.
 
-operator_spectrum solves each operator once. A canopy operator is solved on
-its symmetry-reduced core, the vertices above depth l plus an (l+1)-vertex
-level chain per depth-l patch root (213 instead of 1,365 vertices for K=4,
-L=5, l=2; 94 instead of 364 for K=3, L=5; 364 instead of 3,280 for K=3, L=7,
-l=3), plus closed-form (K-1)-fold patch blocks. The eig cap still bounds the
-full dimension, so K=3, L=8 is refused although its core has 2,551 vertices.
-Any other operator is solved densely for eigenvalues only. Either way the
+operator_spectrum solves each canopy operator once, on its symmetry-reduced
+core, the vertices above depth l plus an (l+1)-vertex level chain per
+depth-l patch root (213 instead of 1,365 vertices for K=4, L=5, l=2; 94
+instead of 364 for K=3, L=5; 364 instead of 3,280 for K=3, L=7, l=3), plus
+closed-form (K-1)-fold patch blocks. The eig cap still bounds the full
+dimension, so K=3, L=8 is refused although its core has 2,551 vertices. The
 values are checked against the assembled operator's dimension, trace and
 Frobenius norm. eig_sym, which self-checks the eigenvectors it returns,
 serves the solves whose vectors are used and the canopy core.
@@ -119,36 +118,27 @@ def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
 
 
 def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarray:
-    """Ascending eigenvalues of op, read-only. The cap is checked on
-    op.dimension before anything is densified or solved; the first call
-    solves the spectrum and caches it on op, which is immutable after
-    assembly.
-
-    A canopy operator (op.tiling set) is solved on its symmetry-reduced
-    core plus the closed-form patch blocks (see _canopy_blocks); any other
-    operator densely, for eigenvalues only (see _dense_eigenvalues).
-    Either way the values must reproduce the dimension, trace and Frobenius
-    norm of the assembled operator before they are cached.
-    """
+    """Ascending eigenvalues of a canopy operator (op.tiling set), read-only.
+    The cap is checked on op.dimension before anything is densified or
+    solved; the first call solves the symmetry-reduced core plus the
+    closed-form patch blocks (see _canopy_blocks) and caches the spectrum on
+    op, which is immutable after assembly, once the values reproduce the
+    dimension, trace and Frobenius norm of the assembled operator. An
+    operator without a tiling raises InvalidArgumentError: count a Cayley
+    operator's eigenvalues with cayley_window_counts."""
     require_eig_cap(op.dimension, cap)
+    if op.tiling is None:
+        raise InvalidArgumentError(
+            "operator_spectrum needs a canopy operator; count a Cayley "
+            "operator's eigenvalues with cayley_window_counts"
+        )
     if op._eigenvalues is None:
-        if op.tiling is None:
-            w = _dense_eigenvalues(op)
-        else:
-            core, local = _canopy_blocks(op, cap)
-            w = np.sort(np.concatenate([core, local.ravel()]))
+        core, local = _canopy_blocks(op, cap)
+        w = np.sort(np.concatenate([core, local.ravel()]))
         _check_power_sums(op, w)
         w.flags.writeable = False
         op._eigenvalues = w
     return op._eigenvalues
-
-
-def _dense_eigenvalues(op: SiteOperator) -> np.ndarray:
-    """Ascending eigenvalues of an operator without a tiling, by a dense
-    eigenvalues-only solve; the adjacency must be exactly symmetric."""
-    if (op.adjacency != op.adjacency.T).nnz:
-        raise InvalidArgumentError("matrix must be symmetric")
-    return np.linalg.eigvalsh(op.adjacency.toarray() + np.diag(op.potential))
 
 
 def cayley_window_counts(
@@ -336,12 +326,11 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_power_sums(op: SiteOperator, w: np.ndarray) -> None:
-    """The spectrum check of operator_spectrum, the same for every solve
-    path. Raise CertificateError unless w has op.dimension values whose first
-    two power sums equal tr H = sum(potential) and ||H||_F^2 =
-    sum(adjacency entries^2) + sum(potential^2), the k-th within
-    TOL_SCALE * n * op.norm_bound^k, n times the k-th power of the norm
-    bound."""
+    """The spectrum check of operator_spectrum. Raise CertificateError
+    unless w has op.dimension values whose first two power sums equal
+    tr H = sum(potential) and ||H||_F^2 = sum(adjacency entries^2) +
+    sum(potential^2), the k-th within TOL_SCALE * n * op.norm_bound^k, n
+    times the k-th power of the norm bound."""
     n = op.dimension
     if w.size != n:
         raise CertificateError(f"spectrum has {w.size} values, dimension {n}")

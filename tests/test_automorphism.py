@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ class TestSearch:
             assert all(is_automorphism(g, p) for p in grp.elements)
             assert tuple(range(n)) in grp.elements
 
+    def test_exhaustive_oracle(self):
+        # every permutation of up to 6 vertices that is an automorphism and
+        # fixes the chosen vertices, against the search's elements
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            pairs = list(itertools.combinations(range(n), 2))
+            take = rng.random(len(pairs)) < rng.random()
+            g = make_graph(n, [p for p, t in zip(pairs, take) if t])
+            fixed = tuple(int(v) for v in rng.permutation(n)[: rng.integers(0, 3)])
+            expected = {
+                p
+                for p in itertools.permutations(range(n))
+                if is_automorphism(g, p) and all(p[v] == v for v in fixed)
+            }
+            grp = automorphisms(g, fixed=fixed)
+            assert set(grp.elements) == expected
+            assert grp.order == len(expected)
+
     def test_composition_helpers(self):
         p = (1, 2, 0)
         q = (2, 0, 1)
@@ -168,7 +189,8 @@ class TestAndersonGroup:
         cg, r = pendant_cayley
         g = anderson_automorphisms(cg, r)
         for p in g.elements:
-            assert all(cg.fiber[p[v]] == cg.fiber[v] for v in range(cg.vertex_count))
+            nb = cg.n_base
+            assert all(p[v] // nb == v // nb for v in range(cg.vertex_count))
 
     def test_rigid_base_gives_trivial_group(self):
         glued = prime_paths_graph(2, 2)
@@ -184,6 +206,14 @@ class TestAndersonGroup:
         flat = sample_disorder(DisorderSpec(POINT_MASS, (1.0,), seed=0), range(3))
         with pytest.raises(DegenerateDisorderError):
             anderson_automorphisms(cg, flat)
+
+    def test_order_above_explicit_cap(self):
+        # |Aut(base|anchors)|^|G| = 2^14 = 16,384 elements to list
+        base = pendant_base()
+        cg = build_cayley_graph(CayleyTemplate(base, {-1: 0, 1: 1}), cyclic_group(14))
+        r = sample_disorder(DisorderSpec(seed=2), range(14))
+        with pytest.raises(TooLargeError, match="16384 exceeds explicit cap 10000"):
+            anderson_automorphisms(cg, r)
 
     def test_truncated_group_unsupported(self):
         base = pendant_base()

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +87,110 @@ class TestCanopyVerify:
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         ra["config"].pop("out"), rb["config"].pop("out")
         assert ra == rb
+
+
+def test_canopy_verify_tau_sets_the_match_window(tmp_path):
+    # every pair's eig_matches counts the oracle eigenvalues within --tau
+    from multispec.anderson import (
+        DisorderSpec,
+        assemble_canopy_operator,
+        sample_disorder,
+    )
+    from multispec.canopy import build_truncated_canopy, potential_roots
+
+    from oracle import dense_operator
+
+    out = tmp_path / "report.json"
+    argv = ["canopy-verify", "--K", "3", "--L", "5", "--l", "2", "--tau", "0.5"]
+    assert run([*argv, "--out", str(out)]) == EXIT_VERIFICATION
+    t = build_truncated_canopy(3, 5)
+    p = potential_roots(t, 2)
+    op = assemble_canopy_operator(t, p, sample_disorder(DisorderSpec(seed=0), p.roots))
+    oracle = np.linalg.eigvalsh(dense_operator(op))
+    pairs = json.loads(out.read_text())["per_pair"]
+    assert len(pairs) == 28 * 4
+    for e in pairs:
+        assert e["eig_matches"] == int(np.sum(np.abs(oracle - e["claimed"]) < 0.5))
+    assert max(e["eig_matches"] for e in pairs) > 2  # wider than the default
+
+
+class TestFailureBranches:
+    """Each failure the CLI reports ends in exit 2 with a one-line text, a
+    report failure or the one stderr line."""
+
+    @staticmethod
+    def _failures(argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", str(out)]) == EXIT_VERIFICATION
+        failures = json.loads(out.read_text())["failures"]
+        assert failures and all("\n" not in f for f in failures)
+        return failures
+
+    def test_canopy_pair_without_matches(self, tmp_path, monkeypatch):
+        import multispec.spectral as spectral
+
+        solve = spectral.operator_spectrum
+
+        def shifted(*args, **kwargs):
+            return solve(*args, **kwargs) + 1
+
+        monkeypatch.setattr(spectral, "operator_spectrum", shifted)
+        argv = ["canopy-verify", "--K", "3", "--L", "2", "--l", "2"]
+        failures = self._failures(argv, tmp_path)
+        assert len(failures) == 4
+        assert all(re.fullmatch(r"root 0 E \S+: only 0 matches", f) for f in failures)
+
+    CAYLEY = ["cayley-verify", "--pieces", "4", "--group", "cyclic:6"]
+
+    def test_cayley_rejected_fiber(self, tmp_path, monkeypatch):
+        import multispec.spectral as spectral
+        from multispec.errors import CertificateError
+
+        issue = spectral.cayley_certificates
+
+        def reject_first(*args, **kwargs):
+            outcomes = issue(*args, **kwargs)
+            return [CertificateError("forced rejection"), *outcomes[1:]]
+
+        monkeypatch.setattr(spectral, "cayley_certificates", reject_first)
+        assert self._failures(self.CAYLEY, tmp_path) == ["fiber 0: forced rejection"]
+
+    def test_cayley_too_few_matches(self, tmp_path, monkeypatch):
+        import multispec.spectral as spectral
+
+        count = spectral.cayley_window_counts
+
+        def fewer(*args, **kwargs):
+            return count(*args, **kwargs) - 1
+
+        monkeypatch.setattr(spectral, "cayley_window_counts", fewer)
+        failures = self._failures(self.CAYLEY, tmp_path)
+        assert failures == [f"fiber {g}: only 1 matching eigenvalues" for g in range(6)]
+
+    def test_cayley_covariance_broken(self, tmp_path, monkeypatch):
+        import multispec.cli as cli
+
+        check = cli.covariance_check
+
+        def break_last(*args, **kwargs):
+            checks = check(*args, **kwargs)
+            return [*checks[:-1], (False, 0.25)]
+
+        monkeypatch.setattr(cli, "covariance_check", break_last)
+        failures = self._failures(self.CAYLEY, tmp_path)
+        assert failures == ["covariance broken at g=5 (dev 0.25)"]
+
+    def test_aut_brute_order_disagrees(self, tmp_path, monkeypatch, capsys):
+        import multispec.cli as cli
+
+        brute = SimpleNamespace(order=2)
+        monkeypatch.setattr(cli, "brute_anderson_automorphisms", lambda cg, r: brute)
+        out = tmp_path / "report.json"
+        argv = ["aut", "--pieces", "2", "--group", "cyclic:3", "--out", str(out)]
+        assert run(argv) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err == "error (verification): brute order 2 != structural 1\n"
+        assert not out.exists()
 
 
 class TestCayleyVerify:
@@ -366,7 +472,7 @@ class TestCapsBeforeDensifying:
         def refuse(*args):
             raise AssertionError("operator solved before the cap check")
 
-        for solve in ("_canopy_blocks", "_dense_eigenvalues", "_counts_below"):
+        for solve in ("_canopy_blocks", "_counts_below"):
             monkeypatch.setattr(spectral, solve, refuse)
 
     @pytest.mark.parametrize(

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from multispec.errors import InvalidArgumentError
 from multispec.graph_core import (
     PRIMES,
-    UNREACHABLE,
     FiniteGraph,
     GluedGraphSpec,
     adjacency_matrix,
-    bfs_all_distances,
     from_edge_list_text,
     glue_subgraphs,
     make_graph,
@@ -144,7 +142,7 @@ class TestPrimePaths:
         # x_1 - 1 - 2 - 3 - x_2: 5 vertices, 4 edges, a simple path
         assert glued.graph.vertex_count == 5
         assert glued.graph.edge_count == 4
-        assert sorted(glued.graph.degrees()) == [1, 1, 2, 2, 2]
+        assert sorted(map(len, glued.graph.neighbors())) == [1, 1, 2, 2, 2]
 
     def test_scale_three_sizes(self):
         glued = prime_paths_graph(2, 3)
@@ -153,31 +151,6 @@ class TestPrimePaths:
     def test_rejects_bad_scale(self):
         with pytest.raises(InvalidArgumentError):
             prime_paths_graph(2, 4)
-
-
-class TestBfs:
-    def test_self_distance(self):
-        assert bfs_all_distances(path_graph(4), 2)[2] == 0
-
-    def test_path_endpoints(self):
-        assert bfs_all_distances(path_graph(3), 0)[2] == 2
-
-    def test_unreachable(self):
-        g = make_graph(4, [(0, 1), (2, 3)])
-        assert bfs_all_distances(g, 0)[3] == UNREACHABLE
-
-    def test_triangle_inequality_exhaustive(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            n = int(rng.integers(2, 20))
-            pairs = list(itertools.combinations(range(n), 2))
-            take = rng.random(len(pairs)) < 0.3
-            g = make_graph(n, [p for p, t in zip(pairs, take) if t])
-            d = [bfs_all_distances(g, u) for u in range(n)]
-            for u, v, w in itertools.product(range(n), repeat=3):
-                if UNREACHABLE in (d[u][v], d[v][w], d[u][w]):
-                    continue
-                assert d[u][w] <= d[u][v] + d[v][w]
 
 
 class TestSerialization:

@@ -730,10 +730,17 @@ class TestCaching:
     def test_operator_spectrum_cap_before_densifying(self, canopy_instance, monkeypatch):
         t, p, r, _, _ = canopy_instance
         op = assemble_canopy_operator(t, p, r)
-        for solve in ("_canopy_blocks", "_dense_eigenvalues"):
-            monkeypatch.setattr(spectral, solve, lambda *a: pytest.fail("solved"))
+        monkeypatch.setattr(spectral, "_canopy_blocks", lambda *a: pytest.fail("solved"))
         with pytest.raises(TooLargeError):
             operator_spectrum(op, cap=op.dimension - 1)
+
+    def test_operator_spectrum_refuses_untiled_operator(self):
+        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        with pytest.raises(TooLargeError):
+            operator_spectrum(op, cap=op.dimension - 1)
+        with pytest.raises(InvalidArgumentError, match="cayley_window_counts"):
+            operator_spectrum(op)
+        assert op._eigenvalues is None
 
     def test_operator_spectrum_read_only_and_cached(self, canopy_instance):
         t, p, r, _, _ = canopy_instance
@@ -855,66 +862,6 @@ def _cayley_instance(group, pieces, seed):
 
 def _cayley_operator(group, pieces, seed):
     return _cayley_instance(group, pieces, seed)[1:]
-
-
-class TestCayleyBandSpectrum:
-    """operator_spectrum solves every operator without a tiling (a Cayley
-    operator, which cayley-verify counts by inertia instead) by a dense
-    eigenvalues-only solve, and checks the values against the operator's
-    dimension, trace and Frobenius norm. The band solve these tests were
-    written for is gone; the class keeps its name."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        group=st.one_of(
-            st.integers(1, 45).map(cyclic_group),
-            st.tuples(st.integers(1, 7), st.integers(1, 7)).map(product_of_cyclics),
-        ),
-        pieces=st.integers(1, 5),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_matches_dense(self, group, pieces, seed):
-        assume(group.size * prime_paths_graph(pieces, 2).graph.vertex_count <= 1_500)
-        _, op = _cayley_operator(group, pieces, seed)
-        assert op.tiling is None
-        w = operator_spectrum(op)
-        dense = np.linalg.eigvalsh(dense_operator(op))
-        assert w.size == op.dimension
-        assert np.max(np.abs(w - dense)) <= 1e-12
-
-    @staticmethod
-    def _shifted(w):
-        w = w.copy()
-        w[0] += 1e-3
-        return w
-
-    @staticmethod
-    def _nan_value(w):
-        w = w.copy()
-        w[0] = np.nan
-        return w
-
-    @pytest.mark.parametrize(
-        "tamper",
-        [_shifted, lambda w: w[1:], _nan_value],
-        ids=["shifted_value", "dropped_value", "nan_value"],
-    )
-    def test_power_sum_check_rejects(self, tamper, monkeypatch):
-        _, op = _cayley_operator(cyclic_group(6), 4, 5)
-        solve = spectral._dense_eigenvalues
-        monkeypatch.setattr(spectral, "_dense_eigenvalues", lambda op: tamper(solve(op)))
-        with pytest.raises(CertificateError):
-            operator_spectrum(op)
-        assert op._eigenvalues is None  # nothing unchecked is cached
-
-    def test_asymmetric_adjacency_rejected(self):
-        _, op = _cayley_operator(cyclic_group(6), 4, 5)
-        adjacency = op.adjacency.copy()
-        adjacency.data[0] = 2.0  # one direction of one edge
-        lopsided = SiteOperator(adjacency, op.potential, op.provenance)
-        with pytest.raises(InvalidArgumentError, match="symmetric"):
-            operator_spectrum(lopsided)
-        assert lopsided._eigenvalues is None
 
 
 CAYLEY_GROUPS = st.one_of(

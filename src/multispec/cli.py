@@ -18,7 +18,7 @@ import numpy as np
 from . import canopy as canopy_mod
 from . import cayley as cayley_mod
 from . import dos as dos_mod
-from . import graph_core, spectral
+from . import automorphism, graph_core, spectral
 from .anderson import (
     DisorderSpec,
     assemble_canopy_operator,
@@ -252,7 +252,7 @@ def cmd_aut(args) -> int:
     r = sample_disorder(spec, range(group.size))
     structural = anderson_automorphisms(cg, r)
     brute_order = None
-    if cg.vertex_count <= 200:
+    if cg.vertex_count <= automorphism.BRUTE_VERTEX_CAP:
         brute = brute_anderson_automorphisms(cg, r)
         brute_order = brute.order
         if brute.order != structural.order:

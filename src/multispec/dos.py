@@ -11,7 +11,7 @@ import numpy as np
 from .anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from .canopy import PatchSet, TruncatedCanopy
 from .errors import CertificateError, InvalidArgumentError
-from .spectral import DEFAULT_EIG_CAP, operator_spectrum, subtree_eigenpairs
+from .spectral import DEFAULT_EIG_CAP, counts_below, operator_spectrum, subtree_eigenpairs
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,28 @@ def eigenvalue_histogram(
     cap: int = DEFAULT_EIG_CAP,
     operator=None,
 ) -> Histogram:
-    """Accumulate the spectra of n_realizations independent operators
-    (seeds spec.seed + 0 .. + n-1) into the given bins; cap bounds the
-    dimension of each dense solve.
+    """Count the eigenvalues of n_realizations independent operators (seeds
+    spec.seed + 0 .. + n-1) in the given bins by spectral.counts_below, with
+    cap bounding each dimension; nothing is solved. A bin holds [lo, hi)
+    exactly, as in np.histogram, so a tie goes to the upper bin; the last
+    holds [lo, hi], counted below the float after hi.
 
     operator, if given, is the caller's assembly of realization spec.seed
-    and stands in for the first one, so a spectrum the caller has solved or
-    will solve is solved once.
+    and stands in for the first one.
     """
     if n_realizations < 1:
         raise InvalidArgumentError("need at least one realization")
     bin_edges = np.asarray(bin_edges, dtype=float)
-    if bin_edges.ndim != 1 or bin_edges.size < 2 or np.any(np.diff(bin_edges) <= 0):
+    if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(np.diff(bin_edges) > 0):
         raise InvalidArgumentError("bin edges must be ascending with >= 2 entries")
+    shifts = np.append(bin_edges[:-1], np.nextafter(bin_edges[-1], np.inf))
     counts = np.zeros(bin_edges.size - 1)
     for i in range(n_realizations):
         op = operator if i == 0 else None
         if op is None:
             r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
             op = assemble_canopy_operator(t, p, r)
-        counts += np.histogram(operator_spectrum(op, cap), bins=bin_edges)[0]
+        counts += np.diff(counts_below(op, shifts, cap))
     normalized = counts / (t.vertex_count * n_realizations)
     return Histogram(bin_edges, counts, normalized, n_realizations, t.vertex_count)
 

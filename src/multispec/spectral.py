@@ -30,16 +30,19 @@ depth-l patch root (213 instead of 1,365 vertices for K=4, L=5, l=2; 94
 instead of 364 for K=3, L=5; 364 instead of 3,280 for K=3, L=7, l=3), plus
 closed-form (K-1)-fold patch blocks. The eig cap still bounds the full
 dimension, so K=3, L=8 is refused although its core has 2,551 vertices. The
-values are checked against the assembled operator's dimension, trace and
-Frobenius norm. eig_sym, which self-checks the eigenvectors it returns,
-serves the solves whose vectors are used and the canopy core.
+core is a tree: eigvalsh solves it without vectors, its inertia counts
+enclose each value within eig_sym's residual bound, and the merged values
+must match the operator's dimension, trace and Frobenius norm. counts_below
+counts below given shifts on the same tree and solves nothing. eig_sym,
+which self-checks its eigenvectors, serves the solves whose vectors are used.
 
 A Cayley operator's spectrum is never solved: cayley_window_counts counts
 its eigenvalues in windows by inertia, #{lambda < s} = neg(H - s), on the
 anchor Schur complement (Haynsworth), under the same eig cap, eliminated
 level by level in the BFS spheres of the fibers, where it is
 block-tridiagonal. The operator must be fibered over its Cayley graph, and
-the counts must bracket 0 and n and grow with the shift.
+counts_below checks that every count brackets 0 and n and grows with the
+shift.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
 RESIDUAL_BLOCK = 2_048  # support entries per support_residuals pass, to bound memory
-SCHUR_BLOCK_BYTES = 2 << 20  # shifts per Schur complement pass, to bound memory
+SCHUR_BLOCK_BYTES = 2 << 20  # shifts per inertia count pass, to bound memory
 PIVOT_TOL = 1e-6  # eliminating a pivot d scales rounding by |coupling|^2 / |d|
 
 
@@ -104,8 +107,7 @@ def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
         raise InvalidArgumentError("matrix must be symmetric")
     w, v = np.linalg.eigh(M)
     residual = float(np.max(np.abs(M @ v - v * w))) if M.size else 0.0
-    max_entry = float(np.max(np.abs(M))) if M.size else 0.0
-    bound = TOL_SCALE * (1.0 + max_entry * M.shape[0])
+    bound = _solver_bound(M)
     if not residual <= bound:
         raise CertificateError(
             f"eigensolver residual {residual:.3e} exceeds bound {bound:.3e}"
@@ -115,6 +117,11 @@ def eig_sym(M: np.ndarray, cap: int = DEFAULT_EIG_CAP) -> EigenSystem:
         if not gram_dev <= ORTHO_TOL:
             raise CertificateError(f"eigenvectors not orthonormal ({gram_dev:.3e})")
     return EigenSystem(w, v, residual)
+
+
+def _solver_bound(M: np.ndarray) -> float:
+    """How far an eig_sym residual or a _canopy_blocks core value may stray."""
+    return TOL_SCALE * (1.0 + float(np.max(np.abs(M), initial=0.0)) * M.shape[0])
 
 
 def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarray:
@@ -133,7 +140,7 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
             "operator's eigenvalues with cayley_window_counts"
         )
     if op._eigenvalues is None:
-        core, local = _canopy_blocks(op, cap)
+        core, local = _canopy_blocks(op)
         w = np.sort(np.concatenate([core, local.ravel()]))
         _check_power_sums(op, w)
         w.flags.writeable = False
@@ -144,24 +151,34 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
 def cayley_window_counts(
     cg: CayleyGraph, op: SiteOperator, targets, tau: float, cap: int = DEFAULT_EIG_CAP
 ) -> np.ndarray:
-    """#{eigenvalues lambda of op : |lambda - t| < tau} for each target t, by
-    inertia (see _counts_below): the count below t + tau minus the count below
-    the float after t - tau. The cap is checked on op.dimension first. The
-    shifts -+(norm_bound + 1) must count 0 and n, and no count may fall as the
-    shift grows; otherwise CertificateError."""
-    require_eig_cap(op.dimension, cap)
+    """#{eigenvalues lambda of op : |lambda - t| < tau} for each target t: the
+    count below t + tau minus the count below the float after t - tau, both
+    by counts_below on op fibered over cg."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
+    shifts = np.concatenate([targets + tau, np.nextafter(targets - tau, np.inf)])
+    below = counts_below(op, shifts, cap, cg)
+    return below[: targets.size] - below[targets.size :]
+
+
+def counts_below(op: SiteOperator, shifts, cap: int = DEFAULT_EIG_CAP, cg=None):
+    """#{eigenvalues lambda of op : lambda < s} for each shift s, by inertia
+    on the anchor Schur complement of op fibered over the Cayley graph cg
+    (_counts_below), or else on the core tree of a canopy operator
+    (_tree_counts_below); nothing is solved. The cap is checked on
+    op.dimension first. The shifts -+(norm_bound + 1) must count 0 and n, and
+    no count may fall as the shift grows; otherwise CertificateError."""
+    require_eig_cap(op.dimension, cap)
+    if cg is None and op.tiling is None:
+        raise InvalidArgumentError("counts_below needs a canopy tiling or a Cayley graph")
     bracket = op.norm_bound + 1.0
-    shifts = np.concatenate(
-        [targets + tau, np.nextafter(targets - tau, np.inf), [-bracket, bracket]]
-    )
-    below = _counts_below(cg, op, shifts)
+    shifts = np.append(np.asarray(shifts, dtype=float).reshape(-1), [-bracket, bracket])
+    below = _counts_below(cg, op, shifts) if cg else _tree_counts_below(op, shifts)[1]
     if below[-2] != 0 or below[-1] != op.dimension:
         counts = f"inertia counts {below[-2]} and {below[-1]} at -+{bracket}"
         raise CertificateError(f"{counts}, not 0 and {op.dimension}")
     if np.any(np.diff(below[shifts.argsort(kind="stable")]) < 0):
         raise CertificateError("inertia counts decrease as the shift grows")
-    return below[: targets.size] - below[targets.size : -2]
+    return below[:-2]
 
 
 def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
@@ -290,7 +307,7 @@ def _patch_block_spectrum(K: int, l: int) -> np.ndarray:
     return w
 
 
-def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _canopy_blocks(op: SiteOperator) -> tuple[np.ndarray, np.ndarray]:
     """Exact orthogonal block decomposition of a canopy operator: the
     eigenvalues of its core, and one row of patch-block eigenvalues per
     depth-l patch root.
@@ -302,7 +319,10 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
     remains of the patch are its l+1 normalised level indicators, a chain
     with weights sqrt(K) and potential omega_x joined to x's parent with
     weight 1. The core is the vertices at depth > l (a BFS prefix) plus one
-    such chain per depth-l root; it is solved by the self-checked eig_sym.
+    such chain per depth-l root, a tree. eigvalsh solves it, and its inertia
+    counts must enclose each value w_i within delta = _solver_bound(core):
+    #{lambda < w_i - delta} <= i < #{lambda < w_i + delta}; otherwise
+    CertificateError.
     """
     t, p = op.tiling
     K, l = t.K, p.l
@@ -321,8 +341,44 @@ def _canopy_blocks(op: SiteOperator, cap: int) -> tuple[np.ndarray, np.ndarray]:
     linked = parents >= 0  # only a single-patch tree has a parentless root
     heads = chain[linked, 0]
     core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
-    core_values = eig_sym(core, cap=cap).eigenvalues
-    return core_values, couplings[:, None] + _patch_block_spectrum(K, l)
+    values, delta = np.linalg.eigvalsh(core), _solver_bound(core)
+    below = _tree_counts_below(op, np.concatenate([values - delta, values + delta]))[0]
+    index = np.arange(size)
+    if not (np.all(below[:size] <= index) and np.all(below[size:] > index)):
+        raise CertificateError(f"core eigenvalues not enclosed within {delta:.3e}")
+    return values, couplings[:, None] + _patch_block_spectrum(K, l)
+
+
+def _tree_counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
+    """#{lambda < s} for each shift s, of the core of _canopy_blocks (row 0)
+    and of the canopy operator op (row 1): by Sylvester's law, the negative
+    pivots a(v) = H_vv - s - sum of w_c^2 / a(c) over v's children c of a
+    leaf-to-root elimination of the core tree, which makes no fill-in. A
+    vertex with an exactly zero child pivot takes a negative pivot and passes
+    nothing up (G. Jacobs, V. Trevisan, Linear Algebra Appl. 434 (2011)
+    81-88): a(v) = -inf. The chains go from level l (their leaves) to 0, then
+    the deep BFS prefix level by level, K children per vertex in order. A
+    patch block R_(d-1) + omega_x is the bottom d levels of x's chain, so a
+    chain pivot at level j counts K^j times in op. A pass takes as many
+    shifts as keep one level's pivots within SCHUR_BLOCK_BYTES."""
+    t, p = op.tiling
+    K, l = t.K, p.l
+    omega = op.potential[t.depth == l]  # at the depth-l roots, in BFS order
+    levels = [(omega, K, K**j) for j in range(l, -1, -1)]  # (diagonal, w^2, copies)
+    levels += [(op.potential[t.depth == d], 1.0, 1) for d in range(l + 1, t.L + 1)]
+    counts = np.zeros((2, shifts.size), dtype=np.intp)
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * omega.size))
+    for lo in range(0, shifts.size, step):
+        s = shifts[lo : lo + step, None]
+        pivots = np.full((s.size, omega.size), np.inf)  # the leaves have no children
+        for diagonal, weight, copies in levels:
+            children = pivots.reshape(s.size, diagonal.size, -1)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                pivots = diagonal - s - weight * np.reciprocal(children).sum(axis=2)
+            pivots[(children == 0).any(axis=2)] = -np.inf
+            negative = np.count_nonzero(pivots < 0, axis=1)
+            counts[:, lo : lo + step] += np.outer([1, copies], negative)
+    return counts
 
 
 def _check_power_sums(op: SiteOperator, w: np.ndarray) -> None:

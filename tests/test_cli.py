@@ -193,6 +193,40 @@ class TestFailureBranches:
         assert not out.exists()
 
 
+    def test_canopy_core_value_not_enclosed(self, monkeypatch, capsys):
+        # one core value 10 delta off: the tree inertia counts do not enclose
+        # it within delta, so the spectrum, and the run, are refused
+        import multispec.spectral as spectral
+
+        solve = np.linalg.eigvalsh
+
+        def nudged(M):
+            values = solve(M)
+            values[1] += 10 * spectral._solver_bound(M)
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nudged)
+        assert run(["canopy-verify", "--K", "3", "--L", "2", "--l", "2"]) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("error (verification): core eigenvalues not enclosed")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("off, message", [
+        (lambda below: below + 1, "not 0 and 13"),
+        (lambda below: below + (np.arange(below.size) == 0), "decrease"),
+    ], ids=["every_count", "first_edge"])
+    def test_dos_count_off_by_one(self, off, message, monkeypatch, capsys):
+        import multispec.spectral as spectral
+
+        count = spectral._tree_counts_below
+        monkeypatch.setattr(spectral, "_tree_counts_below",
+                            lambda op, s: tuple(map(off, count(op, s))))
+        argv = ["dos", "--K", "3", "--L", "2", "--l", "2", "--realizations", "2"]
+        assert run(argv) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("error (verification): inertia counts") and message in err
+
+
 class TestCayleyVerify:
     def test_cyclic_group(self, tmp_path):
         out = tmp_path / "report.json"
@@ -240,6 +274,18 @@ class TestAut:
         assert report["anchor_stabilizer_order"] == 1
         assert report["aut_and_order"] == 1
         assert report["brute_order"] == 1
+
+    def test_brute_cap_read_at_call_time(self, tmp_path, monkeypatch):
+        # cyclic:6 over the 32-vertex base has 192 vertices: under the
+        # default brute cap, over a lowered one, which aut must honour
+        import multispec.automorphism as automorphism
+
+        monkeypatch.setattr(automorphism, "BRUTE_VERTEX_CAP", 191)
+        out = tmp_path / "report.json"
+        argv = ["aut", "--pieces", "4", "--group", "cyclic:6", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["brute_order"] is None and report["aut_and_order"] == 1
 
     def test_involutive_generators_refused(self, tmp_path, capsys):
         # 512 vertices, over the brute cap: swapping the junctions and
@@ -563,23 +609,31 @@ class TestMalformedInput:
         assert f"argument --tau: must be finite and above 0, got '{tau}'" in err
 
 
-def test_dos_solves_each_realization_once(monkeypatch):
-    # K=3, L=5, l=2: each operator's core has 94 vertices; the first
-    # realization feeds both the histogram and the band count
+def test_canopy_cores_solved_without_vectors(monkeypatch):
+    # dos counts every realization's histogram by tree inertia, so its one
+    # eigvalsh of a 94-vertex K=3, L=5 core is the band count's; neither dos
+    # nor canopy-verify (213-vertex K=4, L=5 core) computes core eigenvectors
     import multispec.spectral as spectral
 
-    solved = []
-    eig_sym = spectral.eig_sym
+    values, vectors = [], []
 
-    def counting(M, *args, **kwargs):
-        solved.append(np.asarray(M).tobytes())
-        return eig_sym(M, *args, **kwargs)
+    def spy(solve, seen):
+        def recording(M, *args, **kwargs):
+            seen.append(np.shape(M)[-1])
+            return solve(M, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "eig_sym", counting)
+        return recording
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh, values))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, vectors))
+    monkeypatch.setattr(spectral, "eig_sym", spy(spectral.eig_sym, vectors))
     argv = ["dos", "--K", "3", "--L", "5", "--l", "2", "--realizations", "3"]
     assert run(argv) == EXIT_OK
-    cores = [m for m in solved if len(m) == 94 * 94 * 8]
-    assert len(cores) == 3 and len(set(solved)) == len(solved)
+    assert values == [94] and 94 not in vectors
+    values.clear()
+    argv = ["canopy-verify", "--K", "4", "--L", "5", "--l", "2"]
+    assert run(argv) == EXIT_VERIFICATION  # the deep root, as pinned
+    assert values == [213] and max(vectors, default=0) < 213
 
 
 def test_cayley_verify_never_solves_the_operator_densely(monkeypatch):

@@ -41,6 +41,24 @@ class TestHistogram:
         expect = np.histogram(eigs, bins=edges)[0]
         assert np.array_equal(hist.counts, expect)
 
+    def test_tie_goes_to_the_upper_bin(self, instance):
+        # omega = 0: the 182 eigenvalues exactly 0, and the exact +-3, sit on
+        # edges, and each goes to the bin above it, [0, 0.25) for the zeros;
+        # the last bin is closed, so [-1, 0] holds the zeros too
+        t, p = instance
+        spec = DisorderSpec(POINT_MASS, (0.0,))
+        op = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
+        eigs = np.linalg.eigvalsh(dense_operator(op))
+        grid = np.round(eigs * 4) / 4
+        eigs = np.where(np.abs(eigs - grid) < 1e-9, grid, eigs)  # ties exact
+        assert np.count_nonzero(eigs == 0.0) == 182
+        edges = np.linspace(-5, 5, 41)
+        hist = eigenvalue_histogram(t, p, spec, edges, 2)
+        assert np.array_equal(hist.counts, 2 * np.histogram(eigs, bins=edges)[0])
+        assert hist.counts[19] == 2 * np.count_nonzero((eigs >= -0.25) & (eigs < 0))
+        closed = eigenvalue_histogram(t, p, spec, [-1.0, 0.0], 1).counts[0]
+        assert closed == np.count_nonzero((eigs >= -1.0) & (eigs <= 0.0))
+
     def test_deterministic(self, instance):
         t, p = instance
         spec = DisorderSpec(seed=3)

@@ -789,7 +789,7 @@ class TestReducedCanopySpectrum:
 
     def _check(self, t, p, op):
         depth = np.array(t.depth)
-        core, local = spectral._canopy_blocks(op, 5_000)
+        core, local = spectral._canopy_blocks(op)
         roots = int(np.sum(depth == p.l))
         assert core.size == int(np.sum(depth > p.l)) + (p.l + 1) * roots
         assert local.shape == (roots, tree_size(t.K, p.l) - (p.l + 1))
@@ -847,6 +847,81 @@ class TestReducedCanopySpectrum:
         monkeypatch.setattr(spectral, "_canopy_blocks", lambda *a: pytest.fail("solve"))
         with pytest.raises(TooLargeError, match="dimension 9841 exceeds eig cap 5000"):
             operator_spectrum(op)
+
+
+# -0.0 - 0.0 is -0.0, whose reciprocal is -inf: only the zero-pivot rule
+# gives its parent the negative pivot that +0.0 would
+POINT_MASSES = [DisorderSpec(POINT_MASS, (w,)) for w in (0.0, -0.0, 0.5)]
+
+
+class TestTreeInertiaCounts:
+    """_tree_counts_below counts a canopy operator's eigenvalues, and its
+    core's, below each shift by leaf-to-root elimination of the core tree;
+    operator_spectrum encloses every eigvalsh core value with those counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 5),
+        l=st.integers(1, 3),
+        blocks=st.integers(0, 2),
+        disorder=st.sampled_from(DISORDERS + POINT_MASSES),
+        seed=st.integers(0, 2**31 - 1),
+        random=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=30),
+    )
+    def test_matches_dense(self, K, l, blocks, disorder, seed, random):
+        L = l + blocks * (l + 1)  # blocks = 0 is the single patch L = l
+        assume(tree_size(K, L) <= 400)
+        t, p, op = _canopy_operator(K, L, l, disorder, seed)
+        dense = np.linalg.eigvalsh(dense_operator(op))
+        core = spectral._canopy_blocks(op)[0]
+        omega = op.potential[np.flatnonzero(t.depth == l)]
+        claims = (subtree_eigenpairs(K, l - 1).eigenvalues + omega[:, None]).ravel()
+        shifts = np.concatenate([random, claims, core])
+        core_below, below = spectral._tree_counts_below(op, shifts)
+        # a shift within rounding of an eigenvalue may count it either way
+        for values, counts in ((dense, below), (core, core_below)):
+            assert np.all(np.searchsorted(values, shifts - 1e-9) <= counts)
+            assert np.all(counts <= np.searchsorted(values, shifts + 1e-9))
+        if disorder.distribution == POINT_MASS:
+            # omega + the eigenvalues 0, +-sqrt(K), +-sqrt(2K) of the paths
+            # R_0, R_1, R_2 that are integers: exact, so exactly counted
+            steps = [sign * np.sqrt(m * K) for m in (1, 2) for sign in (-1, 1)]
+            exact = disorder.params[0] + np.array([0.0] + [x for x in steps if x % 1 == 0])
+            below = spectral._tree_counts_below(op, exact)[1]
+            assert np.array_equal(below, np.searchsorted(dense, exact - 1e-9))
+
+    def test_passes_split_under_the_byte_budget(self, monkeypatch):
+        t, p, op = _canopy_operator(3, 7, 3, DISORDERS[0], 2)
+        shifts = np.linspace(-5.0, 5.0, 101)
+        whole = spectral._tree_counts_below(op, shifts)
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * 81 * 7)  # 81 roots, 7 shifts a pass
+        assert all(map(np.array_equal, spectral._tree_counts_below(op, shifts), whole))
+
+    @staticmethod
+    def _nudged(values, delta):
+        values = values.copy()
+        values[values.size // 2] += 10 * delta
+        return values
+
+    @staticmethod
+    def _nan(values, delta):
+        values = values.copy()
+        values[0] = np.nan
+        return values
+
+    @pytest.mark.parametrize("tamper", [_nudged, _nan], ids=["nudged", "nan"])
+    def test_enclosure_rejects(self, tamper, monkeypatch):
+        _, _, op = _canopy_operator(3, 5, 2, DISORDERS[0], 3)
+        solve, bound = np.linalg.eigvalsh, spectral._solver_bound
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: tamper(solve(M), bound(M)))
+        with pytest.raises(CertificateError, match="not enclosed"):
+            operator_spectrum(op)
+        assert op._eigenvalues is None
+
+    def test_counts_need_a_tiling_or_a_graph(self):
+        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        with pytest.raises(InvalidArgumentError, match="canopy tiling or a Cayley graph"):
+            spectral.counts_below(op, [0.0])
 
 
 def _cayley_instance(group, pieces, seed):

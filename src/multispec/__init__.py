@@ -18,7 +18,6 @@ from .automorphism import (
     anderson_automorphisms,
     automorphisms,
     brute_anderson_automorphisms,
-    theta,
 )
 from .canopy import (
     PatchSet,

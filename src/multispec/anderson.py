@@ -23,7 +23,7 @@ from .graph_core import adjacency_sparse
 UNIFORM = "uniform"
 POINT_MASS = "point_mass"
 TWO_POINT = "two_point"
-PERMUTATION_BLOCK = 1 << 15  # permuted entries per covariance_check pass, to bound memory
+PERMUTATION_BLOCK = 1 << 15  # permuted entries per stacked permutation pass, to bound memory
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,7 @@ def covariance_check(
     require_finite(cg.group, "covariance_check")
     op = assemble_cayley_operator(cg, r) if operator is None else operator
     elements, nb = np.asarray(g).reshape(-1).tolist(), cg.n_base
-    step = max(1, PERMUTATION_BLOCK // max(op.dimension, op.adjacency.nnz))
-    deviations = []
+    step, deviations = permutation_step(op), []
     for lo in range(0, len(elements), step):
         block = elements[lo : lo + step]
         shifted = [_fiber_potential(cg, shift_disorder(r, e, cg.group)) for e in block]
@@ -242,12 +241,18 @@ def covariance_check(
     return checks[0] if np.ndim(g) == 0 else checks
 
 
+def permutation_step(op: SiteOperator) -> int:
+    """How many permutations of op one stacked pass checks, so that a pass
+    holds at most PERMUTATION_BLOCK permuted entries (at least one)."""
+    return max(1, PERMUTATION_BLOCK // max(op.dimension, op.adjacency.nnz))
+
+
 def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray):
     """max |(U H U*)[a, b] - H'[a, b]| for the permutation unitary
     (U u)(v) = u(phi(v)), where H' has op's adjacency and the given
     potential: (U H U*)[a, b] = H[phi(a), phi(b)]. A stack of permutations
-    phi (k, n) with potentials (k, n) gives k deviations; a single phi (n,)
-    gives a float.
+    phi (k, n) with potentials (k, n), or one potential (n,) for all, gives
+    k deviations; a single phi (n,) gives a float.
 
     The adjacency has no self-loops, so the permuted adjacency and the
     permuted potential are compared separately, in O(nnz) per permutation:
@@ -271,6 +276,6 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
         hit[np.nonzero(found)[0], pos[found]] = True
         missed = np.where(hit, 0.0, np.abs(values)).max(axis=1, initial=0.0)
         deviation = np.maximum(deviation, missed)
-    potential = np.abs(op.potential[perms] - potential.reshape(perms.shape))
+    potential = np.abs(op.potential[perms] - potential)
     deviation = np.maximum(deviation, potential.max(axis=1, initial=0.0))
     return deviation if np.ndim(phi) > 1 else float(deviation[0])

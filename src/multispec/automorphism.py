@@ -1,11 +1,13 @@
-"""Graph automorphism groups, pointwise stabilizers, the fiber-wise
-embedding into the Cayley-type graph, and the operator-fixing group.
+"""Graph automorphism groups, pointwise stabilizers, and the
+operator-fixing group Aut_And of a Cayley-type graph.
 
 The search is plain color refinement plus backtracking. Refinement is
 seeded with the fixed vertices as singleton colors and everything else in
 one color; it splits colors by neighbor-color multisets until the partition
 is equitable, which already separates degrees and distances to the fixed
-vertices. Instances here are small; auditability beats speed.
+vertices. Instances here are small; auditability beats speed. Aut_And is
+built in closed form as one permutation array, one fiber-wise product of
+anchor-stabilizer elements per row, and checked by one stacked conjugation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .anderson import (
     DisorderRealization,
     SiteOperator,
     assemble_cayley_operator,
+    permutation_step,
     permuted_deviation,
     require_generic,
 )
@@ -33,12 +36,8 @@ EXPLICIT_ORDER_CAP = 10_000
 Permutation = tuple[int, ...]
 
 
-def is_permutation(perm: Permutation, n: int) -> bool:
-    return len(perm) == n and sorted(perm) == list(range(n))
-
-
 def is_automorphism(g: FiniteGraph, perm: Permutation) -> bool:
-    if not is_permutation(perm, g.vertex_count):
+    if sorted(perm) != list(range(g.vertex_count)):
         return False
     edges = set(g.edges)
     for u, v in g.edges:
@@ -54,10 +53,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def invert(p: Permutation) -> Permutation:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -71,23 +67,17 @@ class AutGroup:
             raise InvalidArgumentError("element count disagrees with order")
 
 
-def _validate_group(g: FiniteGraph, group: AutGroup):
-    for p in group.elements:
-        if not is_automorphism(g, p):
-            raise CertificateError("returned permutation is not an automorphism")
-        for v in group.fixed_set:
-            if p[v] != v:
-                raise CertificateError("returned permutation moves a fixed vertex")
-    if len(group.elements) <= 64:
-        elems = set(group.elements)
-        for p in group.elements:
-            if invert(p) not in elems:
-                raise CertificateError("group not closed under inverse")
-        for p, q in itertools.islice(
-            itertools.product(group.elements, repeat=2), 256
-        ):
-            if compose(p, q) not in elems:
-                raise CertificateError("group not closed under composition")
+def _check_closure(group: AutGroup):
+    """A group of at most 64 elements must be closed under inverses and
+    under the first 256 products."""
+    if len(group.elements) > 64:
+        return
+    elems = set(group.elements)
+    if any(invert(p) not in elems for p in group.elements):
+        raise CertificateError("group not closed under inverse")
+    products = itertools.islice(itertools.product(group.elements, repeat=2), 256)
+    if any(compose(p, q) not in elems for p, q in products):
+        raise CertificateError("group not closed under composition")
 
 
 def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
@@ -172,43 +162,36 @@ def automorphisms(
     preimage = [-1] * n
     dfs(0)
     group = AutGroup(len(found), fixed, elements=tuple(sorted(found)))
-    _validate_group(g, group)
+    for p in group.elements:
+        if not is_automorphism(g, p):
+            raise CertificateError("returned permutation is not an automorphism")
+        if any(p[v] != v for v in fixed):
+            raise CertificateError("returned permutation moves a fixed vertex")
+    _check_closure(group)
     return group
 
 
-def theta(per_fiber, cg: CayleyGraph) -> Permutation:
-    """Fiber-wise permutation (v, h) -> (phi_h(v), h) of the Cayley graph.
-
-    per_fiber[h] must be an automorphism of the base graph fixing every
-    anchor, one per group element index.
-    """
-    base = cg.template.base
-    anchors = cg.template.anchor_vertices()
-    if len(per_fiber) != cg.group.size:
-        raise InvalidArgumentError("need one base permutation per fiber")
-    for phi in per_fiber:
-        if not is_automorphism(base, tuple(phi)):
-            raise InvalidArgumentError("per-fiber map is not a base automorphism")
-        if any(phi[a] != a for a in anchors):
-            raise InvalidArgumentError("per-fiber map moves an anchor")
-    nb = cg.n_base
-    out = [0] * cg.vertex_count
-    for h in range(cg.group.size):
-        phi = per_fiber[h]
-        for v in range(nb):
-            out[h * nb + v] = h * nb + phi[v]
-    perm = tuple(out)
-    if not is_automorphism(cg.graph, perm):
-        raise CertificateError("fiber-wise map is not an automorphism of H_G")
-    return perm
-
-
-def conjugation_deviation(op: SiteOperator, perm: Permutation) -> float:
+def conjugation_deviation(op: SiteOperator, perm: np.ndarray) -> float | np.ndarray:
     """Max |(U H U*)[a,b] - H[a,b]| for the permutation unitary
-    (U u)(v) = u(perm(v)). Exact zero means the operator is fixed."""
-    if not is_permutation(perm, op.dimension):
+    (U u)(v) = u(perm(v)). Exact zero means the operator is fixed; as every
+    stored adjacency entry of a graph's operator is 1.0, it also means perm
+    is an automorphism of the graph.
+
+    A stack of permutations (k, n) gives k deviations, each equal to the
+    single-permutation call's bit for bit. Every row is checked to be a
+    permutation first; the deviations are then computed in passes of at
+    most anderson.PERMUTATION_BLOCK permuted entries."""
+    n, perms = op.dimension, np.asarray(perm)
+    if perms.ndim not in (1, 2) or perms.shape[-1] != n or not (
+        np.sort(perms, axis=-1) == np.arange(n)
+    ).all():
         raise InvalidArgumentError("not a permutation")
-    return permuted_deviation(op, np.asarray(perm), op.potential)
+    stack, step = perms.reshape(-1, n), permutation_step(op)
+    deviation = np.concatenate([
+        permuted_deviation(op, stack[lo : lo + step], op.potential)
+        for lo in range(0, len(stack), step)
+    ])
+    return deviation if perms.ndim == 2 else float(deviation[0])
 
 
 def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
@@ -216,8 +199,9 @@ def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
     pairwise-distinct couplings every fixing automorphism preserves fibers
     and pins the anchors, so the group is the fiber-wise image of the
     per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|. Every
-    element is listed and checked, so an order above EXPLICIT_ORDER_CAP
-    raises TooLargeError.
+    element is listed, so an order above EXPLICIT_ORDER_CAP raises
+    TooLargeError, and checked by one stacked conjugation_deviation, whose
+    zero proves it an automorphism of cg.graph that fixes the operator.
 
     That premise fails when the generator set is closed under inversion
     (S = S^-1): on the prime-paths base with generators that are all
@@ -233,27 +217,25 @@ def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
             "automorphism need not pin the anchors; no order is claimed"
         )
     base_group = automorphisms(cg.template.base, fixed=cg.template.anchor_vertices())
-    size = cg.group.size
+    size, nb = cg.group.size, cg.n_base
     order = base_group.order**size
     if order > EXPLICIT_ORDER_CAP:
         raise TooLargeError(
             f"Aut_And order {order} exceeds explicit cap {EXPLICIT_ORDER_CAP}"
         )
     op = assemble_cayley_operator(cg, r)
-    elements = []
-    for combo in itertools.product(base_group.elements, repeat=size):
-        perm = theta(combo, cg)
-        dev = conjugation_deviation(op, perm)
-        if dev != 0.0:
-            raise CertificateError(
-                f"structural element fails conjugation check (dev {dev})"
-            )
-        nb = cg.n_base
-        if any(perm[v] // nb != v // nb for v in range(cg.vertex_count)):
-            raise CertificateError("structural element does not preserve fibers")
-        elements.append(perm)
-    group = AutGroup(order, (), elements=tuple(sorted(elements)))
-    _validate_group(cg.graph, group)
+    # perms[c, h*nb + v] = h*nb + phi_{c_h}(v); the base elements are sorted
+    # and the combos come in lexicographic order, so the rows do too
+    phi = np.array(base_group.elements)
+    combos = np.array(list(itertools.product(range(base_group.order), repeat=size)))
+    perms = (phi[combos] + nb * np.arange(size)[:, None]).reshape(order, -1)
+    dev = conjugation_deviation(op, perms)
+    if dev.any():
+        raise CertificateError(
+            f"structural element fails conjugation check (dev {dev.max()})"
+        )
+    group = AutGroup(order, (), elements=tuple(map(tuple, perms.tolist())))
+    _check_closure(group)
     return group
 
 
@@ -266,9 +248,8 @@ def brute_anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> Aut
         )
     op = assemble_cayley_operator(cg, r)
     all_auts = automorphisms(cg.graph, fixed=(), cap=BRUTE_VERTEX_CAP)
-    kept = tuple(
-        p for p in all_auts.elements if conjugation_deviation(op, p) == 0.0
-    )
+    dev = conjugation_deviation(op, np.array(all_auts.elements))
+    kept = tuple(itertools.compress(all_auts.elements, dev == 0.0))
     group = AutGroup(len(kept), (), elements=kept)
-    _validate_group(cg.graph, group)
+    _check_closure(group)
     return group

@@ -306,7 +306,7 @@ def cmd_dos(args) -> int:
     )
     report = {
         "config": _config(args),
-        "histogram": json.loads(hist.to_json()),
+        "histogram": {k: np.asarray(v).tolist() for k, v in vars(hist).items()},
         "certified_total_first_realization": total.certified_count,
         "observed_total_first_realization": total.observed_count,
         "csv": hist.to_csv(),

@@ -3,7 +3,6 @@ eigenvalue counts in shifted bands."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,17 +28,6 @@ class Histogram:
         ):
             lines.append(f"{lo},{hi},{c},{nrm}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bin_edges": self.bin_edges.tolist(),
-                "counts": self.counts.tolist(),
-                "normalized": self.normalized.tolist(),
-                "n_realizations": self.n_realizations,
-                "dimension": self.dimension,
-            }
-        )
 
 
 def eigenvalue_histogram(

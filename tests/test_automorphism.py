@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from multispec import anderson, automorphism
 from multispec.anderson import (
     POINT_MASS,
     DisorderSpec,
@@ -17,7 +18,6 @@ from multispec.automorphism import (
     conjugation_deviation,
     invert,
     is_automorphism,
-    theta,
 )
 from multispec.cayley import (
     CayleyTemplate,
@@ -129,48 +129,6 @@ def pendant_cayley():
     return cg, r
 
 
-class TestTheta:
-    def test_identity_combo(self, pendant_cayley):
-        cg, _ = pendant_cayley
-        ident = tuple(range(cg.n_base))
-        assert theta([ident] * 3, cg) == tuple(range(cg.vertex_count))
-
-    def test_homomorphism(self, pendant_cayley):
-        cg, _ = pendant_cayley
-        ident = tuple(range(cg.n_base))
-        swap = (0, 1, 2, 4, 3)
-        a = [swap, ident, ident]
-        b = [ident, swap, ident]
-        assert compose(theta(a, cg), theta(b, cg)) == theta(
-            [compose(x, y) for x, y in zip(a, b)], cg
-        )
-
-    def test_injective_on_combos(self, pendant_cayley):
-        import itertools
-
-        cg, _ = pendant_cayley
-        ident = tuple(range(cg.n_base))
-        swap = (0, 1, 2, 4, 3)
-        images = {
-            theta(list(combo), cg)
-            for combo in itertools.product((ident, swap), repeat=3)
-        }
-        assert len(images) == 8
-
-    def test_rejects_anchor_moving_map(self, pendant_cayley):
-        cg, _ = pendant_cayley
-        moves_anchor = (1, 0, 2, 3, 4)  # graph automorphism, but swaps anchors
-        assert is_automorphism(cg.template.base, moves_anchor)
-        ident = tuple(range(cg.n_base))
-        with pytest.raises(InvalidArgumentError):
-            theta([moves_anchor, ident, ident], cg)
-
-    def test_rejects_wrong_count(self, pendant_cayley):
-        cg, _ = pendant_cayley
-        with pytest.raises(InvalidArgumentError):
-            theta([tuple(range(cg.n_base))], cg)
-
-
 class TestAndersonGroup:
     def test_pendant_structural_order(self, pendant_cayley):
         cg, r = pendant_cayley
@@ -191,6 +149,23 @@ class TestAndersonGroup:
         for p in g.elements:
             nb = cg.n_base
             assert all(p[v] // nb == v // nb for v in range(cg.vertex_count))
+
+    def test_anchor_moving_base_map_rejected(self, pendant_cayley, monkeypatch):
+        # a base group that also swaps the anchors (a base automorphism, and
+        # closed under products, so only the conjugation check can object)
+        cg, r = pendant_cayley
+        real = automorphism.automorphisms
+
+        def with_anchor_swap(g, fixed=(), cap=automorphism.DEFAULT_SEARCH_CAP):
+            group = real(g, fixed, cap)
+            extra = {(1, 0, 2, 3, 4), (1, 0, 2, 4, 3)}
+            assert all(is_automorphism(g, p) for p in extra)
+            elements = tuple(sorted(set(group.elements) | extra))
+            return automorphism.AutGroup(len(elements), group.fixed_set, elements)
+
+        monkeypatch.setattr(automorphism, "automorphisms", with_anchor_swap)
+        with pytest.raises(CertificateError, match="conjugation check"):
+            anderson_automorphisms(cg, r)
 
     def test_rigid_base_gives_trivial_group(self):
         glued = prime_paths_graph(2, 2)
@@ -230,19 +205,21 @@ class TestAndersonGroup:
         for d in ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "product:1,2",
                   "product:2,2", "product:2,2,2", "product:2,3", "product:2,5",
                   "product:3,3", "product:2,2,3", "product:2,3,3")
-    ] + [("pendant", d) for d in ("cyclic:2", "cyclic:3", "cyclic:4")]
+    ] + [("pendant", d) for d in ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
+                                  "product:2,3")]
 
     @pytest.mark.parametrize("base, descriptor", SWEEP)
     def test_structural_raises_or_equals_brute(self, base, descriptor):
         group = build_group(descriptor)
         if base == "pendant":
-            tmpl = CayleyTemplate(pendant_base(), {-1: 0, 1: 1})
+            base_graph, junctions = pendant_base(), (0, 1)
         else:
             glued = prime_paths_graph(base, 2)
-            anchors = {}
-            for i in range(1, len(group.generators) + 1):
-                anchors[-i], anchors[i] = glued.junctions
-            tmpl = CayleyTemplate(glued.graph, anchors)
+            base_graph, junctions = glued.graph, glued.junctions
+        anchors = {}
+        for i in range(1, len(group.generators) + 1):
+            anchors[-i], anchors[i] = junctions
+        tmpl = CayleyTemplate(base_graph, anchors)
         cg = build_cayley_graph(tmpl, group)
         r = sample_disorder(DisorderSpec(seed=1), range(group.size))
         brute = brute_anderson_automorphisms(cg, r)
@@ -302,6 +279,41 @@ class TestConjugation:
             dev = conjugation_deviation(op, p)
             assert dev > 0.0
             assert dev == dense_conjugation_deviation(op, p)
+
+    @pytest.mark.parametrize("block", [anderson.PERMUTATION_BLOCK, 1])
+    def test_stack_matches_single_calls(self, pendant_cayley, monkeypatch, block):
+        # fixing elements, fiber translations and random permutations in one
+        # stack, checked in one pass or one permutation per pass
+        monkeypatch.setattr(anderson, "PERMUTATION_BLOCK", block)
+        cg, r = pendant_cayley
+        op = assemble_cayley_operator(cg, r)
+        nb, rng = cg.n_base, np.random.default_rng(3)
+        perms = list(anderson_automorphisms(cg, r).elements)
+        perms += [tuple((h + 1) % 3 * nb + v for h in range(3) for v in range(nb))]
+        perms += [tuple(rng.permutation(cg.vertex_count).tolist()) for _ in range(10)]
+        stacked = conjugation_deviation(op, np.array(perms))
+        assert stacked.shape == (len(perms),)
+        assert stacked.tolist() == [conjugation_deviation(op, p) for p in perms]
+
+    def test_stack_rejects_one_non_permutation(self, pendant_cayley):
+        cg, r = pendant_cayley
+        op = assemble_cayley_operator(cg, r)
+        perms = np.tile(np.arange(cg.vertex_count), (5, 1))
+        for row in range(5):
+            bad = perms.copy()
+            bad[row, 0] = bad[row, 1]
+            with pytest.raises(InvalidArgumentError):
+                conjugation_deviation(op, bad)
+        with pytest.raises(InvalidArgumentError):
+            conjugation_deviation(op, perms[:, :-1])
+
+    def test_block_of_one_agrees_with_brute(self, pendant_cayley, monkeypatch):
+        monkeypatch.setattr(anderson, "PERMUTATION_BLOCK", 1)
+        cg, r = pendant_cayley
+        structural = anderson_automorphisms(cg, r)
+        assert structural.order == 8
+        brute = brute_anderson_automorphisms(cg, r)
+        assert set(structural.elements) == set(brute.elements)
 
     def test_nonfixing_permutation_detected(self, pendant_cayley):
         cg, r = pendant_cayley

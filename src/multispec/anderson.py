@@ -135,12 +135,16 @@ class SiteOperator:
         return self.potential.shape[0]
 
     @functools.cached_property
-    def norm_bound(self) -> float:
-        """The largest row sum of |adjacency| plus max|potential|, a bound
-        on the operator norm; computed on first use."""
+    def adjacency_bound(self) -> float:
+        """The largest row sum of |adjacency|; computed on first use."""
         row_sums = abs(self.adjacency) @ np.ones(self.dimension)
-        potential = np.abs(self.potential)
-        return float(row_sums.max(initial=0.0)) + float(potential.max(initial=0.0))
+        return float(row_sums.max(initial=0.0))
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        """adjacency_bound plus max|potential|, a bound on the operator
+        norm; computed on first use."""
+        return self.adjacency_bound + float(np.abs(self.potential).max(initial=0.0))
 
     @functools.cached_property
     def padded_rows(self) -> np.ndarray:
@@ -258,14 +262,15 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
     permuted potential are compared separately, in O(nnz) per permutation:
     each stored (a, b) is looked up at (phi(a), phi(b)) among the sorted
     keys row * n + col, and stored entries no lookup hits are compared with
-    0. The deviation is the one a dense comparison gives."""
-    n, coo = op.dimension, op.adjacency.tocoo()
-    keys = coo.row.astype(np.int64) * n + coo.col
-    order = keys.argsort()
+    0. The deviation is the one a dense comparison gives. A canonical CSR
+    stores its keys in ascending order; any other is sorted first."""
+    n, a = op.dimension, op.adjacency
+    a = a if a.has_canonical_format else a.sorted_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
     # a sentinel above every key keeps each lookup position in range
-    keys, values = np.append(keys[order], n * n), np.append(coo.data[order], 0.0)
+    keys, values = np.append(rows * n + a.indices, n * n), np.append(a.data, 0.0)
     perms = np.asarray(phi, dtype=np.int64).reshape(-1, n)
-    target = perms[:, coo.row[order]] * n + perms[:, coo.col[order]]
+    target = perms[:, rows] * n + perms[:, a.indices]
     pos = keys.searchsorted(target)
     found = keys[pos] == target
     stored = values[:-1]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -89,16 +90,14 @@ def _config(args) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, default=str)
-    if getattr(args, "out", None):
-        if getattr(args, "format", "json") == "csv" and "csv" in report:
-            payload = report["csv"]
-        else:
-            payload = text
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    summary = report.get("summary", "")
-    print(summary if summary else text)
+    out, summary = getattr(args, "out", None), report.get("summary")
+    csv = getattr(args, "format", "json") == "csv" and "csv" in report
+    encode = out and not csv or not summary  # only JSON that is written or printed
+    text = json.dumps(report, indent=2, default=str) if encode else ""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(report["csv"] if csv else text)
+    print(summary or text)
 
 
 def _prime_paths_template(args):
@@ -119,6 +118,21 @@ def _prime_paths_template(args):
     return glued, group, template
 
 
+def _window_counts(eigenvalues: np.ndarray, targets: np.ndarray, tau: float) -> list:
+    """#{lambda : abs(lambda - t) < tau} for each target t, on the ascending
+    eigenvalues. lambda - t rounds monotonically in lambda, so these lambda
+    run from the first with lambda - t > -tau up to the first with
+    lambda - t >= tau, and one bisection over all targets finds both ends."""
+    n = eigenvalues.size
+    lo, hi = np.zeros((2, targets.size), dtype=np.intp), np.full((2, targets.size), n)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        d = eigenvalues[np.minimum(mid, n - 1)] - targets
+        ok = np.stack([d[0] > -tau, d[1] >= tau])
+        lo, hi = np.where(ok, lo, np.minimum(mid + 1, hi)), np.where(ok, mid, hi)
+    return (lo[1] - lo[0]).tolist()
+
+
 def cmd_canopy_verify(args) -> int:
     t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
     p = canopy_mod.potential_roots(t, args.l)
@@ -127,42 +141,41 @@ def cmd_canopy_verify(args) -> int:
     op = assemble_canopy_operator(t, p, r)
     eigenvalues = spectral.operator_spectrum(op, cap=_eig_cap())
     sub = spectral.subtree_eigenpairs(t.K, args.l - 1)
-    outcomes = spectral.canopy_certificates(
+    families = spectral.canopy_families(
         t, p, r, p.roots, sub.eigenvalues, sub.eigenvectors, operator=op
     )
+    claims = families.claims.ravel()
+    matches = _window_counts(eigenvalues, claims, args.tau)
     pairs = itertools.product(p.roots, sub.eigenvalues.tolist())
     results = []
     failures = []
-    all_certs = []
-    for (x, E), outcome in zip(pairs, outcomes):
-        target = E + r.values[x]
-        nearby = int(np.sum(np.abs(eigenvalues - target) < args.tau))
+    issued = 0
+    for (x, E), target, nearby, residuals, error in zip(
+        pairs, claims.tolist(), matches, families.residuals.tolist(), families.rejections
+    ):
         entry = {"patch_root": x, "E": E, "claimed": target, "eig_matches": nearby}
-        if isinstance(outcome, CertificateError):
+        if error:
             entry["status"] = "fail"
-            entry["error"] = str(outcome)
-            failures.append(f"root {x} E {E}: {outcome}")
+            entry["error"] = str(error)
+            failures.append(f"root {x} E {E}: {error}")
         else:
-            all_certs.extend(outcome)
-            entry["residuals"] = [c.residual for c in outcome]
+            issued += len(residuals)
+            entry["residuals"] = residuals
             entry["status"] = "pass" if nearby >= t.K - 1 else "fail"
             if nearby < t.K - 1:
                 failures.append(f"root {x} E {E}: only {nearby} matches")
         results.append(entry)
     clusters = spectral.cluster_multiplicities(eigenvalues.tolist(), args.tau)
-    if args.self_test and all_certs:
-        # perturb the first certificate on its own support and run the
-        # residual check the certificates passed
-        cert = all_certs[0]
-        values = np.array([cert.vector.get(i, 0.0) for i in cert.support])
-        values[0] += 1e-3
+    if args.self_test and issued:
+        # perturb the first issued certificate on its own support and run
+        # the residual check the certificates passed
+        i, j = divmod(families.rejections.index(None), sub.eigenvalues.size)
+        values = families.values[j, :1].copy()
+        values[0, 0] += 1e-3
         values /= np.linalg.norm(values)
-        residual = float(
-            spectral.support_residuals(
-                op, np.array(cert.support), values[None, :], cert.eigenvalue
-            )[0]
-        )
-        tolerance = spectral.residual_tolerance(op, cert.provenance["E"])
+        support, claim = np.array(families.supports[i]), families.claims[i, j]
+        residual = float(spectral.support_residuals(op, support, values, claim)[0])
+        tolerance = spectral.residual_tolerance(op, sub.eigenvalues[j])
         if residual > tolerance:
             failures.append(
                 f"self-test: perturbed certificate residual {residual:.3e} "
@@ -177,7 +190,7 @@ def cmd_canopy_verify(args) -> int:
     )
     report = {
         "config": _config(args) | {"distribution": "uniform[0,1]"},
-        "certificates_issued": len(all_certs),
+        "certificates_issued": issued,
         "per_pair": results,
         "clusters_ge_2": sum(1 for _, c in clusters if c >= 2),
         "certified_total": band.certified_count,
@@ -185,7 +198,7 @@ def cmd_canopy_verify(args) -> int:
         "failures": failures,
         "summary": (
             f"canopy-verify K={args.K} L={args.L} l={args.l}: "
-            f"{len(all_certs)} certificates, {len(failures)} failures"
+            f"{issued} certificates, {len(failures)} failures"
         ),
     }
     _emit(report, args)
@@ -207,20 +220,21 @@ def cmd_cayley_verify(args) -> int:
     failures = []
     per_fiber = []
     # kernel vectors live on the glued graph, which is the Cayley base
-    outcomes = spectral.cayley_certificates(cg, r, fibers, args.E0, kernel, operator=op)
-    for g, target, nearby, outcome in zip(fibers, targets, matches.tolist(), outcomes):
-        if isinstance(outcome, CertificateError):
-            failures.append(f"fiber {g}: {outcome}")
+    families = spectral.cayley_families(cg, r, fibers, args.E0, kernel, operator=op)
+    outcomes = zip(matches.tolist(), families.residuals.tolist(), families.rejections)
+    for g, target, (nearby, residuals, error) in zip(fibers, targets, outcomes):
+        if error:
+            failures.append(f"fiber {g}: {error}")
             continue
         per_fiber.append(
             {
                 "fiber": g,
                 "claimed": target,
-                "residuals": [c.residual for c in outcome],
+                "residuals": residuals,
                 "eig_matches": nearby,
             }
         )
-        if nearby < len(outcome):
+        if nearby < len(residuals):
             failures.append(f"fiber {g}: only {nearby} matching eigenvalues")
     covariance = []
     if group.finite:
@@ -381,6 +395,7 @@ def cmd_example1(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)  # parse_args fills a new namespace on every run
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="multispec",

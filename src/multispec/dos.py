@@ -10,7 +10,8 @@ import numpy as np
 from .anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from .canopy import PatchSet, TruncatedCanopy
 from .errors import CertificateError, InvalidArgumentError
-from .spectral import DEFAULT_EIG_CAP, counts_below, operator_spectrum, subtree_eigenpairs
+from .spectral import DEFAULT_EIG_CAP, counts_below, operator_spectrum, require_eig_cap
+from .spectral import subtree_eigenpairs
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,11 @@ def eigenvalue_histogram(
 ) -> Histogram:
     """Count the eigenvalues of n_realizations independent operators (seeds
     spec.seed + 0 .. + n-1) in the given bins by spectral.counts_below, with
-    cap bounding each dimension; nothing is solved. A bin holds [lo, hi)
+    cap bounding the dimension; nothing is solved. A bin holds [lo, hi)
     exactly, as in np.histogram, so a tie goes to the upper bin; the last
-    holds [lo, hi], counted below the float after hi.
+    holds [lo, hi], counted below the float after hi. The realizations share
+    the tree, so only the first is assembled, and one stacked elimination
+    counts the potentials of all.
 
     operator, if given, is the caller's assembly of realization spec.seed
     and stands in for the first one.
@@ -53,14 +56,18 @@ def eigenvalue_histogram(
     bin_edges = np.asarray(bin_edges, dtype=float)
     if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(np.diff(bin_edges) > 0):
         raise InvalidArgumentError("bin edges must be ascending with >= 2 entries")
+    require_eig_cap(t.vertex_count, cap)
+    if operator is None:
+        operator = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
+    coupling = np.zeros((n_realizations, t.vertex_count))  # indexed by patch root
+    for i in range(1, n_realizations):
+        r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
+        coupling[i, list(r.values)] = list(r.values.values())
+    potentials = coupling[:, p.patch_of]
+    potentials[0] = operator.potential
     shifts = np.append(bin_edges[:-1], np.nextafter(bin_edges[-1], np.inf))
-    counts = np.zeros(bin_edges.size - 1)
-    for i in range(n_realizations):
-        op = operator if i == 0 else None
-        if op is None:
-            r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
-            op = assemble_canopy_operator(t, p, r)
-        counts += np.diff(counts_below(op, shifts, cap))
+    below = counts_below(operator, shifts, cap, potentials=potentials)
+    counts = np.diff(below, axis=1).sum(axis=0).astype(float)
     normalized = counts / (t.vertex_count * n_realizations)
     return Histogram(bin_edges, counts, normalized, n_realizations, t.vertex_count)
 

@@ -22,7 +22,9 @@ patch roots times all subtree eigenpairs, or all interior fibers), and a
 single pair is the one-family case of the same path. Each psi is checked
 once, norms and Gram deviations once per psi, and support_residuals takes
 the residuals of a stack of supports in one support-local pass, equal bit
-for bit to the dense H v - E v of each.
+for bit to the dense H v - E v of each. canopy_families and cayley_families
+stop at these arrays, which the CLI reports read, and the certificates are
+built from them.
 
 operator_spectrum solves each canopy operator once, on its symmetry-reduced
 core, the vertices above depth l plus an (l+1)-vertex level chain per
@@ -33,8 +35,10 @@ dimension, so K=3, L=8 is refused although its core has 2,551 vertices. The
 core is a tree: eigvalsh solves it without vectors, its inertia counts
 enclose each value within eig_sym's residual bound, and the merged values
 must match the operator's dimension, trace and Frobenius norm. counts_below
-counts below given shifts on the same tree and solves nothing. eig_sym,
-which self-checks its eigenvectors, serves the solves whose vectors are used.
+counts below given shifts on the same tree and solves nothing; given a
+stack of potentials on the tree, it counts every realization in one stacked
+elimination, with each one's checks. eig_sym, which self-checks its
+eigenvectors, serves the solves whose vectors are used.
 
 A Cayley operator's spectrum is never solved: cayley_window_counts counts
 its eigenvalues in windows by inertia, #{lambda < s} = neg(H - s), on the
@@ -50,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,25 +163,34 @@ def cayley_window_counts(
     return below[: targets.size] - below[targets.size :]
 
 
-def counts_below(op: SiteOperator, shifts, cap: int = DEFAULT_EIG_CAP, cg=None):
+def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, cg=None, potentials=None):
     """#{eigenvalues lambda of op : lambda < s} for each shift s, by inertia
     on the anchor Schur complement of op fibered over the Cayley graph cg
     (_counts_below), or else on the core tree of a canopy operator
-    (_tree_counts_below); nothing is solved. The cap is checked on
-    op.dimension first. The shifts -+(norm_bound + 1) must count 0 and n, and
-    no count may fall as the shift grows; otherwise CertificateError."""
+    (_tree_counts_below); nothing is solved. potentials, a stack (R, n) on a
+    canopy operator's tree, counts the R operators of op's adjacency and
+    each potential instead, in one stacked elimination. The cap is checked
+    on op.dimension first. Each operator's shifts -+(norm_bound + 1) must
+    count 0 and n, and no count may fall as the shift grows; otherwise
+    CertificateError."""
     require_eig_cap(op.dimension, cap)
-    if cg is None and op.tiling is None:
+    if cg is None and op.tiling is None or cg and potentials is not None:
         raise InvalidArgumentError("counts_below needs a canopy tiling or a Cayley graph")
-    bracket = op.norm_bound + 1.0
-    shifts = np.append(np.asarray(shifts, dtype=float).reshape(-1), [-bracket, bracket])
-    below = _counts_below(cg, op, shifts) if cg else _tree_counts_below(op, shifts)[1]
-    if below[-2] != 0 or below[-1] != op.dimension:
-        counts = f"inertia counts {below[-2]} and {below[-1]} at -+{bracket}"
-        raise CertificateError(f"{counts}, not 0 and {op.dimension}")
-    if np.any(np.diff(below[shifts.argsort(kind="stable")]) < 0):
-        raise CertificateError("inertia counts decrease as the shift grows")
-    return below[:-2]
+    stack = op.potential[None] if potentials is None else np.asarray(potentials, float)
+    brackets = op.adjacency_bound + np.abs(stack).max(axis=1, initial=0.0) + 1.0
+    shifts = np.asarray(shifts, dtype=float).reshape(1, -1).repeat(len(stack), axis=0)
+    shifts = np.column_stack([shifts, -brackets, brackets])
+    if cg:
+        below = _counts_below(cg, op, shifts[0])[None]
+    else:
+        below = _tree_counts_below(op, shifts, stack)[1]
+    for row, s, bracket in zip(below, shifts, brackets.tolist()):
+        if row[-2] != 0 or row[-1] != op.dimension:
+            counts = f"inertia counts {row[-2]} and {row[-1]} at -+{bracket}"
+            raise CertificateError(f"{counts}, not 0 and {op.dimension}")
+        if np.any(np.diff(row[s.argsort(kind="stable")]) < 0):
+            raise CertificateError("inertia counts decrease as the shift grows")
+    return below[0, :-2] if potentials is None else below[:, :-2]
 
 
 def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
@@ -342,16 +354,18 @@ def _canopy_blocks(op: SiteOperator) -> tuple[np.ndarray, np.ndarray]:
     heads = chain[linked, 0]
     core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
     values, delta = np.linalg.eigvalsh(core), _solver_bound(core)
-    below = _tree_counts_below(op, np.concatenate([values - delta, values + delta]))[0]
+    shifts = np.concatenate([values - delta, values + delta])[None]
+    below = _tree_counts_below(op, shifts, op.potential[None])[0, 0]
     index = np.arange(size)
     if not (np.all(below[:size] <= index) and np.all(below[size:] > index)):
         raise CertificateError(f"core eigenvalues not enclosed within {delta:.3e}")
     return values, couplings[:, None] + _patch_block_spectrum(K, l)
 
 
-def _tree_counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
-    """#{lambda < s} for each shift s, of the core of _canopy_blocks (row 0)
-    and of the canopy operator op (row 1): by Sylvester's law, the negative
+def _tree_counts_below(op: SiteOperator, shifts: np.ndarray, potentials) -> np.ndarray:
+    """#{lambda < s} for each shift s = shifts[i, j], of the core of
+    _canopy_blocks (row 0) and of the canopy operator (row 1) of op's tree
+    with the potential potentials[i]: by Sylvester's law, the negative
     pivots a(v) = H_vv - s - sum of w_c^2 / a(c) over v's children c of a
     leaf-to-root elimination of the core tree, which makes no fill-in. A
     vertex with an exactly zero child pivot takes a negative pivot and passes
@@ -359,26 +373,31 @@ def _tree_counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     81-88): a(v) = -inf. The chains go from level l (their leaves) to 0, then
     the deep BFS prefix level by level, K children per vertex in order. A
     patch block R_(d-1) + omega_x is the bottom d levels of x's chain, so a
-    chain pivot at level j counts K^j times in op. A pass takes as many
-    shifts as keep one level's pivots within SCHUR_BLOCK_BYTES."""
+    chain pivot at level j counts K^j times in op. The (potential, shift)
+    pairs of all rows stack into one elimination, and a pass takes as many
+    as keep one level's pivots within SCHUR_BLOCK_BYTES, splitting a row
+    where the budget ends."""
     t, p = op.tiling
     K, l = t.K, p.l
-    omega = op.potential[t.depth == l]  # at the depth-l roots, in BFS order
-    levels = [(omega, K, K**j) for j in range(l, -1, -1)]  # (diagonal, w^2, copies)
-    levels += [(op.potential[t.depth == d], 1.0, 1) for d in range(l + 1, t.L + 1)]
+    diagonals = [potentials[:, t.depth == d] for d in range(l, t.L + 1)]  # BFS order
+    realization, column = np.divmod(np.arange(shifts.size), shifts.shape[1])
     counts = np.zeros((2, shifts.size), dtype=np.intp)
-    step = max(1, SCHUR_BLOCK_BYTES // (8 * omega.size))
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * diagonals[0].shape[1]))
     for lo in range(0, shifts.size, step):
-        s = shifts[lo : lo + step, None]
-        pivots = np.full((s.size, omega.size), np.inf)  # the leaves have no children
+        at = realization[lo : lo + step]
+        sigma = shifts[at, column[lo : lo + step], None]
+        omega, *deep = (diagonal[at] for diagonal in diagonals)
+        levels = [(omega, K, K**j) for j in range(l, -1, -1)]  # (diagonal, w^2, copies)
+        levels += [(diagonal, 1.0, 1) for diagonal in deep]
+        pivots = np.full(omega.shape, np.inf)  # the leaves have no children
         for diagonal, weight, copies in levels:
-            children = pivots.reshape(s.size, diagonal.size, -1)
+            children = pivots.reshape(at.size, diagonal.shape[1], -1)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                pivots = diagonal - s - weight * np.reciprocal(children).sum(axis=2)
+                pivots = diagonal - sigma - weight * np.reciprocal(children).sum(axis=2)
             pivots[(children == 0).any(axis=2)] = -np.inf
             negative = np.count_nonzero(pivots < 0, axis=1)
             counts[:, lo : lo + step] += np.outer([1, copies], negative)
-    return counts
+    return counts.reshape((2, *shifts.shape))
 
 
 def _check_power_sums(op: SiteOperator, w: np.ndarray) -> None:
@@ -575,13 +594,26 @@ def support_residuals(
     return np.maximum.reduceat(residual, starts, axis=1).T.reshape(lead + (k,))
 
 
-def _issue(op, supports, values, eigenvalues, energies, provenance) -> list:
-    """Certificates for every family (i, j): the k rows of values[j], shape
-    (m, k, s), on the vertices supports[i], claiming eigenvalues[i, j] within
-    the residual tolerance of energies[j], described by provenance(i, j, row).
-    Returns, family by family in row-major order, its certificates or the
-    CertificateError of _rejection. Norms and Gram deviations are taken once
-    per j, residuals in blocks of at most RESIDUAL_BLOCK support entries."""
+@dataclass(frozen=True)
+class CertificateFamilies:
+    """Family f = (i, j), row-major, puts the k rows of values[j] on the
+    vertices supports[i] to claim claims[i, j], described by provenance(i,
+    j, row); residuals[f] are its k residuals against the assembled operator
+    and rejections[f] its CertificateError of _rejection, or None."""
+
+    supports: list
+    values: np.ndarray  # (m, k, s)
+    claims: np.ndarray  # (len(supports), m)
+    provenance: object
+    residuals: np.ndarray  # (families, k)
+    rejections: list
+
+
+def _issue(op, supports, values, claims, energies, provenance) -> CertificateFamilies:
+    """The families of the k rows of values[j], shape (m, k, s), on the
+    vertices supports[i], claiming claims[i, j] within the residual
+    tolerance of energies[j]. Norms and Gram deviations are taken once per
+    j, residuals in blocks of at most RESIDUAL_BLOCK support entries."""
     m, k, s = values.shape
     families = len(supports) * m
     support_rows = np.array(supports, dtype=np.intp).reshape(-1, s)
@@ -590,28 +622,41 @@ def _issue(op, supports, values, eigenvalues, energies, provenance) -> list:
     for lo in range(0, families, step):
         i, j = np.divmod(np.arange(lo, min(lo + step, families)), m)
         residuals[lo : lo + step] = support_residuals(
-            op, support_rows[i], values[j], eigenvalues[i, j]
+            op, support_rows[i], values[j], claims[i, j]
         )
     norms = np.sqrt((values * values).sum(axis=2)).tolist()
     gram = np.abs(values @ values.transpose(0, 2, 1) - np.eye(k))
     gram = gram.max(axis=(1, 2), initial=0.0).tolist()
     tolerances = [residual_tolerance(op, E) for E in energies.tolist()]
-    kept = (values != 0.0).tolist()  # a certificate lists its nonzero entries
-    entries = [[[x for x in row if x != 0.0] for row in v] for v in values.tolist()]
-    claims = eigenvalues.tolist()
+    flat = claims.ravel().tolist()
+    rejections = [
+        _rejection(norms[f % m], residual, tolerances[f % m], flat[f], gram[f % m])
+        for f, residual in enumerate(residuals.tolist())
+    ]
+    return CertificateFamilies(supports, values, claims, provenance, residuals, rejections)
+
+
+def _certificates(families: CertificateFamilies, single: bool) -> list:
+    """Family by family, the certificates of families, each listing its
+    nonzero entries, or the CertificateError that rejects it; with single,
+    the one family's certificates, or its CertificateError raised."""
+    m, k, _ = families.values.shape
+    values, claims = families.values.tolist(), families.claims.tolist()
+    residuals = families.residuals.tolist()
     outcomes = []
-    for f, residual in enumerate(residuals.tolist()):
+    for f, error in enumerate(families.rejections):
         i, j = divmod(f, m)
-        claim, support = claims[i][j], supports[i]
-        error = _rejection(norms[j], residual, tolerances[j], claim, gram[j])
+        support = families.supports[i]
         outcomes.append(error or [
             EigenvectorCertificate(
-                dict(zip(compress(support, kept[j][a]), entries[j][a])),
-                claim, support, residual[a], provenance(i, j, a),
+                {v: x for v, x in zip(support, values[j][a]) if x != 0.0},
+                claims[i][j], support, residuals[f][a], families.provenance(i, j, a)
             )
             for a in range(k)
         ])
-    return outcomes
+    if single and isinstance(outcomes[0], CertificateError):
+        raise outcomes[0]
+    return outcomes[0] if single else outcomes
 
 
 def _rejection(norms, residuals, tolerance, eigenvalue, dev):
@@ -629,14 +674,6 @@ def _rejection(norms, residuals, tolerance, eigenvalue, dev):
     if not dev <= ORTHO_TOL:
         return CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
     return None
-
-
-def _single(outcomes: list) -> list:
-    """The certificates of a one-family call; raises its CertificateError."""
-    (outcome,) = outcomes
-    if isinstance(outcome, CertificateError):
-        raise outcome
-    return outcome
 
 
 def canopy_certificates(
@@ -663,11 +700,16 @@ def canopy_certificates(
     With a sequence of roots x, m eigenvalues E and psi the matrix of their
     eigenvectors as columns, every (root, eigenpair) family is issued in one
     pass; the result holds, root by root and eigenpair by eigenpair, each
-    family's certificates or the CertificateError that rejects it.
+    family's certificates or the CertificateError that rejects it. The
+    certificates are built from canopy_families.
     """
+    return _certificates(canopy_families(t, p, r, x, E, psi, operator), np.ndim(x) == 0)
+
+
+def canopy_families(t, p, r, x, E, psi, operator=None) -> CertificateFamilies:
+    """canopy_certificates' families, with no certificate object built."""
     l = p.l
-    roots = np.asarray(x, dtype=np.intp)
-    single, roots = roots.ndim == 0, roots.reshape(-1)
+    roots = np.asarray(x, dtype=np.intp).reshape(-1)
     outside = p.patch_of.take(roots, mode="clip") != roots  # a root is its own patch
     if outside.any():
         raise InvalidArgumentError(f"vertex {roots[outside][0]} is not a patch root")
@@ -697,8 +739,7 @@ def canopy_certificates(
         return {"construction": "canopy", "patch_root": x, "E": E, "alpha_index": a}
 
     values = spread.reshape(energies.size, len(rows), -1)
-    outcomes = _issue(operator, supports, values, claims, energies, provenance)
-    return _single(outcomes) if single else outcomes
+    return _issue(operator, supports, values, claims, energies, provenance)
 
 
 def cayley_certificates(
@@ -713,7 +754,12 @@ def cayley_certificates(
     anchors, each supported on the single fiber g and certifying E0 + omega_g.
     With a sequence of fibers g, every fiber is issued in one pass; the result
     holds, fiber by fiber, its certificates or the CertificateError that
-    rejects it."""
+    rejects it. The certificates are built from cayley_families."""
+    return _certificates(cayley_families(cg, r, g, E0, psis, operator), np.ndim(g) == 0)
+
+
+def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
+    """cayley_certificates' families, with no certificate object built."""
     fibers = np.asarray(g).reshape(-1).tolist()
     boundary = [f for f in fibers if f in cg.boundary_fibers]
     if boundary:
@@ -738,8 +784,7 @@ def cayley_certificates(
         return {"construction": "cayley", "fiber": fiber, "E0": float(E0), "i": a}
 
     energies = np.array([E0], dtype=float)
-    outcomes = _issue(operator, supports, psis[None], claims, energies, provenance)
-    return _single(outcomes) if np.ndim(g) == 0 else outcomes
+    return _issue(operator, supports, psis[None], claims, energies, provenance)
 
 
 def junction_kernel_basis(glued: GluedGraph, E0: float) -> list[np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multispec
 
@@ -146,13 +149,14 @@ class TestFailureBranches:
         import multispec.spectral as spectral
         from multispec.errors import CertificateError
 
-        issue = spectral.cayley_certificates
+        issue = spectral.cayley_families
 
         def reject_first(*args, **kwargs):
-            outcomes = issue(*args, **kwargs)
-            return [CertificateError("forced rejection"), *outcomes[1:]]
+            families = issue(*args, **kwargs)
+            rejections = [CertificateError("forced rejection"), *families.rejections[1:]]
+            return dataclasses.replace(families, rejections=rejections)
 
-        monkeypatch.setattr(spectral, "cayley_certificates", reject_first)
+        monkeypatch.setattr(spectral, "cayley_families", reject_first)
         assert self._failures(self.CAYLEY, tmp_path) == ["fiber 0: forced rejection"]
 
     def test_cayley_too_few_matches(self, tmp_path, monkeypatch):
@@ -213,14 +217,14 @@ class TestFailureBranches:
 
     @pytest.mark.parametrize("off, message", [
         (lambda below: below + 1, "not 0 and 13"),
-        (lambda below: below + (np.arange(below.size) == 0), "decrease"),
+        (lambda below: below + (np.arange(below.shape[-1]) == 0), "decrease"),
     ], ids=["every_count", "first_edge"])
     def test_dos_count_off_by_one(self, off, message, monkeypatch, capsys):
         import multispec.spectral as spectral
 
         count = spectral._tree_counts_below
         monkeypatch.setattr(spectral, "_tree_counts_below",
-                            lambda op, s: tuple(map(off, count(op, s))))
+                            lambda op, s, v: tuple(map(off, count(op, s, v))))
         argv = ["dos", "--K", "3", "--L", "2", "--l", "2", "--realizations", "2"]
         assert run(argv) == EXIT_VERIFICATION
         err = capsys.readouterr().err
@@ -330,7 +334,9 @@ class TestDos:
         assert sum(hist["counts"]) == 2 * 13
         assert abs(sum(hist["normalized"]) - 1.0) < 1e-12
 
-    def test_csv_output(self, tmp_path):
+    def test_csv_output(self, tmp_path, monkeypatch, capsys):
+        # the CSV is written and the summary printed: no JSON is encoded
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: pytest.fail("encoded"))
         out = tmp_path / "hist.csv"
         code = run(
             [
@@ -346,6 +352,7 @@ class TestDos:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count,normalized"
         assert len(lines) == 6
+        assert capsys.readouterr().out.startswith("dos K=3 L=2 l=2: 1 realizations")
 
 
 class TestExample1:
@@ -748,13 +755,13 @@ def test_canopy_verify_issues_every_family_in_one_call(monkeypatch, tmp_path):
     import multispec.spectral as spectral
 
     calls = []
-    issue = spectral.canopy_certificates
+    issue = spectral.canopy_families
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return issue(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "canopy_certificates", counting)
+    monkeypatch.setattr(spectral, "canopy_families", counting)
     out = tmp_path / "report.json"
     argv = ["canopy-verify", "--K", "3", "--L", "5", "--l", "2", "--out", str(out)]
     assert run(argv) == EXIT_VERIFICATION
@@ -777,3 +784,52 @@ def test_group_size_cap_before_group_is_built(command, monkeypatch, capsys):
     assert run([command, "--pieces", "4", "--group", "cyclic:8000"]) == EXIT_TOO_LARGE
     err = capsys.readouterr().err
     assert err.startswith("error (size cap):") and err.count("\n") == 1
+
+
+def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # one parser serves every run in a process: a self-test run and a
+    # rejected argv leave nothing behind, so a plain run writes the report a
+    # fresh process writes, byte for byte
+    from multispec.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ["canopy-verify", "--K", "3", "--L", "5", "--l", "2", "--out", "report.json"]
+    (tmp_path / "here").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    assert run([*argv, "--self-test"]) == EXIT_VERIFICATION
+    assert run(["canopy-verify", "--K", "3", "--L", "5", "--bogus"]) == EXIT_INVALID
+    assert run(argv) == EXIT_VERIFICATION  # the deep root's 4 pairs fail
+    here = (tmp_path / "here" / "report.json").read_bytes()
+    report = json.loads(here)
+    assert not report["config"]["self_test"]
+    assert not [f for f in report["failures"] if f.startswith("self-test")]
+    src = str(Path(multispec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "multispec.cli", *argv],
+        cwd=tmp_path / "fresh", capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == EXIT_VERIFICATION
+    assert (tmp_path / "fresh" / "report.json").read_bytes() == here
+    assert done.stdout == capsys.readouterr().out.splitlines(keepends=True)[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eigenvalues=st.lists(st.floats(-4.0, 4.0), max_size=30),
+    targets=st.lists(st.floats(-4.0, 4.0), max_size=10),
+    on=st.lists(st.integers(0, 29), max_size=6),
+    tau=st.sampled_from([5e-324, 1e-300, 1e-15, 1e-7, 1e-3, 0.5, 10.0]),
+)
+def test_window_counts_use_the_exact_predicate(eigenvalues, targets, on, tau):
+    # the bisection counts what abs(lambda - t) < tau counts pair by pair,
+    # also for targets on, or one float off, an eigenvalue -+ tau
+    from multispec.cli import _window_counts
+
+    eigenvalues = np.sort(eigenvalues)
+    edges = eigenvalues[[i for i in on if i < eigenvalues.size]]
+    edges = np.concatenate([edges, edges + tau, edges - tau])
+    targets = np.concatenate([targets, edges, np.nextafter(edges, np.inf)])
+    want = [int(np.sum(np.abs(eigenvalues - t) < tau)) for t in targets]
+    assert _window_counts(eigenvalues, targets, tau) == want

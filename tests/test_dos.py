@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from multispec import spectral
 from multispec.anderson import (
     POINT_MASS,
+    TWO_POINT,
     DisorderSpec,
     assemble_canopy_operator,
     sample_disorder,
 )
-from multispec.canopy import build_truncated_canopy, potential_roots
+from multispec.canopy import build_truncated_canopy, potential_roots, tree_size
 from multispec.dos import certified_band_count, eigenvalue_histogram
 from multispec.errors import CertificateError, InvalidArgumentError
-from multispec.spectral import eig_sym, subtree_eigenpairs
+from multispec.spectral import counts_below, eig_sym, subtree_eigenpairs
 from oracle import dense_operator
 
 
@@ -223,3 +229,66 @@ def test_cap_checked_before_densifying(instance, realization, monkeypatch):
         eigenvalue_histogram(t, p, DisorderSpec(seed=0), [-5.0, 5.0], 2, cap=5)
     with pytest.raises(TooLargeError):
         certified_band_count(t, p, realization, (0.0, 1.0), cap=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(2, 4),
+    l=st.integers(1, 3),
+    blocks=st.integers(0, 2),
+    disorder=st.sampled_from([
+        DisorderSpec(), DisorderSpec(TWO_POINT, (-1.0, 2.0)), DisorderSpec(POINT_MASS, (0.5,))
+    ]),
+    seed=st.integers(0, 2**31 - 1),
+    realizations=st.integers(1, 6),
+    split=st.integers(1, 10**6),
+    extra=st.lists(st.floats(-8.0, 8.0), max_size=5),
+)
+def test_stacked_histogram_sums_single_counts(
+    K, l, blocks, disorder, seed, realizations, split, extra
+):
+    # the stacked elimination over all realizations gives, bin by bin, the
+    # sum of each realization's own counts_below differences, with edges
+    # exactly on the claimed eigenvalues E + omega_x of every realization and
+    # a byte budget so small that every realization's shifts span passes
+    L = l + blocks * (l + 1)  # blocks = 0 is the single patch L = l
+    assume(tree_size(K, L) <= 400)
+    t = build_truncated_canopy(K, L)
+    p = potential_roots(t, l)
+    spec = replace(disorder, seed=seed)
+    ops = [
+        assemble_canopy_operator(t, p, sample_disorder(replace(spec, seed=seed + i), p.roots))
+        for i in range(realizations)
+    ]
+    sub = subtree_eigenpairs(K, l - 1).eigenvalues
+    claims = [sub + op.potential[x] for op in ops for x in p.roots]
+    edges = np.unique(np.concatenate([*claims, extra, [-K - 3.0, K + 3.0]]))
+    shifts = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+    expect = sum(np.diff(counts_below(op, shifts)) for op in ops)
+    pairs = 1 + split % (shifts.size + 1)  # < shifts.size + 2 shifts a realization
+    roots = int(np.count_nonzero(t.depth == l))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * roots * pairs)
+        hist = eigenvalue_histogram(t, p, spec, edges, realizations)
+    assert np.array_equal(hist.counts, expect)
+    assert hist.counts.sum() == realizations * t.vertex_count
+
+
+@pytest.mark.parametrize("off, message", [
+    (lambda below: below + 1, "not 0 and 364"),
+    (lambda below: below + (np.arange(below.size) == 0), "decrease"),
+], ids=["every_count", "first_edge"])
+def test_every_realization_keeps_its_checks(instance, off, message, monkeypatch):
+    # counts off in the last of three stacked realizations alone still
+    # fail its bracket or monotonicity check
+    t, p = instance
+    count = spectral._tree_counts_below
+
+    def last_off(op, shifts, potentials):
+        below = count(op, shifts, potentials)
+        below[1, -1] = off(below[1, -1])
+        return below
+
+    monkeypatch.setattr(spectral, "_tree_counts_below", last_off)
+    with pytest.raises(CertificateError, match=message):
+        eigenvalue_histogram(t, p, DisorderSpec(seed=0), np.linspace(-5, 5, 41), 3)

@@ -46,6 +46,7 @@ from multispec.graph_core import (
 from multispec.spectral import (
     alpha_basis,
     canopy_certificates,
+    canopy_families,
     cayley_certificates,
     cluster_multiplicities,
     eig_sym,
@@ -385,6 +386,36 @@ class TestCertificateBatch:
                     outcome, lambda: cayley_certificates(cg, r, g, E0, kernel, operator=op)
                 )
                 assert isinstance(outcome, CertificateError) == (E0 != 0.0)
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_families_equal_certificates(self, K):
+        # every (root, eigenpair) family of K L5 l2, the deep root's included:
+        # the arrays canopy-verify reads hold, bit for bit, the residuals of
+        # the certificates a one-family call builds, or the message of the
+        # CertificateError it raises
+        t = build_truncated_canopy(K, 5)
+        p = potential_roots(t, 2)
+        r = sample_disorder(DisorderSpec(seed=K), p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        sub = subtree_eigenpairs(K, 1)
+        families = canopy_families(
+            t, p, r, p.roots, sub.eigenvalues, sub.eigenvectors, operator=op
+        )
+        pairs = list(itertools.product(p.roots, range(sub.eigenvalues.size)))
+        assert families.residuals.shape == (len(pairs), K - 1)
+        rejected = [x for (x, _), e in zip(pairs, families.rejections) if e is not None]
+        assert sorted(set(rejected)) == [x for x in p.roots if t.depth[x] > 2]
+        for (x, k), residuals, error in zip(
+            pairs, families.residuals.tolist(), families.rejections
+        ):
+            E, psi = float(sub.eigenvalues[k]), sub.eigenvectors[:, k]
+            if error is None:
+                certificates = canopy_certificates(t, p, r, x, E, psi, operator=op)
+                assert [c.residual for c in certificates] == residuals
+            else:
+                with pytest.raises(CertificateError) as raised:
+                    canopy_certificates(t, p, r, x, E, psi, operator=op)
+                assert str(raised.value) == str(error)
 
     def test_each_psi_checked_once(self, canopy_instance, monkeypatch):
         # 28 patch roots, 4 subtree eigenpairs: one check per eigenpair, and
@@ -854,6 +885,12 @@ class TestReducedCanopySpectrum:
 POINT_MASSES = [DisorderSpec(POINT_MASS, (w,)) for w in (0.0, -0.0, 0.5)]
 
 
+def _tree_counts(op, shifts):
+    """_tree_counts_below of the single operator op: its core's counts and
+    its own below each shift."""
+    return spectral._tree_counts_below(op, np.asarray(shifts)[None], op.potential[None])[:, 0]
+
+
 class TestTreeInertiaCounts:
     """_tree_counts_below counts a canopy operator's eigenvalues, and its
     core's, below each shift by leaf-to-root elimination of the core tree;
@@ -877,7 +914,7 @@ class TestTreeInertiaCounts:
         omega = op.potential[np.flatnonzero(t.depth == l)]
         claims = (subtree_eigenpairs(K, l - 1).eigenvalues + omega[:, None]).ravel()
         shifts = np.concatenate([random, claims, core])
-        core_below, below = spectral._tree_counts_below(op, shifts)
+        core_below, below = _tree_counts(op, shifts)
         # a shift within rounding of an eigenvalue may count it either way
         for values, counts in ((dense, below), (core, core_below)):
             assert np.all(np.searchsorted(values, shifts - 1e-9) <= counts)
@@ -887,15 +924,15 @@ class TestTreeInertiaCounts:
             # R_0, R_1, R_2 that are integers: exact, so exactly counted
             steps = [sign * np.sqrt(m * K) for m in (1, 2) for sign in (-1, 1)]
             exact = disorder.params[0] + np.array([0.0] + [x for x in steps if x % 1 == 0])
-            below = spectral._tree_counts_below(op, exact)[1]
+            below = _tree_counts(op, exact)[1]
             assert np.array_equal(below, np.searchsorted(dense, exact - 1e-9))
 
     def test_passes_split_under_the_byte_budget(self, monkeypatch):
         t, p, op = _canopy_operator(3, 7, 3, DISORDERS[0], 2)
         shifts = np.linspace(-5.0, 5.0, 101)
-        whole = spectral._tree_counts_below(op, shifts)
+        whole = _tree_counts(op, shifts)
         monkeypatch.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * 81 * 7)  # 81 roots, 7 shifts a pass
-        assert all(map(np.array_equal, spectral._tree_counts_below(op, shifts), whole))
+        assert all(map(np.array_equal, _tree_counts(op, shifts), whole))
 
     @staticmethod
     def _nudged(values, delta):

@@ -23,7 +23,6 @@ from .canopy import (
     PatchSet,
     TruncatedCanopy,
     build_truncated_canopy,
-    forward_neighbors,
     potential_roots,
     subtree,
 )

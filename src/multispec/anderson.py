@@ -35,6 +35,9 @@ class DisorderSpec:
     seed: int = 0
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
         if self.distribution == UNIFORM:
             a, b = self.params
             if not a < b:

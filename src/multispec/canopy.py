@@ -67,15 +67,6 @@ def build_truncated_canopy(
     return TruncatedCanopy(K, L, depth, parent)
 
 
-def forward_neighbors(t: TruncatedCanopy, w: int) -> tuple[int, ...]:
-    """N_w: the vertices one step closer to the boundary (empty at leaves)."""
-    if not (0 <= w < t.vertex_count):
-        raise InvalidArgumentError(f"vertex {w} out of range")
-    if t.depth[w] == 0:
-        return ()
-    return tuple(range(t.K * w + 1, t.K * w + t.K + 1))
-
-
 def subtree(t: TruncatedCanopy, w: int, j: int) -> tuple[int, ...]:
     """All descendants of w within distance j, in BFS order starting at w."""
     if j < 0:

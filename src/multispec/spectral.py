@@ -20,9 +20,12 @@ no other graph matrix is densified except for an eigensolve.
 The canopy and Cayley constructions issue many families in one call (all
 patch roots times all subtree eigenpairs, or all interior fibers), and a
 single pair is the one-family case of the same path. Each psi is checked
-once, norms and Gram deviations once per psi, and support_residuals takes
-the residuals of a stack of supports in one support-local pass, equal bit
-for bit to the dense H v - E v of each. canopy_families and cayley_families
+once, norms and Gram deviations once per psi. Residual passes go per
+support, across all eigenpairs: the K-1 spreads of every subtree
+eigenvector below one patch root share its support, so support_residuals
+sorts, gathers and indexes each support once for the vectors of all its
+families, in one support-local pass over a stack of supports, equal bit for
+bit to the dense H v - E v of each. canopy_families and cayley_families
 stop at these arrays, which the CLI reports read, and the certificates are
 built from them.
 
@@ -63,9 +66,8 @@ from .canopy import (
     PatchSet,
     TruncatedCanopy,
     build_truncated_canopy,
-    forward_neighbors,
-    subtree,
     tree_adjacency,
+    tree_size,
 )
 from .cayley import CayleyGraph
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
@@ -81,7 +83,7 @@ ALPHA_SUM_TOL = 1e-14
 ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
-RESIDUAL_BLOCK = 2_048  # support entries per support_residuals pass, to bound memory
+RESIDUAL_BLOCK = 2_048  # support entries x eigenpairs per residual pass, to bound memory
 SCHUR_BLOCK_BYTES = 2 << 20  # shifts per inertia count pass, to bound memory
 PIVOT_TOL = 1e-6  # eliminating a pivot d scales rounding by |coupling|^2 / |d|
 
@@ -548,8 +550,9 @@ def support_residuals(
 ) -> np.ndarray:
     """max_i |(H v - E v)_i| for each vector v, shape (..., k): a stack of
     supports (..., s), k vectors per support with one entry per support
-    vertex (..., k, s) and one E per support (...). A single support (s,)
-    with vectors (k, s) and a scalar E is the empty stack.
+    vertex (..., k, s), and one E per support (...) or per vector (..., k).
+    A single support (s,) with vectors (k, s) and a scalar E is the empty
+    stack.
 
     Keyed family * n + vertex, one sort gives the rows support + N(support)
     of every family, outside which (H - E)v vanishes. Each row sum adds its
@@ -588,7 +591,7 @@ def support_residuals(
     for j in range(products.shape[2]):
         acc += products[:, :, j]
     v = at(rows)
-    energy = np.asarray(eigenvalue, dtype=float).reshape(-1)[rows // n]
+    energy = np.asarray(eigenvalue, dtype=float).reshape(families, -1)[rows // n].T
     residual = np.abs((acc + op.potential[vertex] * v) - energy * v)
     starts = rows.searchsorted(first)
     return np.maximum.reduceat(residual, starts, axis=1).T.reshape(lead + (k,))
@@ -601,7 +604,7 @@ class CertificateFamilies:
     j, row); residuals[f] are its k residuals against the assembled operator
     and rejections[f] its CertificateError of _rejection, or None."""
 
-    supports: list
+    supports: np.ndarray  # (len(claims), s)
     values: np.ndarray  # (m, k, s)
     claims: np.ndarray  # (len(supports), m)
     provenance: object
@@ -611,18 +614,20 @@ class CertificateFamilies:
 
 def _issue(op, supports, values, claims, energies, provenance) -> CertificateFamilies:
     """The families of the k rows of values[j], shape (m, k, s), on the
-    vertices supports[i], claiming claims[i, j] within the residual
-    tolerance of energies[j]. Norms and Gram deviations are taken once per
-    j, residuals in blocks of at most RESIDUAL_BLOCK support entries."""
+    vertices supports[i], shape (supports, s), claiming claims[i, j] within
+    the residual tolerance of energies[j]. Norms and Gram deviations are
+    taken once per j, residuals once per support for all m * k vectors, in
+    passes of at most RESIDUAL_BLOCK support entries times eigenpairs (one
+    support at least)."""
     m, k, s = values.shape
-    families = len(supports) * m
-    support_rows = np.array(supports, dtype=np.intp).reshape(-1, s)
-    residuals = np.empty((families, k))
-    step = max(1, RESIDUAL_BLOCK // max(s, 1))
-    for lo in range(0, families, step):
-        i, j = np.divmod(np.arange(lo, min(lo + step, families)), m)
-        residuals[lo : lo + step] = support_residuals(
-            op, support_rows[i], values[j], claims[i, j]
+    residuals = np.empty((len(supports) * m, k))
+    by_support = residuals.reshape(len(supports), m * k)  # a view, row i = families (i, *)
+    step = max(1, RESIDUAL_BLOCK // max(s * m, 1))
+    for lo in range(0, len(supports), step):
+        block = supports[lo : lo + step]
+        vectors = values.reshape(1, m * k, s).repeat(len(block), axis=0)
+        by_support[lo : lo + step] = support_residuals(
+            op, block, vectors, claims[lo : lo + step].repeat(k, axis=1)
         )
     norms = np.sqrt((values * values).sum(axis=2)).tolist()
     gram = np.abs(values @ values.transpose(0, 2, 1) - np.eye(k))
@@ -642,11 +647,11 @@ def _certificates(families: CertificateFamilies, single: bool) -> list:
     the one family's certificates, or its CertificateError raised."""
     m, k, _ = families.values.shape
     values, claims = families.values.tolist(), families.claims.tolist()
-    residuals = families.residuals.tolist()
+    residuals, supports = families.residuals.tolist(), families.supports.tolist()
     outcomes = []
     for f, error in enumerate(families.rejections):
         i, j = divmod(f, m)
-        support = families.supports[i]
+        support = tuple(supports[i])
         outcomes.append(error or [
             EigenvectorCertificate(
                 {v: x for v, x in zip(support, values[j][a]) if x != 0.0},
@@ -725,12 +730,15 @@ def canopy_families(t, p, r, x, E, psi, operator=None) -> CertificateFamilies:
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
     # canonical order-preserving isomorphism: BFS order to BFS order, one
-    # copy of psi per forward neighbor, weighted by a zero-sum alpha row
+    # copy of psi per forward neighbor y = K x + 1 .. K x + K, weighted by a
+    # zero-sum alpha row; y's descendants at distance j are K^j y + q, q in
+    # [tree_size(K, j-1), tree_size(K, j)), the BFS positions of level j
+    K, size = t.K, tree_size(t.K, l - 1)
+    y = K * roots[:, None] + np.arange(1, K + 1)
+    scale = np.repeat(K ** np.arange(l), K ** np.arange(l))
+    supports = (y[:, :, None] * scale + np.arange(size)).reshape(roots.size, K * size)
     roots, energy_list = roots.tolist(), energies.tolist()
-    supports = [
-        sum((subtree(t, y, l - 1) for y in forward_neighbors(t, x)), ()) for x in roots
-    ]
-    rows = alpha_basis(t.K).rows
+    rows = alpha_basis(K).rows
     spread = rows[:, :, None] * psi.T[:, None, None]  # (m, K-1, K, subtree size)
     claims = energies + np.array([r.values[x] for x in roots])[:, None]
 
@@ -776,7 +784,8 @@ def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
     )
     if operator is None:
         operator = assemble_cayley_operator(cg, r)
-    supports = [tuple(cg.fiber_vertices(f)) for f in fibers]
+    supports = np.array([cg.fiber_vertices(f) for f in fibers], dtype=np.intp)
+    supports = supports.reshape(len(fibers), cg.n_base)
     claims = E0 + np.array([r.values[f] for f in fibers]).reshape(-1, 1)
 
     def provenance(i, j, a):

@@ -63,6 +63,16 @@ class TestSampling:
         with pytest.raises(InvalidArgumentError):
             DisorderSpec("uniform", (1.0, 0.0))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidArgumentError, match="non-negative integer"):
+            DisorderSpec(seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert sample_disorder(DisorderSpec(seed=np.int64(5)), range(3)) == (
+            sample_disorder(DisorderSpec(seed=5), range(3))
+        )
+
     def test_require_generic(self):
         r = sample_disorder(DisorderSpec(POINT_MASS, (2.0,), seed=1), range(3))
         with pytest.raises(DegenerateDisorderError):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from multispec.anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from multispec.canopy import (
     build_truncated_canopy,
-    forward_neighbors,
     potential_roots,
     subtree,
     tree_size,
@@ -18,13 +17,18 @@ from multispec.errors import (
     TooLargeError,
 )
 from multispec.graph_core import FiniteGraph, adjacency_sparse
-from multispec.spectral import canopy_certificates, operator_spectrum, subtree_eigenpairs
+from multispec.spectral import (
+    canopy_certificates,
+    canopy_families,
+    operator_spectrum,
+    subtree_eigenpairs,
+)
 
 
 class TestBuild:
     def test_depth_zero_is_single_vertex(self):
         t = build_truncated_canopy(2, 0)
-        assert t.vertex_count == 1 and forward_neighbors(t, 0) == ()
+        assert t.vertex_count == 1 and t.parent.tolist() == [-1]
 
     def test_geometric_sum_sizes(self):
         assert build_truncated_canopy(3, 2).vertex_count == 13
@@ -42,29 +46,13 @@ class TestBuild:
         t = build_truncated_canopy(3, 4)
         for v in range(1, t.vertex_count):
             assert t.depth[t.parent[v]] == t.depth[v] + 1
-            assert v in forward_neighbors(t, t.parent[v])
+            assert t.K * t.parent[v] + 1 <= v <= t.K * t.parent[v] + t.K
 
     def test_leaves_are_exactly_depth_zero(self):
         t = build_truncated_canopy(2, 3)
-        for v in range(t.vertex_count):
-            assert (forward_neighbors(t, v) == ()) == (t.depth[v] == 0)
-
-
-class TestForwardNeighbors:
-    def test_leaf_is_empty(self):
-        t = build_truncated_canopy(3, 2)
-        leaf = next(v for v in range(t.vertex_count) if t.depth[v] == 0)
-        assert forward_neighbors(t, leaf) == ()
-
-    def test_cardinality_k(self):
-        t = build_truncated_canopy(3, 3)
-        for v in range(t.vertex_count):
-            if t.depth[v] >= 1:
-                assert len(forward_neighbors(t, v)) == 3
-
-    def test_root_of_depth_one_tree(self):
-        t = build_truncated_canopy(3, 1)
-        assert forward_neighbors(t, 0) == (1, 2, 3)
+        children = np.bincount(t.parent[1:], minlength=t.vertex_count)
+        assert ((children == 0) == (t.depth == 0)).all()
+        assert (children[t.depth > 0] == t.K).all()
 
 
 class TestSubtree:
@@ -171,6 +159,18 @@ def _oracle_tiling(depth, parent, l):
     return roots, patch_of
 
 
+def _oracle_support(children, x, l):
+    """The depth-(l-1) subtrees of x's children, each in BFS order, one
+    child after another."""
+    support = []
+    for y in children[x]:
+        level = [y]
+        for _ in range(l):
+            support += level
+            level = [c for v in level for c in children[v]]
+    return support
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 5)
@@ -187,7 +187,6 @@ def test_array_canopy_matches_oracle(KL, seed):
     depth, parent, children = _oracle_tree(K, L)
     t = build_truncated_canopy(K, L)
     assert t.depth.tolist() == depth and t.parent.tolist() == parent
-    assert tuple(forward_neighbors(t, v) for v in range(t.vertex_count)) == tuple(children)
     edges = tuple((parent[v], v) for v in range(1, len(depth)))
     expected = adjacency_sparse(FiniteGraph(len(depth), edges))
     for l in (l for l in range(1, L + 1) if L % (l + 1) == l):
@@ -200,6 +199,13 @@ def test_array_canopy_matches_oracle(KL, seed):
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op.adjacency, part), getattr(expected, part))
         assert op.potential.tolist() == [r.values[x] for x in patch_of]
+        if l >= 2:  # the certificate supports, from the BFS index arithmetic
+            sub = subtree_eigenpairs(K, l - 1)
+            families = canopy_families(
+                t, p, r, p.roots, sub.eigenvalues[:1], sub.eigenvectors[:, :1], operator=op
+            )
+            supports = [_oracle_support(children, x, l) for x in p.roots]
+            assert families.supports.tolist() == supports
 
 
 def test_large_canopy_pipeline_stays_array_native():

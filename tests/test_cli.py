@@ -570,6 +570,24 @@ class TestMalformedInput:
         assert err.startswith("error (invalid config):") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canopy-verify", "--K", "3", "--L", "5", "--l", "2"],
+            ["cayley-verify", "--pieces", "4", "--group", "cyclic:6"],
+            ["aut", "--pieces", "4", "--group", "cyclic:6"],
+            ["dos", "--K", "3", "--L", "5", "--l", "2"],
+        ],
+    )
+    def test_negative_seed(self, argv, capsys):
+        err = self._invalid([*argv, "--seed", "-1"], capsys)
+        assert "seed must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize("bins", ["-5", "0"])
+    def test_bins_below_one(self, bins, capsys):
+        argv = ["dos", "--K", "3", "--L", "5", "--l", "2", "--bins", bins]
+        assert f"--bins must be at least 1, got {bins}" in self._invalid(argv, capsys)
+
     def test_vertex_cap_env_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("MULTISPEC_VERTEX_CAP", "abc")
         argv = ["canopy-verify", "--K", "3", "--L", "2", "--l", "2"]

@@ -21,7 +21,6 @@ from multispec.anderson import (
 )
 from multispec.canopy import (
     build_truncated_canopy,
-    forward_neighbors,
     potential_roots,
     subtree,
     tree_size,
@@ -387,6 +386,49 @@ class TestCertificateBatch:
                 )
                 assert isinstance(outcome, CertificateError) == (E0 != 0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        l=st.integers(2, 3),
+        blocks=st.integers(0, 2),
+        seed=st.integers(0, 2**31 - 1),
+        budget=st.sampled_from(["1", "s", "s*m-1", "2*s*m+1", "default"]),
+    )
+    def test_grouped_families_equal_single_supports(self, K, l, blocks, seed, budget):
+        # residual passes go per support, across all m eigenpairs; budgets
+        # below one support group (s * m entries) still take a whole group,
+        # and each family equals, bit for bit, the one-support call on its
+        # support and the dense residual
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 2_000)
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        r = sample_disorder(DisorderSpec(seed=seed), p.roots)
+        op = assemble_canopy_operator(t, p, r)
+        sub = subtree_eigenpairs(K, l - 1)
+        m, s = sub.eigenvalues.size, K * tree_size(K, l - 1)
+        rng = np.random.default_rng(seed)
+        deep = [x for x in p.roots if t.depth[x] > l]
+        shallow = [x for x in p.roots if t.depth[x] == l]
+        roots = deep + rng.choice(shallow, min(len(shallow), 5), replace=False).tolist()
+        roots = rng.permutation(roots).tolist()
+        block = {"1": 1, "s": s, "s*m-1": s * m - 1, "2*s*m+1": 2 * s * m + 1,
+                 "default": spectral.RESIDUAL_BLOCK}[budget]
+        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block):
+            families = canopy_families(
+                t, p, r, roots, sub.eigenvalues, sub.eigenvectors, operator=op
+            )
+        assert families.residuals.shape == (len(roots) * m, K - 1)
+        for i, x in enumerate(roots):
+            support = _canopy_support(t, x, l)
+            assert families.supports[i].tolist() == list(support)
+            for j in range(m):
+                values, claim = families.values[j], families.claims[i, j]
+                residuals = families.residuals[i * m + j].tolist()
+                single = support_residuals(op, np.array(support), values, claim)
+                assert single.tolist() == residuals
+                assert _dense_residuals(op, support, values, claim) == residuals
+
     @pytest.mark.parametrize("K", [3, 4])
     def test_families_equal_certificates(self, K):
         # every (root, eigenpair) family of K L5 l2, the deep root's included:
@@ -623,14 +665,22 @@ class TestCayleyCertificates:
 
 def _dense_residuals(op, support, values, eigenvalue):
     """The dense oracle: each vector materialized at full length and
-    multiplied by the assembled operator."""
+    multiplied by the assembled operator, at one eigenvalue for every
+    vector or one per vector."""
     out = []
-    for row in values:
+    for row, E in zip(values, np.broadcast_to(eigenvalue, len(values))):
         dense = np.zeros(op.dimension)
         dense[list(support)] = row
         h_dense = op.adjacency @ dense + op.potential * dense
-        out.append(float(np.max(np.abs(h_dense - eigenvalue * dense))))
+        out.append(float(np.max(np.abs(h_dense - E * dense))))
     return out
+
+
+def _canopy_support(t, x, l):
+    """The depth-(l-1) subtrees of x's children, found from the parent
+    array, concatenated in BFS order: the support of x's certificates."""
+    children = np.flatnonzero(t.parent == x).tolist()
+    return tuple(v for y in children for v in subtree(t, y, l - 1))
 
 
 class TestSupportLocalResiduals:
@@ -660,7 +710,7 @@ class TestSupportLocalResiduals:
         x = roots[pick % len(roots)]
         k %= sub.eigenvalues.size
         E, psi = float(sub.eigenvalues[k]), sub.eigenvectors[:, k]
-        support = tuple(v for y in forward_neighbors(t, x) for v in subtree(t, y, l - 1))
+        support = _canopy_support(t, x, l)
         values = (alpha_basis(K).rows[:, :, None] * psi).reshape(K - 1, -1)
         eigenvalue = E + r.values[x]
         dense = _dense_residuals(op, support, values, eigenvalue)
@@ -685,13 +735,15 @@ class TestSupportLocalResiduals:
         K=st.integers(2, 4),
         depths=st.sampled_from([(3, 1), (5, 1), (2, 2), (5, 2), (3, 3)]),
         seed=st.integers(0, 2**31 - 1),
-        lead=st.sampled_from([(1,), (3,), (2, 3), (4, 1)]),
+        lead=st.sampled_from([(), (1,), (3,), (2, 3), (4, 1)]),
         s=st.integers(1, 12),
         k=st.integers(1, 3),
+        per_vector=st.booleans(),
     )
-    def test_stack_of_supports(self, K, depths, seed, lead, s, k):
+    def test_stack_of_supports(self, K, depths, seed, lead, s, k, per_vector):
         # random supports, overlapping from family to family, with random
-        # vectors and eigenvalues: each family equals its dense residual
+        # vectors and eigenvalues, one per support (lead) or one per vector
+        # (lead + (k,)): each family equals its dense residual
         L, l = depths
         t = build_truncated_canopy(K, L)
         assume(t.vertex_count <= 2_000 and s <= t.vertex_count)
@@ -703,7 +755,7 @@ class TestSupportLocalResiduals:
             [rng.choice(t.vertex_count, s, replace=False) for _ in range(families)]
         ).reshape(lead + (s,))
         values = rng.standard_normal(lead + (k, s))
-        eigenvalues = rng.uniform(-3.0, 3.0, lead)
+        eigenvalues = rng.uniform(-3.0, 3.0, lead + (k,) * per_vector)
         stack = support_residuals(op, supports, values, eigenvalues)
         assert stack.shape == lead + (k,)
         for f in np.ndindex(*lead):

@@ -54,12 +54,12 @@ from .spectral import (
     alpha_basis,
     canopy_certificates,
     cayley_certificates,
-    cayley_window_counts,
     cluster_multiplicities,
     eig_sym,
     junction_kernel_basis,
     operator_spectrum,
     subtree_eigenpairs,
+    window_counts,
 )
 
 __version__ = "0.1.0"

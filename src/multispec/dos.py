@@ -9,9 +9,20 @@ import numpy as np
 
 from .anderson import DisorderSpec, assemble_canopy_operator, sample_disorder
 from .canopy import PatchSet, TruncatedCanopy
-from .errors import CertificateError, InvalidArgumentError
+from .errors import CertificateError, InvalidArgumentError, TooLargeError
 from .spectral import DEFAULT_EIG_CAP, counts_below, operator_spectrum, require_eig_cap
 from .spectral import subtree_eigenpairs
+
+STACK_CAP = 1 << 24  # stacked entries: 128 MiB per stack of float64
+
+
+def require_stack_cap(vertex_count: int, bins: int, n_realizations: int) -> None:
+    """Raise TooLargeError when eigenvalue_histogram would stack more than
+    STACK_CAP potentials and shifts, n_realizations x (vertex_count + bins +
+    3); callers check before allocating either."""
+    entries = n_realizations * (vertex_count + bins + 3)
+    if entries > STACK_CAP:
+        raise TooLargeError(f"{entries} stacked entries exceed stack cap {STACK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -38,18 +49,14 @@ def eigenvalue_histogram(
     bin_edges,
     n_realizations: int,
     cap: int = DEFAULT_EIG_CAP,
-    operator=None,
 ) -> Histogram:
     """Count the eigenvalues of n_realizations independent operators (seeds
     spec.seed + 0 .. + n-1) in the given bins by spectral.counts_below, with
-    cap bounding the dimension; nothing is solved. A bin holds [lo, hi)
-    exactly, as in np.histogram, so a tie goes to the upper bin; the last
-    holds [lo, hi], counted below the float after hi. The realizations share
-    the tree, so only the first is assembled, and one stacked elimination
-    counts the potentials of all.
-
-    operator, if given, is the caller's assembly of realization spec.seed
-    and stands in for the first one.
+    cap bounding the dimension and require_stack_cap the stacks; nothing is
+    solved. A bin holds [lo, hi) exactly, as in np.histogram, so a tie goes
+    to the upper bin; the last holds [lo, hi], counted below the float after
+    hi. The realizations share the tree, so only the first is assembled, and
+    one stacked elimination counts the potentials of all.
     """
     if n_realizations < 1:
         raise InvalidArgumentError("need at least one realization")
@@ -57,8 +64,8 @@ def eigenvalue_histogram(
     if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(np.diff(bin_edges) > 0):
         raise InvalidArgumentError("bin edges must be ascending with >= 2 entries")
     require_eig_cap(t.vertex_count, cap)
-    if operator is None:
-        operator = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
+    require_stack_cap(t.vertex_count, bin_edges.size - 1, n_realizations)
+    operator = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
     coupling = np.zeros((n_realizations, t.vertex_count))  # indexed by patch root
     for i in range(1, n_realizations):
         r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)

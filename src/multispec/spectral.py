@@ -40,16 +40,17 @@ enclose each value within eig_sym's residual bound, and the merged values
 must match the operator's dimension, trace and Frobenius norm. counts_below
 counts below given shifts on the same tree and solves nothing; given a
 stack of potentials on the tree, it counts every realization in one stacked
-elimination, with each one's checks. eig_sym, which self-checks its
-eigenvectors, serves the solves whose vectors are used.
+elimination, with each one's checks, so dos solves no spectrum. eig_sym,
+which self-checks its eigenvectors, serves the solves whose vectors are used.
 
-A Cayley operator's spectrum is never solved: cayley_window_counts counts
-its eigenvalues in windows by inertia, #{lambda < s} = neg(H - s), on the
-anchor Schur complement (Haynsworth), under the same eig cap, eliminated
-level by level in the BFS spheres of the fibers, where it is
-block-tridiagonal. The operator must be fibered over its Cayley graph, and
-counts_below checks that every count brackets 0 and n and grows with the
-shift.
+window_counts is the one window of both families: it counts the eigenvalues
+with fl(t - tau) < lambda < fl(t + tau), two counts #{lambda < s} apart, by
+bisection of a canopy operator's cached spectrum, and for a Cayley operator,
+whose spectrum is never solved, by inertia, neg(H - s), on the anchor Schur
+complement (Haynsworth), under the same eig cap, eliminated level by level
+in the BFS spheres of the fibers, where it is block-tridiagonal. The
+operator must be fibered over its Cayley graph, and counts_below checks that
+every count brackets 0 and n and grows with the shift.
 """
 
 from __future__ import annotations
@@ -137,12 +138,12 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
     op, which is immutable after assembly, once the values reproduce the
     dimension, trace and Frobenius norm of the assembled operator. An
     operator without a tiling raises InvalidArgumentError: count a Cayley
-    operator's eigenvalues with cayley_window_counts."""
+    operator's eigenvalues with window_counts(..., cg=cg)."""
     require_eig_cap(op.dimension, cap)
     if op.tiling is None:
         raise InvalidArgumentError(
             "operator_spectrum needs a canopy operator; count a Cayley "
-            "operator's eigenvalues with cayley_window_counts"
+            "operator's eigenvalues with window_counts(..., cg=cg)"
         )
     if op._eigenvalues is None:
         core, local = _canopy_blocks(op)
@@ -153,16 +154,19 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
     return op._eigenvalues
 
 
-def cayley_window_counts(
-    cg: CayleyGraph, op: SiteOperator, targets, tau: float, cap: int = DEFAULT_EIG_CAP
-) -> np.ndarray:
-    """#{eigenvalues lambda of op : |lambda - t| < tau} for each target t: the
-    count below t + tau minus the count below the float after t - tau, both
-    by counts_below on op fibered over cg."""
+def window_counts(op, targets, tau: float, cap: int = DEFAULT_EIG_CAP, cg=None):
+    """#{eigenvalues lambda of op : fl(t - tau) < lambda < fl(t + tau)} for
+    each target t, the count below t + tau minus the count below the float
+    after t - tau, or 0 when rounding leaves the window empty: by
+    counts_below on op fibered over the Cayley graph cg, or else in the
+    canopy operator's cached operator_spectrum."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     shifts = np.concatenate([targets + tau, np.nextafter(targets - tau, np.inf)])
-    below = counts_below(op, shifts, cap, cg)
-    return below[: targets.size] - below[targets.size :]
+    if cg is None:
+        below = np.searchsorted(operator_spectrum(op, cap), shifts)
+    else:
+        below = counts_below(op, shifts, cap, cg)
+    return np.maximum(below[: targets.size] - below[targets.size :], 0)
 
 
 def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, cg=None, potentials=None):

@@ -821,7 +821,7 @@ class TestCaching:
         _, op = _cayley_operator(cyclic_group(6), 4, 5)
         with pytest.raises(TooLargeError):
             operator_spectrum(op, cap=op.dimension - 1)
-        with pytest.raises(InvalidArgumentError, match="cayley_window_counts"):
+        with pytest.raises(InvalidArgumentError, match=re.escape("window_counts(..., cg=cg)")):
             operator_spectrum(op)
         assert op._eigenvalues is None
 
@@ -1013,6 +1013,49 @@ class TestTreeInertiaCounts:
             spectral.counts_below(op, [0.0])
 
 
+class TestCanopyWindowCounts:
+    """window_counts on a canopy operator bisects its cached spectrum: the
+    eigenvalues with fl(t - tau) < lambda < fl(t + tau). Tree inertia at
+    the same shifts counts the same, wherever no eigenvalue lies within the
+    solver margin of a shift, and between the two one-sided counts where one
+    does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        l=st.integers(1, 3),
+        blocks=st.integers(0, 2),
+        disorder=st.sampled_from(DISORDERS),
+        seed=st.integers(0, 2**31 - 1),
+        tau=st.sampled_from([5e-324, 1e-15, 1e-7, 1e-3, 0.5]),
+        data=st.data(),
+    )
+    def test_counts_equal_brute_and_inertia(self, K, l, blocks, disorder, seed, tau, data):
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 400)
+        _, _, op = _canopy_operator(K, L, l, disorder, seed)
+        w = operator_spectrum(op)
+        # targets on, and one float off, an eigenvalue -+ tau, and random ones
+        on = w[data.draw(st.lists(st.integers(0, w.size - 1), min_size=1, max_size=8))]
+        edges = np.concatenate([on - tau, on + tau])
+        points = data.draw(st.lists(st.floats(-8.0, 8.0), max_size=10))
+        targets = np.concatenate([
+            points, edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        ])
+        counts = spectral.window_counts(op, targets, tau)
+        lo, hi = np.nextafter(targets - tau, np.inf), targets + tau
+        assert counts.tolist() == [int(np.sum((a <= w) & (w < b))) for a, b in zip(lo, hi)]
+
+        shifts = np.concatenate([hi, lo])
+        below = spectral.counts_below(op, shifts)
+        margin = spectral.TOL_SCALE * (1.0 + op.norm_bound * op.dimension)
+        one_sided = w.searchsorted(shifts - margin), w.searchsorted(shifts + margin)
+        assert np.all((one_sided[0] <= below) & (below <= one_sided[1]))
+        clear = (one_sided[0] == one_sided[1]).reshape(2, -1).all(axis=0)
+        inertia = np.maximum(below[: targets.size] - below[targets.size :], 0)
+        assert np.array_equal(counts[clear], inertia[clear])
+
+
 def _cayley_instance(group, pieces, seed):
     glued = prime_paths_graph(pieces, 2)
     anchors = {}
@@ -1039,7 +1082,7 @@ CAYLEY_GROUPS = st.one_of(
 
 
 class TestCayleyWindowCounts:
-    """cayley_window_counts counts a Cayley operator's eigenvalues by
+    """window_counts(..., cg=cg) counts a Cayley operator's eigenvalues by
     Haynsworth inertia on the anchor Schur complement. The counts are those
     of the dense eigvalsh spectrum: exactly, wherever no dense eigenvalue
     lies within the solver margin of a shift, and between the two one-sided
@@ -1083,7 +1126,7 @@ class TestCayleyWindowCounts:
         isolated = lo == hi
         assert np.array_equal(below[isolated], lo[isolated])
 
-        counts = spectral.cayley_window_counts(cg, op, targets, tau)
+        counts = spectral.window_counts(op, targets, tau, cg=cg)
         w = np.linalg.eigvalsh(dense_operator(op))
         dense = [int(np.sum(np.abs(w - t) < tau)) for t in targets]
         edges_lo, edges_hi = self._dense_bounds(op, np.concatenate([targets - tau, targets + tau]))
@@ -1122,7 +1165,7 @@ class TestCayleyWindowCounts:
         targets = np.array([r.values[g] for g in cg.interior_fibers()])
         w = np.linalg.eigvalsh(dense_operator(op))
         dense = [int(np.sum(np.abs(w - t) < 1e-7)) for t in targets]
-        counts = spectral.cayley_window_counts(cg, op, targets, 1e-7)
+        counts = spectral.window_counts(op, targets, 1e-7, cg=cg)
         assert counts.tolist() == dense and min(dense) >= 2
 
     @staticmethod
@@ -1142,16 +1185,16 @@ class TestCayleyWindowCounts:
     def test_unfibered_operator_rejected(self, tamper):
         cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
         targets = [r.values[g] for g in cg.interior_fibers()]
-        assert spectral.cayley_window_counts(cg, op, targets, 1e-7).min() >= 2
+        assert spectral.window_counts(op, targets, 1e-7, cg=cg).min() >= 2
         with pytest.raises(CertificateError, match="not fibered"):
-            spectral.cayley_window_counts(cg, tamper(cg, r, op), targets, 1e-7)
+            spectral.window_counts(tamper(cg, r, op), targets, 1e-7, cg=cg)
 
     def test_cap_before_any_eigensolve(self, monkeypatch):
         cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
         monkeypatch.setattr(spectral, "eig_sym", lambda *a, **k: pytest.fail("solved"))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("solved"))
         with pytest.raises(TooLargeError, match="^dimension 192 exceeds eig cap 191$"):
-            spectral.cayley_window_counts(cg, op, [0.5], 1e-7, cap=191)
+            spectral.window_counts(op, [0.5], 1e-7, cap=191, cg=cg)
         assert "interior_modes" not in vars(cg.template)
 
     @staticmethod
@@ -1173,7 +1216,7 @@ class TestCayleyWindowCounts:
         count = spectral._counts_below
         monkeypatch.setattr(spectral, "_counts_below", lambda *a: tamper(count(*a)))
         with pytest.raises(CertificateError, match=message):
-            spectral.cayley_window_counts(cg, op, [0.0, 1.0], 0.1)
+            spectral.window_counts(op, [0.0, 1.0], 0.1, cg=cg)
 
 
 class TestResidualTolerance:

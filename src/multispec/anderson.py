@@ -13,12 +13,11 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .canopy import PatchSet, TruncatedCanopy, tree_adjacency
 from .cayley import CayleyGraph, GroupSpec, require_finite
 from .errors import DegenerateDisorderError, InvalidArgumentError
-from .graph_core import adjacency_sparse
+from .graph_core import CSRMatrix, adjacency_sparse
 
 UNIFORM = "uniform"
 POINT_MASS = "point_mass"
@@ -108,7 +107,7 @@ class SiteOperator:
 
     def __init__(
         self,
-        adjacency: sp.csr_matrix,
+        adjacency: CSRMatrix,
         potential: np.ndarray,
         provenance,
         tiling: tuple[TruncatedCanopy, PatchSet] | None = None,
@@ -126,7 +125,7 @@ class SiteOperator:
         self._eigenvalues: np.ndarray | None = None  # see operator_spectrum
 
     @property
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self) -> CSRMatrix:
         return self._adjacency
 
     @property
@@ -140,7 +139,7 @@ class SiteOperator:
     @functools.cached_property
     def adjacency_bound(self) -> float:
         """The largest row sum of |adjacency|; computed on first use."""
-        row_sums = abs(self.adjacency) @ np.ones(self.dimension)
+        row_sums = np.bincount(self.adjacency.rows, np.abs(self.adjacency.data), self.dimension)
         return float(row_sums.max(initial=0.0))
 
     @functools.cached_property
@@ -160,11 +159,9 @@ class SiteOperator:
         return table.astype(indptr.dtype)
 
     def structure_hash(self) -> str:
-        coo = self.adjacency.tocoo()
-        payload = (
-            coo.row.tobytes() + coo.col.tobytes() + self.potential.tobytes()
-        )
-        return hashlib.sha256(payload).hexdigest()[:16]
+        a = self.adjacency  # row and column ids in the index dtype, as scipy's tocoo
+        payload = a.rows.astype(a.indices.dtype).tobytes() + a.indices.tobytes()
+        return hashlib.sha256(payload + self.potential.tobytes()).hexdigest()[:16]
 
 
 def assemble_canopy_operator(
@@ -265,15 +262,13 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
     permuted potential are compared separately, in O(nnz) per permutation:
     each stored (a, b) is looked up at (phi(a), phi(b)) among the sorted
     keys row * n + col, and stored entries no lookup hits are compared with
-    0. The deviation is the one a dense comparison gives. A canonical CSR
-    stores its keys in ascending order; any other is sorted first."""
+    0. The deviation is the one a dense comparison gives. The CSR stores
+    its keys in ascending order."""
     n, a = op.dimension, op.adjacency
-    a = a if a.has_canonical_format else a.sorted_indices()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
     # a sentinel above every key keeps each lookup position in range
-    keys, values = np.append(rows * n + a.indices, n * n), np.append(a.data, 0.0)
+    keys, values = np.append(a.rows * n + a.indices, n * n), np.append(a.data, 0.0)
     perms = np.asarray(phi, dtype=np.int64).reshape(-1, n)
-    target = perms[:, rows] * n + perms[:, a.indices]
+    target = perms[:, a.rows] * n + perms[:, a.indices]
     pos = keys.searchsorted(target)
     found = keys[pos] == target
     stored = values[:-1]

@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     IncompleteSubtreeError,
@@ -25,7 +24,7 @@ from .errors import (
     TilingMismatchError,
     TooLargeError,
 )
-from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph
+from .graph_core import DEFAULT_VERTEX_CAP, CSRMatrix, FiniteGraph
 
 
 def tree_size(k: int, depth: int) -> int:
@@ -86,7 +85,7 @@ def subtree(t: TruncatedCanopy, w: int, j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tree_adjacency(t: TruncatedCanopy) -> sp.csr_matrix:
+def tree_adjacency(t: TruncatedCanopy) -> CSRMatrix:
     """The tree's adjacency written straight into CSR form, equal entry for
     entry to graph_core.adjacency_sparse(t.graph): row v holds its parent
     (v-1)//K, if any, then its children K*v+1 .. K*v+K, if any, which is
@@ -98,7 +97,7 @@ def tree_adjacency(t: TruncatedCanopy) -> sp.csr_matrix:
     indices[indptr[1:-1]] = t.parent[1:]  # the first entry of each non-root row
     children = K * inner[:, None] + np.arange(1, K + 1)
     indices[indptr[inner, None] + (inner[:, None] > 0) + np.arange(K)] = children
-    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    return CSRMatrix(np.ones(indices.size), indices, indptr, (n, n))
 
 
 @dataclass(frozen=True, eq=False)

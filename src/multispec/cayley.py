@@ -16,10 +16,9 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
-from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph, adjacency_sparse
+from .graph_core import DEFAULT_VERTEX_CAP, CSRMatrix, FiniteGraph, adjacency_sparse
 
 
 class GroupSpec:
@@ -319,7 +318,7 @@ class CayleyTemplate:
         return tuple(sorted(set(self.anchors.values())))
 
     @functools.cached_property
-    def base_adjacency(self) -> sp.csr_matrix:
+    def base_adjacency(self) -> CSRMatrix:
         """CSR adjacency of the base graph, built on first use; read it,
         do not edit it."""
         return adjacency_sparse(self.base)
@@ -332,11 +331,13 @@ class CayleyTemplate:
         read them, do not edit them."""
         from .spectral import eig_sym  # spectral imports this module
 
-        anchors = list(self.anchor_vertices())
-        interior = np.setdiff1d(np.arange(self.base.vertex_count), anchors)
-        rows = self.base_adjacency[interior]
-        es = eig_sym(rows[:, interior].toarray())
-        return interior, es.eigenvalues, (rows[:, anchors].T @ es.eigenvectors).T
+        anchors, n = list(self.anchor_vertices()), self.base.vertex_count
+        interior = np.setdiff1d(np.arange(n), anchors)
+        es = eig_sym(self.base_adjacency.toarray()[np.ix_(interior, interior)])
+        # A_AI Q, each entry summed over ascending interior rows, is (Q^T A_IA)^T
+        spread = np.zeros((n, interior.size))
+        spread[interior] = es.eigenvectors
+        return interior, es.eigenvalues, (self.base_adjacency @ spread)[anchors].T
 
 
 class CayleyGraph:

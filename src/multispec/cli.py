@@ -45,6 +45,7 @@ EXIT_VERIFICATION = 2
 EXIT_TOO_LARGE = 3
 
 MATCH_WINDOW = 1e-7  # window for eigenvalues matching a claim; the default --tau
+BINS_CAP = 1 << 16  # dos bins: the report holds each bin as JSON and as CSV
 
 
 def _env_int(name: str, default: int) -> int:
@@ -121,6 +122,7 @@ def _prime_paths_template(args):
 
 def cmd_canopy_verify(args) -> int:
     t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
+    spectral.require_eig_cap(t.vertex_count, _eig_cap())  # before the operator is built
     p = canopy_mod.potential_roots(t, args.l)
     spec = DisorderSpec(seed=args.seed)
     r = sample_disorder(spec, p.roots)
@@ -289,12 +291,15 @@ def cmd_spectrum(args) -> int:
 
 def cmd_dos(args) -> int:
     t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
+    spectral.require_eig_cap(t.vertex_count, _eig_cap())  # before the operator is built
     p = canopy_mod.potential_roots(t, args.l)
     spec = DisorderSpec(seed=args.seed)
     lo, hi = -(args.K + 2), args.K + 2
     if args.bins < 1:
         raise InvalidArgumentError(f"--bins must be at least 1, got {args.bins}")
     dos_mod.require_stack_cap(t.vertex_count, args.bins, args.realizations)
+    if args.bins > BINS_CAP:
+        raise TooLargeError(f"{args.bins} bins exceed the report's bins cap {BINS_CAP}")
     edges = np.linspace(lo, hi, args.bins + 1)
     hist = dos_mod.eigenvalue_histogram(t, p, spec, edges, args.realizations, _eig_cap())
     # K-1 per (root, E) pair; counts_below bracketed all n eigenvalues
@@ -431,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--bins", type=int, default=40, help=f"at most {BINS_CAP}")
     p.add_argument("--realizations", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_dos)

@@ -7,10 +7,10 @@ searches) iterates deterministically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
@@ -45,13 +45,8 @@ class FiniteGraph:
         return len(self.edges)
 
     def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        adj = adjacency_sparse(self)
+        return [adj.indices[a:b].tolist() for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
 
 
 def make_graph(vertex_count: int, edges) -> FiniteGraph:
@@ -69,21 +64,61 @@ def path_graph(k: int) -> FiniteGraph:
 
 def adjacency_matrix(g: FiniteGraph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix with zero diagonal."""
-    m = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v in g.edges:
-        m[u, v] = m[v, u] = 1.0
-    return m
+    return adjacency_sparse(g).toarray()
 
 
-def adjacency_sparse(g: FiniteGraph) -> sp.csr_matrix:
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-    data = np.ones(len(rows))
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(g.vertex_count, g.vertex_count)
-    )
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A read-only sparse matrix in canonical CSR form: row i holds data[j]
+    at column indices[j] for j in indptr[i]:indptr[i+1], columns ascending and
+    unrepeated. Index arrays are int32 unless a size needs int64, as in scipy."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        index = np.int32 if max(*self.shape, len(self.data)) < 2**31 else np.int64
+        for name, dtype in (("data", float), ("indices", index), ("indptr", index)):
+            array = np.asarray(getattr(self, name), dtype).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry (int64), in storage order; read-only."""
+        rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
+
+    def __matmul__(self, x):
+        """The product with a dense (m,) or (m, k) array. Each row sum adds its
+        products in storage order from 0.0, bit for bit as scipy's CSR matvec."""
+        x = np.asarray(x)
+        columns = x if x.ndim == 2 else x[:, None]
+        n, k = self.shape[0], columns.shape[1]
+        products = self.data[:, None] * columns[self.indices]
+        cells = self.rows[:, None] * k + np.arange(k)
+        out = np.bincount(cells.ravel(), products.ravel(), n * k).astype(float, copy=False)
+        return out.reshape((n,) + x.shape[1:])
+
+
+def adjacency_sparse(g: FiniteGraph) -> CSRMatrix:
+    """The 0/1 adjacency of g in CSR form, built from its sorted edges."""
+    n, edges = g.vertex_count, np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(np.concatenate([edges @ [n, 1], edges @ [1, n]]))  # row * n + column
+    rows, cols = np.divmod(keys, max(n, 1))
+    return CSRMatrix(np.ones(keys.size), cols, np.searchsorted(rows, np.arange(n + 1)), (n, n))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ Every returned certificate is re-verified by multiplying the fully
 assembled operator (not the construction shortcut) against the vector,
 within residual_tolerance, built on the operator's cached norm bound. The
 subtree psi, the base-graph vectors and the junction kernel vectors pass
-check_eigenvectors against the cached subtree template or a CSR adjacency;
-no other graph matrix is densified except for an eigensolve.
+check_eigenvectors against the cached subtree template or a CSR adjacency
+(graph_core.CSRMatrix); only an eigensolve densifies a graph matrix.
 
 The canopy and Cayley constructions issue many families in one call (all
 patch roots times all subtree eigenpairs, or all interior fibers), and a
@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .anderson import SiteOperator, assemble_canopy_operator, assemble_cayley_operator
 from .canopy import (
@@ -222,29 +221,34 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     pass stacks as many shifts as keep its pivot arrays and its widest level
     within SCHUR_BLOCK_BYTES."""
     interior, mu, coupling = cg.template.interior_modes
-    fibers, nb = cg.group.size, cg.n_base
-    first = nb * np.arange(fibers)[:, None]
-    inner = sp.kron(sp.identity(fibers), cg.template.base_adjacency[interior], "csr")
-    adjacency, omega = op.adjacency, op.potential[::nb]
+    fibers, nb, n = cg.group.size, cg.n_base, op.dimension
+    v, base = op.adjacency.data, cg.template.base_adjacency
+    (r, c), (br, bc) = (np.array([m.rows, m.indices], np.int64) for m in (op.adjacency, base))
+    keys, flip, omega = r * n + c, np.argsort(c * n + r), op.potential[::nb]
+    inner, mine = np.isin(br, interior), np.isin(r % nb, interior)
+    tiled = (n + 1) * nb * np.arange(fibers)[:, None] + (br * n + bc)[inner]
     if (
-        op.dimension != fibers * nb
-        or (adjacency != adjacency.T).nnz
-        or (adjacency[(first + interior).ravel()] != inner).nnz
+        n != fibers * nb
+        or not (np.array_equal(keys, (c * n + r)[flip]) and np.array_equal(v, v[flip]))
+        or not np.array_equal(keys[mine], tiled.ravel())
+        or not np.array_equal(v[mine], np.tile(base.data[inner], fibers))
         or np.any(op.potential != np.repeat(omega, nb))
     ):
         raise CertificateError("operator is not fibered over the Cayley graph")
-    anchors = (first + cg.template.anchor_vertices()).ravel()
     modes, links = coupling.shape
-    base = (adjacency[anchors][:, anchors] + sp.diags(op.potential[anchors])).tocsr()
-    levels = _sphere_levels(base, links)
+    cross = r // nb != c // nb  # only anchor-anchor entries join two fibers
+    levels = _sphere_levels(r[cross] // nb, c[cross] // nb, fibers)
     place, level_of = np.empty(fibers, dtype=np.intp), np.empty(fibers, dtype=np.intp)
     for j, level in enumerate(levels):
         place[level], level_of[level] = links * np.arange(level.size), j
-    order = (np.concatenate(levels)[:, None] * links + np.arange(links)).ravel()
-    base, ends = base[order][:, order], np.cumsum([links * f.size for f in levels])
-    # each level's rows of S: its own block, then its coupling to the next level
-    blocks = [base[e - links * f.size : e, e - links * f.size : stop].toarray()
-              for f, e, stop in zip(levels, ends, np.append(ends[1:], ends[-1]))]
+    anchors = [(f[:, None] * nb + cg.template.anchor_vertices()).ravel() for f in levels]
+    table, stored = np.append(keys, n * n), np.append(v, 0.0)  # a sentinel above every key
+    blocks = []  # each level's rows of S: its own block, then its coupling to the next level
+    for here, there in zip(anchors, anchors[1:] + [anchors[0][:0]]):
+        query = here[:, None] * n + np.append(here, there)  # keys of S = A_AA + diag(potential)
+        pos = table.searchsorted(query)
+        blocks.append(np.where(table[pos] == query, stored[pos], 0.0))
+        blocks[-1][np.arange(here.size), np.arange(here.size)] += op.potential[here]
     outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, -1)
     width = links * max(f.size for f in levels)
     step = max(1, SCHUR_BLOCK_BYTES // (8 * max(fibers * max(modes, links**2), width**2)))
@@ -295,17 +299,15 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     return below
 
 
-def _sphere_levels(anchor_block: sp.csr_matrix, links: int) -> list[np.ndarray]:
-    """The fibers by BFS sphere from fiber 0, and from the first fiber not
-    yet reached for each further component, in the graph that joins two
-    fibers when the anchor block (links rows per fiber) has an entry between
-    them. Entries then join only the same or adjacent spheres."""
-    graph, fibers = abs(anchor_block), anchor_block.shape[0] // links
+def _sphere_levels(rows: np.ndarray, cols: np.ndarray, fibers: int) -> list[np.ndarray]:
+    """The fibers by BFS sphere from fiber 0, and from the first fiber not yet
+    reached for each further component, in the graph that joins fibers rows[i]
+    and cols[i]. Its edges then join only the same or adjacent spheres."""
     seen, frontier, levels = np.zeros(fibers, dtype=bool), np.arange(fibers) == 0, []
     while frontier.any():
         seen |= frontier
         levels.append(np.flatnonzero(frontier))
-        frontier = (graph @ frontier.repeat(links)).reshape(-1, links).any(1) & ~seen
+        frontier = (np.bincount(rows[frontier[cols]], minlength=fibers) > 0) & ~seen
         if not frontier.any():  # a new component, or none when all are seen
             frontier[np.argmin(seen)] = not seen.all()
     return levels
@@ -350,7 +352,9 @@ def _canopy_blocks(op: SiteOperator) -> tuple[np.ndarray, np.ndarray]:
     chain = deep + (l + 1) * np.arange(roots.size)[:, None] + np.arange(l + 1)
     size = deep + chain.size
     core = np.zeros((size, size))
-    core[:deep, :deep] = op.adjacency[:deep, :deep].toarray()
+    rows, cols, data = op.adjacency.rows, op.adjacency.indices, op.adjacency.data
+    prefix = (rows < deep) & (cols < deep)  # the vertices above depth l
+    core[rows[prefix], cols[prefix]] += data[prefix]
     core[np.arange(deep), np.arange(deep)] = op.potential[:deep]
     core[chain, chain] = couplings[:, None]
     a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
@@ -560,8 +564,8 @@ def support_residuals(
 
     Keyed family * n + vertex, one sort gives the rows support + N(support)
     of every family, outside which (H - E)v vanishes. Each row sum adds its
-    products in CSR storage order, as scipy's CSR matvec does, so every
-    result equals the dense residual bit for bit.
+    products in CSR storage order, as the CSRMatrix product does, so every
+    result equals the residual of op.adjacency @ v bit for bit.
     """
     n, indices = op.dimension, op.adjacency.indices
     support, values = np.asarray(support), np.asarray(values, dtype=float)

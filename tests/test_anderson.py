@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics, zd_box
 from multispec.errors import DegenerateDisorderError, InvalidArgumentError, UnsupportedError
 from multispec.graph_core import adjacency_matrix, prime_paths_graph
-from oracle import dense_operator
+from oracle import dense_operator, from_scipy
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +301,7 @@ class TestCovarianceBatch:
         dense = np.where(upper, weights, 0.0)
         dense = dense + dense.T
         potential = rng.choice([0.0, 1.0], size=n)
-        op = SiteOperator(sp.csr_matrix(dense), potential, {})
+        op = SiteOperator(from_scipy(dense), potential, {})
         phi = np.array([rng.permutation(n) for _ in range(stack)])
         phi[0] = np.arange(n)
         other = rng.choice([0.0, 1.0], size=(stack, n))
@@ -322,7 +321,7 @@ class TestCovarianceBatch:
         dense = np.zeros((7, 7))
         for (a, b), w in {(0, 1): 2.0, (2, 3): 2.0, (4, 5): 0.5}.items():
             dense[a, b] = dense[b, a] = w
-        op = SiteOperator(sp.csr_matrix(dense), np.zeros(7), {})
+        op = SiteOperator(from_scipy(dense), np.zeros(7), {})
         phi = np.array([2, 3, 4, 5, 0, 6, 1])
         assert np.max(np.abs(dense[phi][:, phi] - dense)) == 2.0
         assert permuted_deviation(op, phi, np.zeros(7)) == 2.0

@@ -572,6 +572,37 @@ class TestCapsBeforeDensifying:
         assert err.startswith("error (size cap):") and err.count("\n") == 1
         assert "Traceback" not in err and f"stack cap {STACK_CAP}" in err
 
+    def test_dos_bins_cap(self, monkeypatch, capsys):
+        # within the stack cap (16,000,367 entries), but the report would
+        # hold 16M bins as JSON and as CSV: refused before np.linspace
+        from multispec.cli import BINS_CAP
+
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("edges built"))
+        argv = ["dos", "--K", "3", "--L", "5", "--l", "2", "--bins", "16000000",
+                "--realizations", "1"]
+        assert run(argv) == EXIT_TOO_LARGE
+        err = capsys.readouterr().err
+        assert err.startswith("error (size cap):") and err.count("\n") == 1
+        assert "Traceback" not in err and f"bins cap {BINS_CAP}" in err
+
+    @pytest.mark.parametrize("command", ["canopy-verify", "dos"])
+    def test_canopy_cap_before_tiling(self, command, monkeypatch, capsys):
+        # K=4, L=8: 87,381 vertices, refused once the tree is built, before
+        # the tiling, the disorder and the operator
+        import multispec.canopy as canopy
+        import multispec.cli as cli
+        import multispec.dos as dos
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built past the eig cap")
+
+        monkeypatch.setattr(canopy, "potential_roots", refuse)
+        for module in (cli, dos):
+            monkeypatch.setattr(module, "assemble_canopy_operator", refuse)
+        assert run([command, "--K", "4", "--L", "8", "--l", "2"]) == EXIT_TOO_LARGE
+        err = capsys.readouterr().err
+        assert err == "error (size cap): dimension 87381 exceeds eig cap 5000\n"
+
     def test_default_cap_above_dense_size(self, capsys):
         # K=3, L=8: 9,841 vertices, over the default eig cap of 5,000
         assert run(["canopy-verify", "--K", "3", "--L", "8", "--l", "2"]) == EXIT_TOO_LARGE
@@ -733,6 +764,39 @@ def test_cayley_verify_loads_no_scipy_solver():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only run-time dependency: neither the import nor any
+    # command loads a scipy module, in a fresh interpreter
+    spec, graph = tmp_path / "pieces.json", tmp_path / "path.txt"
+    spec.write_text(json.dumps(_example1_spec(multispec.prime_paths_graph(2, 2))))
+    graph.write_text("3 2\n0 1\n1 2\n")
+    commands = [
+        ["canopy-verify", "--K", "3", "--L", "2", "--l", "2"],
+        ["cayley-verify", "--pieces", "4", "--group", "cyclic:3"],
+        ["dos", "--K", "3", "--L", "2", "--l", "2", "--realizations", "2"],
+        ["aut", "--pieces", "4", "--group", "cyclic:3"],
+        ["spectrum", "--graph", str(graph)],
+        ["example1", "--pieces-spec", str(spec)],
+    ]
+    code = (
+        "import json, sys\n"
+        "import multispec\n"
+        "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "seen = [loaded()]\n"
+        "from multispec.cli import run\n"
+        f"for argv in {commands!r}:\n"
+        f"    assert run(argv + ['--out', {str(tmp_path / 'out.json')!r}]) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))"
+    )
+    src = str(Path(multispec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [[]] * (len(commands) + 1)
 
 
 def test_cayley_verify_builds_each_sparse_matrix_once(monkeypatch):

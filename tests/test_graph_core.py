@@ -1,16 +1,22 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multispec.anderson import SiteOperator
+from multispec.canopy import build_truncated_canopy, tree_adjacency
 from multispec.errors import InvalidArgumentError
 from multispec.graph_core import (
     PRIMES,
+    CSRMatrix,
     FiniteGraph,
     GluedGraphSpec,
     adjacency_matrix,
+    adjacency_sparse,
     from_edge_list_text,
     glue_subgraphs,
     make_graph,
@@ -86,6 +92,76 @@ class TestAdjacency:
         m = adjacency_matrix(make_graph(n, chosen))
         assert np.array_equal(m, m.T)
         assert not np.diag(m).any()
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_neighbors_are_the_sorted_edge_ends(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = make_graph(n, chosen)
+        expect = [sorted(v for e in g.edges if u in e for v in e if v != u) for u in range(n)]
+        assert g.neighbors() == expect
+
+
+class TestCSRMatrix:
+    """CSRMatrix against scipy's csr_matrix as the oracle: the same arrays
+    and dtypes, the same dense matrix, bit-equal products, and the operator
+    values that the scipy-based code computed."""
+
+    @staticmethod
+    def _instance(kind, n, density, rng):
+        """(ours, scipy's) for a random make_graph graph, a canopy tree or a
+        weighted dense symmetric matrix."""
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        if kind == "dense":
+            weights = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-4, 5, (n, n))
+            dense = np.where(upper, weights, 0.0)
+            theirs = sp.csr_matrix(dense + dense.T)
+            return CSRMatrix(theirs.data, theirs.indices, theirs.indptr, theirs.shape), theirs
+        if kind == "canopy":
+            t = build_truncated_canopy(2 + n % 3, n % 5)
+            n, edges = t.vertex_count, list(zip(t.parent[1:].tolist(), range(1, t.vertex_count)))
+            ours = tree_adjacency(t)
+        else:
+            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
+            ours = adjacency_sparse(make_graph(n, edges))
+        # the scipy construction that adjacency_sparse replaced
+        rows = [u for u, _ in edges] + [v for _, v in edges]
+        cols = [v for _, v in edges] + [u for u, _ in edges]
+        return ours, sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+    @given(
+        kind=st.sampled_from(["graph", "canopy", "dense"]),
+        n=st.integers(0, 14),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scipy(self, kind, n, density, seed):
+        rng = np.random.default_rng(seed)
+        ours, theirs = self._instance(kind, n, density, rng)
+        for part in ("data", "indices", "indptr"):
+            mine, oracle = getattr(ours, part), getattr(theirs, part)
+            assert mine.dtype == oracle.dtype and np.array_equal(mine, oracle)
+        assert ours.shape == theirs.shape and ours.nnz == theirs.nnz
+        assert np.array_equal(ours.toarray(), theirs.toarray())
+        size = ours.shape[0]
+        scale = 10.0 ** rng.integers(-8, 9, size)  # magnitudes that make a sum's order matter
+        for x in (rng.standard_normal(size) * scale, rng.standard_normal((size, 3)) * scale[:, None]):
+            product = ours @ x
+            assert product.shape == x.shape and product.dtype == float
+            assert product.tobytes() == (theirs @ x).tobytes()
+        potential = rng.standard_normal(size)
+        op = SiteOperator(ours, potential, {})
+        assert op.adjacency_bound == float((abs(theirs) @ np.ones(size)).max(initial=0.0))
+        degree = np.diff(theirs.indptr)
+        step = np.arange(degree.max(initial=0))
+        padded = np.where(step < degree[:, None], theirs.indptr[:-1, None] + step, -1)
+        assert op.padded_rows.dtype == theirs.indptr.dtype
+        assert np.array_equal(op.padded_rows, padded)
+        coo = theirs.tocoo()
+        digest = hashlib.sha256(coo.row.tobytes() + coo.col.tobytes() + potential.tobytes())
+        assert op.structure_hash() == digest.hexdigest()[:16]
 
 
 class TestGlue:

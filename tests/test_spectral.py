@@ -55,7 +55,7 @@ from multispec.spectral import (
     subtree_eigenpairs,
     support_residuals,
 )
-from oracle import dense_operator
+from oracle import dense_operator, from_scipy, scipy_csr
 
 
 def path_spectrum(k):
@@ -1178,7 +1178,7 @@ class TestCayleyWindowCounts:
     def _cross_fiber_edge(cg, r, op):
         a, b = 5, cg.n_base + 6  # non-anchor vertices of fibers 0 and 1
         extra = sp.coo_matrix(([1.0, 1.0], ([a, b], [b, a])), shape=op.adjacency.shape)
-        return SiteOperator((op.adjacency + extra).tocsr(), op.potential, op.provenance)
+        return SiteOperator(from_scipy(scipy_csr(op.adjacency) + extra), op.potential, op.provenance)
 
     @pytest.mark.parametrize("tamper", [_interior_potential, _cross_fiber_edge],
                              ids=["interior_potential", "cross_fiber_edge"])

@@ -5,13 +5,16 @@ The search is plain color refinement plus backtracking. Refinement is
 seeded with the fixed vertices as singleton colors and everything else in
 one color; it splits colors by neighbor-color multisets until the partition
 is equitable, which already separates degrees and distances to the fixed
-vertices. Instances here are small; auditability beats speed. Aut_And is
-built in closed form as one permutation array, one fiber-wise product of
-anchor-stabilizer elements per row, and checked by one stacked conjugation.
+vertices. Each search step tries only the vertices of its own color cell,
+the search order comes from a heap, and the elements found are checked
+against the graph in one stacked pass. Aut_And is built in closed form as
+one permutation array, one fiber-wise product of anchor-stabilizer
+elements per row, and checked by one stacked conjugation.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -36,24 +39,21 @@ EXPLICIT_ORDER_CAP = 10_000
 Permutation = tuple[int, ...]
 
 
-def is_automorphism(g: FiniteGraph, perm: Permutation) -> bool:
-    if sorted(perm) != list(range(g.vertex_count)):
-        return False
-    edges = set(g.edges)
-    for u, v in g.edges:
-        a, b = perm[u], perm[v]
-        if (min(a, b), max(a, b)) not in edges:
-            return False
-    return True
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p . q)(v) = p(q(v))"""
-    return tuple(p[q[v]] for v in range(len(p)))
-
-
-def invert(p: Permutation) -> Permutation:
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
+def is_automorphism(g: FiniteGraph, perm) -> bool | np.ndarray:
+    """Whether perm is a permutation of range(n) mapping every edge of g onto
+    an edge. A stack (k, n) gives k answers: each row that is a permutation
+    maps the sorted edge keys u*n + v, and its images are looked up there."""
+    n, perms = g.vertex_count, np.asarray(perm, dtype=np.intp)
+    stack = np.atleast_2d(perms)
+    ok = np.zeros(len(stack), dtype=bool)
+    if stack.shape[1] == n:
+        ok = (np.sort(stack, axis=1) == np.arange(n)).all(axis=1)
+        u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+        a, b, keys = stack[ok][:, u], stack[ok][:, v], np.sort(u * n + v)
+        mapped = np.minimum(a, b) * n + np.maximum(a, b)
+        at = np.searchsorted(keys, mapped).clip(max=keys.size - 1)
+        ok[ok] = (keys[at] == mapped).all(axis=1)
+    return ok if perms.ndim == 2 else bool(ok[0])
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,17 @@ class AutGroup:
 
 def _check_closure(group: AutGroup):
     """A group of at most 64 elements must be closed under inverses and
-    under the first 256 products."""
-    if len(group.elements) > 64:
+    under the first 256 products (p . q)(v) = p(q(v))."""
+    k = len(group.elements)
+    if not 0 < k <= 64:
         return
-    elems = set(group.elements)
-    if any(invert(p) not in elems for p in group.elements):
+    perms = np.array(group.elements, dtype=np.intp).reshape(k, -1)
+    elems = {row.tobytes() for row in perms}
+    if any(row.tobytes() not in elems for row in np.argsort(perms, axis=1)):
         raise CertificateError("group not closed under inverse")
-    products = itertools.islice(itertools.product(group.elements, repeat=2), 256)
-    if any(compose(p, q) not in elems for p, q in products):
+    p, q = np.divmod(np.arange(min(k * k, 256)), k)
+    products = np.take_along_axis(perms[p], perms[q], axis=1)
+    if any(row.tobytes() not in elems for row in products):
         raise CertificateError("group not closed under composition")
 
 
@@ -108,25 +111,29 @@ def automorphisms(
             raise InvalidArgumentError(f"fixed vertex {v} out of range")
     adj = g.neighbors()
     colors = _refine(adj, [fixed.index(v) if v in fixed else -1 for v in range(n)])
-    class_size = [0] * (max(colors) + 1 if n else 0)
-    for c in colors:
-        class_size[c] += 1
-    # search order: grow a connected front, preferring constrained vertices
+    # cells[c]: the vertices of color c, ascending; v can only map into its own
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    # search order: grow a connected front, preferring constrained vertices;
+    # mapped_nb only grows, so an entry is current iff its key is -mapped_nb
     order: list[int] = []
     placed = [False] * n
     mapped_nb = [0] * n
-    for _ in range(n):
-        best = min(
-            (v for v in range(n) if not placed[v]),
-            key=lambda v: (-mapped_nb[v], class_size[colors[v]], v),
-        )
+    heap = sorted((0, len(cells[c]), v) for v, c in enumerate(colors))
+    while heap:
+        key, _, best = heapq.heappop(heap)
+        if key != -mapped_nb[best]:
+            continue
         order.append(best)
         placed[best] = True
         for u in adj[best]:
             mapped_nb[u] += 1
+            if not placed[u]:
+                heapq.heappush(heap, (-mapped_nb[u], len(cells[colors[u]]), u))
     adj_sets = [set(a) for a in adj]
     image = [-1] * n
-    used = [False] * n
+    preimage = [-1] * n
     found: list[Permutation] = []
 
     def dfs(pos: int):
@@ -134,8 +141,8 @@ def automorphisms(
             found.append(tuple(image))
             return
         v = order[pos]
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
+        for w in cells[colors[v]]:
+            if preimage[w] != -1:
                 continue
             ok = True
             for u in adj[v]:
@@ -153,20 +160,17 @@ def automorphisms(
                 continue
             image[v] = w
             preimage[w] = v
-            used[w] = True
             dfs(pos + 1)
             image[v] = -1
             preimage[w] = -1
-            used[w] = False
 
-    preimage = [-1] * n
     dfs(0)
     group = AutGroup(len(found), fixed, elements=tuple(sorted(found)))
-    for p in group.elements:
-        if not is_automorphism(g, p):
-            raise CertificateError("returned permutation is not an automorphism")
-        if any(p[v] != v for v in fixed):
-            raise CertificateError("returned permutation moves a fixed vertex")
+    perms = np.array(group.elements, dtype=np.intp).reshape(group.order, n)
+    if not is_automorphism(g, perms).all():
+        raise CertificateError("returned permutation is not an automorphism")
+    if (perms[:, list(fixed)] != fixed).any():
+        raise CertificateError("returned permutation moves a fixed vertex")
     _check_closure(group)
     return group
 

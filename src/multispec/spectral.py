@@ -804,7 +804,13 @@ def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
     return _issue(operator, supports, psis[None], claims, energies, provenance)
 
 
-def junction_kernel_basis(glued: GluedGraph, E0: float) -> list[np.ndarray]:
+class KernelBasis(list):
+    """junction_kernel_basis's vectors, with the residuals of their check."""
+
+    residuals: np.ndarray
+
+
+def junction_kernel_basis(glued: GluedGraph, E0: float) -> KernelBasis:
     """Orthonormal vectors on the glued graph that are exact E0-eigenvectors
     of its adjacency matrix and vanish at every junction.
 
@@ -835,8 +841,10 @@ def junction_kernel_basis(glued: GluedGraph, E0: float) -> list[np.ndarray]:
     vectors = np.zeros((len(alphas), glued.graph.vertex_count))
     for i, psi in enumerate(piece_vecs):
         vectors[:, list(glued.piece_vertices(i))] = np.outer(alphas[:, i], psi)
-    adjacency = adjacency_sparse(glued.graph)
-    check_eigenvectors(adjacency, vectors, E0, CertificateError, "kernel vector")
+    basis = KernelBasis(vectors)
+    basis.residuals = check_eigenvectors(
+        adjacency_sparse(glued.graph), vectors, E0, CertificateError, "kernel vector"
+    )
     if np.any(vectors[:, list(glued.junctions)]):
         raise CertificateError("kernel vector is nonzero at a junction")
-    return list(vectors)
+    return basis

@@ -14,9 +14,7 @@ from multispec.automorphism import (
     anderson_automorphisms,
     automorphisms,
     brute_anderson_automorphisms,
-    compose,
     conjugation_deviation,
-    invert,
     is_automorphism,
 )
 from multispec.cayley import (
@@ -114,11 +112,106 @@ class TestSearch:
             assert set(grp.elements) == expected
             assert grp.order == len(expected)
 
-    def test_composition_helpers(self):
-        p = (1, 2, 0)
-        q = (2, 0, 1)
-        assert compose(p, q) == (0, 1, 2)
-        assert invert(p) == q
+    def test_relabelled_graph_conjugates_the_group(self):
+        # random connected graphs of 8-40 vertices, some with twin leaves for
+        # a nontrivial group: relabelling by sigma maps the group, with or
+        # without a fixed vertex, to {sigma p sigma^-1}
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            n = int(rng.integers(8, 33))
+            edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            pairs = list(itertools.combinations(range(n), 2))
+            edges += [p for p, t in zip(pairs, rng.random(len(pairs)) < rng.random() / 4) if t]
+            for hub in rng.permutation(n)[: rng.integers(0, 4)].tolist():
+                edges += [(int(hub), n), (int(hub), n + 1)]
+                n += 2
+            g = make_graph(n, edges)
+            sigma = rng.permutation(n)
+            relabelled = make_graph(n, [(sigma[u], sigma[v]) for u, v in g.edges])
+            f = int(rng.integers(0, n))
+            for fixed in ((), (f,)):
+                grp = automorphisms(g, fixed=fixed)
+                image = automorphisms(relabelled, fixed=tuple(sigma[list(fixed)].tolist()))
+                assert image.order == grp.order
+                conjugated = set()
+                for p in grp.elements:
+                    q = np.empty(n, dtype=int)
+                    q[sigma] = sigma[list(p)]
+                    conjugated.add(tuple(q.tolist()))
+                assert set(image.elements) == conjugated
+
+    def test_cyclic_cayley_graph_group(self):
+        # the 192-vertex Cayley graph of cyclic:6 over four prime paths: the
+        # full automorphism group has order 12 and holds every left fiber
+        # translation (h, v) -> (g h, v)
+        glued = prime_paths_graph(4, 2)
+        tmpl = CayleyTemplate(glued.graph, dict(zip((-1, 1), glued.junctions)))
+        group = cyclic_group(6)
+        cg = build_cayley_graph(tmpl, group)
+        assert cg.vertex_count == 192
+        grp = automorphisms(cg.graph, cap=automorphism.BRUTE_VERTEX_CAP)
+        assert grp.order == 12
+        nb = cg.n_base
+        for g in range(group.size):
+            translation = tuple(
+                group.mul(g, h) * nb + v for h in range(group.size) for v in range(nb)
+            )
+            assert translation in grp.elements
+
+    def test_closure_check_rejects_a_missing_element(self):
+        # the rotations of a 5-cycle with one non-identity rotation removed:
+        # its inverse is still there, so the inverse check fails
+        grp = automorphisms(make_graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+        rotations = [tuple((v + k) % 5 for v in range(5)) for k in range(5)]
+        assert set(rotations) <= set(grp.elements)
+        automorphism._check_closure(automorphism.AutGroup(5, (), tuple(rotations)))
+        kept = tuple(rotations[:1] + rotations[2:])
+        with pytest.raises(CertificateError, match="not closed"):
+            automorphism._check_closure(automorphism.AutGroup(4, (), kept))
+
+
+def edge_oracle(g, perm):
+    """A permutation of range(n) mapping every edge onto an edge, by sets."""
+    if sorted(perm) != list(range(g.vertex_count)):
+        return False
+    edges = set(g.edges)
+    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in g.edges)
+
+
+class TestStackedAutomorphismCheck:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pendant_base(),
+            prime_paths_graph(3, 2).graph,
+            make_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+            FiniteGraph(4, ()),
+            FiniteGraph(0, ()),
+        ],
+    )
+    def test_stack_matches_rows(self, g):
+        # the group, random permutations and rows with a repeat, an entry
+        # out of range or a negative entry, in one stack
+        n, rng = g.vertex_count, np.random.default_rng(4)
+        rows = [list(p) for p in automorphisms(g).elements]
+        rows += [rng.permutation(n).tolist() for _ in range(10)]
+        if n:
+            for v, value in ((0, min(1, n - 1)), (n - 1, n), (0, -1)):
+                bad = list(range(n))
+                bad[v] = value
+                rows.append(bad)
+        stacked = is_automorphism(g, np.array(rows, dtype=int).reshape(len(rows), n))
+        assert stacked.shape == (len(rows),)
+        assert stacked.tolist() == [is_automorphism(g, tuple(r)) for r in rows]
+        assert stacked.tolist() == [edge_oracle(g, r) for r in rows]
+        assert stacked[: automorphisms(g).order].all()
+
+    def test_wrong_length_is_false(self):
+        g = path_graph(3)
+        assert is_automorphism(g, (2, 1, 0)) is True
+        assert is_automorphism(g, (1, 0)) is False
+        assert is_automorphism(g, (0, 1, 2, 3)) is False
+        assert is_automorphism(g, np.array([[0, 1], [1, 0]])).tolist() == [False, False]
 
 
 @pytest.fixture(scope="module")

@@ -504,6 +504,41 @@ def test_example1_residuals_equal_dense_oracle(tmp_path):
     assert checked == 39
 
 
+
+def test_example1_builds_and_checks_the_glued_graph_once(monkeypatch, tmp_path):
+    # the reported residuals are those of junction_kernel_basis's own check:
+    # one glued-graph CSR and one check_eigenvectors call per run
+    import multispec.graph_core as graph_core
+    import multispec.spectral as spectral
+    from multispec.graph_core import prime_paths_graph
+
+    glued = prime_paths_graph(3, 2)
+    builds, checked = [], []
+    adjacency_sparse, check = graph_core.adjacency_sparse, spectral.check_eigenvectors
+
+    def counting_adjacency(g):
+        if g == glued.graph:
+            builds.append(g)
+        return adjacency_sparse(g)
+
+    def counting_check(matrix, vectors, E, error, what):
+        checked.append(what)
+        return check(matrix, vectors, E, error, what)
+
+    for module in (graph_core, spectral):
+        monkeypatch.setattr(module, "adjacency_sparse", counting_adjacency)
+    monkeypatch.setattr(spectral, "check_eigenvectors", counting_check)
+    sf, out = tmp_path / "pieces.json", tmp_path / "report.json"
+    sf.write_text(json.dumps(_example1_spec(glued)))
+    for _ in range(2):
+        builds.clear()
+        checked.clear()
+        assert run(["example1", "--pieces-spec", str(sf), "--out", str(out)]) == EXIT_OK
+        assert len(builds) == 1
+        assert checked == ["kernel vector"]
+    report = json.loads(out.read_text())
+    assert len(report["residuals"]) == report["kernel_dimension"] == 1
+
 def test_summary_goes_to_stdout(capsys, tmp_path):
     gf = tmp_path / "graph.txt"
     gf.write_text("2 1\n0 1\n")

@@ -99,10 +99,10 @@ class SiteOperator:
     spectrum once and caches it on the instance, and norm_bound is
     computed once.
 
-    tiling is the (TruncatedCanopy, PatchSet) a canopy operator was
-    assembled from, and None for every other operator; it lets
-    spectral.operator_spectrum solve the symmetry-reduced core, and no
-    other operator is solved.
+    tiling is the (TruncatedCanopy, PatchSet) or the CayleyGraph an operator
+    was assembled from, and None for a hand-built one; spectral reads it to
+    solve a canopy operator's reduced core or count by inertia, and no
+    untiled operator is solved.
     """
 
     def __init__(
@@ -110,7 +110,7 @@ class SiteOperator:
         adjacency: CSRMatrix,
         potential: np.ndarray,
         provenance,
-        tiling: tuple[TruncatedCanopy, PatchSet] | None = None,
+        tiling: tuple[TruncatedCanopy, PatchSet] | CayleyGraph | None = None,
     ):
         if adjacency.shape[0] != adjacency.shape[1]:
             raise InvalidArgumentError("adjacency must be square")
@@ -147,16 +147,6 @@ class SiteOperator:
         """adjacency_bound plus max|potential|, a bound on the operator
         norm; computed on first use."""
         return self.adjacency_bound + float(np.abs(self.potential).max(initial=0.0))
-
-    @functools.cached_property
-    def padded_rows(self) -> np.ndarray:
-        """The CSR storage positions of each row's entries as an (n, max
-        degree) table padded with -1; computed on first use."""
-        indptr = self.adjacency.indptr
-        degree = np.diff(indptr)
-        step = np.arange(degree.max(initial=0))
-        table = np.where(step < degree[:, None], indptr[:-1, None] + step, -1)
-        return table.astype(indptr.dtype)
 
     def structure_hash(self) -> str:
         a = self.adjacency  # row and column ids in the index dtype, as scipy's tocoo
@@ -200,7 +190,7 @@ def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOpe
         "seed": r.spec.seed,
         "distribution": r.spec.distribution,
     }
-    return SiteOperator(adjacency_sparse(cg.graph), potential, provenance)
+    return SiteOperator(adjacency_sparse(cg.graph), potential, provenance, cg)
 
 
 def shift_disorder(
@@ -260,24 +250,19 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
 
     The adjacency has no self-loops, so the permuted adjacency and the
     permuted potential are compared separately, in O(nnz) per permutation:
-    each stored (a, b) is looked up at (phi(a), phi(b)) among the sorted
-    keys row * n + col, and stored entries no lookup hits are compared with
-    0. The deviation is the one a dense comparison gives. The CSR stores
-    its keys in ascending order."""
+    each stored (a, b) is found at (phi(a), phi(b)) by CSRMatrix.find, and
+    stored entries no lookup hits are compared with 0. The deviation is the
+    one a dense comparison gives."""
     n, a = op.dimension, op.adjacency
-    # a sentinel above every key keeps each lookup position in range
-    keys, values = np.append(a.rows * n + a.indices, n * n), np.append(a.data, 0.0)
     perms = np.asarray(phi, dtype=np.int64).reshape(-1, n)
-    target = perms[:, a.rows] * n + perms[:, a.indices]
-    pos = keys.searchsorted(target)
-    found = keys[pos] == target
-    stored = values[:-1]
-    deviation = np.abs(np.where(found, values[pos] - stored, stored))
+    pos = a.find(perms[:, a.rows], perms[:, a.indices])
+    found = pos >= 0
+    deviation = np.abs(np.where(found, a.data[pos] - a.data, a.data))
     deviation = deviation.max(axis=1, initial=0.0)
     if not found.all():  # else phi maps the stored entries onto themselves
-        hit = np.zeros((len(perms), keys.size), dtype=bool)
+        hit = np.zeros((len(perms), a.nnz), dtype=bool)
         hit[np.nonzero(found)[0], pos[found]] = True
-        missed = np.where(hit, 0.0, np.abs(values)).max(axis=1, initial=0.0)
+        missed = np.where(hit, 0.0, np.abs(a.data)).max(axis=1, initial=0.0)
         deviation = np.maximum(deviation, missed)
     potential = np.abs(op.potential[perms] - potential)
     deviation = np.maximum(deviation, potential.max(axis=1, initial=0.0))

@@ -30,7 +30,7 @@ from .anderson import (
 )
 from .cayley import CayleyGraph, require_finite
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
-from .graph_core import FiniteGraph
+from .graph_core import FiniteGraph, adjacency_sparse
 
 DEFAULT_SEARCH_CAP = 2_000
 BRUTE_VERTEX_CAP = 200
@@ -41,18 +41,15 @@ Permutation = tuple[int, ...]
 
 def is_automorphism(g: FiniteGraph, perm) -> bool | np.ndarray:
     """Whether perm is a permutation of range(n) mapping every edge of g onto
-    an edge. A stack (k, n) gives k answers: each row that is a permutation
-    maps the sorted edge keys u*n + v, and its images are looked up there."""
+    an edge. A stack (k, n) gives k answers: the image of every edge under
+    each row that is a permutation is looked up in g's adjacency."""
     n, perms = g.vertex_count, np.asarray(perm, dtype=np.intp)
     stack = np.atleast_2d(perms)
     ok = np.zeros(len(stack), dtype=bool)
     if stack.shape[1] == n:
         ok = (np.sort(stack, axis=1) == np.arange(n)).all(axis=1)
         u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-        a, b, keys = stack[ok][:, u], stack[ok][:, v], np.sort(u * n + v)
-        mapped = np.minimum(a, b) * n + np.maximum(a, b)
-        at = np.searchsorted(keys, mapped).clip(max=keys.size - 1)
-        ok[ok] = (keys[at] == mapped).all(axis=1)
+        ok[ok] = (adjacency_sparse(g).find(stack[ok][:, u], stack[ok][:, v]) >= 0).all(axis=1)
     return ok if perms.ndim == 2 else bool(ok[0])
 
 

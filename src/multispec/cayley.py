@@ -116,11 +116,10 @@ def _free_ball_order(n_generators: int, radius: int) -> int:
     return 1 + 2 * radius if n == 1 else 1 + n * ((2 * n - 1) ** radius - 1) // (n - 1)
 
 
-def cyclic_group(m: int, generator: int = 1) -> GroupSpec:
+def cyclic_group(m: int) -> GroupSpec:
     _cyclic_order(m)
-    gens = (generator % m,) if m > 1 else (0,)
     return GroupSpec(
-        "cyclic", range(m), gens, lambda i, j: (i + j) % m, 0, lambda i: -i % m,
+        "cyclic", range(m), (1 % m,), lambda i, j: (i + j) % m, 0, lambda i: -i % m,
         lambda: np.add.outer(np.arange(m), np.arange(m)) % m,
     )
 

@@ -27,11 +27,7 @@ from .anderson import (
     covariance_check,
     sample_disorder,
 )
-from .automorphism import (
-    anderson_automorphisms,
-    automorphisms,
-    brute_anderson_automorphisms,
-)
+from .automorphism import anderson_automorphisms, brute_anderson_automorphisms
 from .errors import (
     CertificateError,
     InvalidArgumentError,
@@ -127,11 +123,11 @@ def cmd_canopy_verify(args) -> int:
     spec = DisorderSpec(seed=args.seed)
     r = sample_disorder(spec, p.roots)
     op = assemble_canopy_operator(t, p, r)
-    eigenvalues = spectral.operator_spectrum(op, cap=_eig_cap())
     sub = spectral.subtree_eigenpairs(t.K, args.l - 1)
-    families = spectral.canopy_families(
+    families = spectral.canopy_families(  # refuses l < 2 before anything is solved
         t, p, r, p.roots, sub.eigenvalues, sub.eigenvectors, operator=op
     )
+    eigenvalues = spectral.operator_spectrum(op, cap=_eig_cap())
     claims = families.claims.ravel()
     matches = spectral.window_counts(op, claims, args.tau, cap=_eig_cap()).tolist()
     pairs = itertools.product(p.roots, sub.eigenvalues.tolist())
@@ -201,7 +197,7 @@ def cmd_cayley_verify(args) -> int:
     op = assemble_cayley_operator(cg, r)
     fibers = cg.interior_fibers()
     targets = [args.E0 + r.values[g] for g in fibers]
-    matches = spectral.window_counts(op, targets, args.tau, cap=_eig_cap(), cg=cg)
+    matches = spectral.window_counts(op, targets, args.tau, cap=_eig_cap())
     failures = []
     per_fiber = []
     # kernel vectors live on the glued graph, which is the Cayley base
@@ -244,12 +240,13 @@ def cmd_cayley_verify(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    glued, group, template = _prime_paths_template(args)
-    stab = automorphisms(glued.graph, fixed=glued.junctions)
+    _, group, template = _prime_paths_template(args)
     cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
     spec = DisorderSpec(seed=args.seed)
     r = sample_disorder(spec, range(group.size))
     structural = anderson_automorphisms(cg, r)
+    # on fiber 0, Aut_And's elements run through the anchor stabilizer
+    stabilizer_order = len({element[: cg.n_base] for element in structural.elements})
     brute_order = None
     if cg.vertex_count <= automorphism.BRUTE_VERTEX_CAP:
         brute = brute_anderson_automorphisms(cg, r)
@@ -260,12 +257,12 @@ def cmd_aut(args) -> int:
             )
     report = {
         "config": _config(args),
-        "anchor_stabilizer_order": stab.order,
+        "anchor_stabilizer_order": stabilizer_order,
         "aut_and_order": structural.order,
         "brute_order": brute_order,
         "summary": (
             f"aut pieces={args.pieces} group={args.group}: "
-            f"Aut(H|anchors) order {stab.order}, Aut_And order {structural.order}"
+            f"Aut(H|anchors) order {stabilizer_order}, Aut_And order {structural.order}"
             + (f", brute {brute_order}" if brute_order is not None else "")
         ),
     }

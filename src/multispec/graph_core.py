@@ -96,6 +96,26 @@ class CSRMatrix:
         rows.flags.writeable = False
         return rows
 
+    @functools.cached_property
+    def padded_rows(self) -> np.ndarray:
+        """The storage positions of each row's entries as an (n, max degree)
+        table padded with -1, in the index dtype; read-only."""
+        degree = np.diff(self.indptr)
+        step = np.arange(degree.max(initial=0), dtype=self.indptr.dtype)
+        table = np.where(step < degree[:, None], self.indptr[:-1, None] + step, -1)
+        table.flags.writeable = False
+        return table
+
+    def find(self, rows, cols) -> np.ndarray:
+        """The storage position of each entry (rows, cols), broadcast, or -1
+        where none is stored; indices in range. The keys row * ncols + col
+        ascend, and a sentinel above them keeps each search position in range."""
+        n = self.shape[1]
+        keys = np.append(self.rows * n + self.indices, self.shape[0] * n)
+        target = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols)
+        pos = keys.searchsorted(target)
+        return np.where(keys[pos] == target, pos, -1)
+
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         np.add.at(out, (self.rows, self.indices), self.data)

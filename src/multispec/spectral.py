@@ -135,14 +135,14 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
     solved; the first call solves the symmetry-reduced core plus the
     closed-form patch blocks (see _canopy_blocks) and caches the spectrum on
     op, which is immutable after assembly, once the values reproduce the
-    dimension, trace and Frobenius norm of the assembled operator. An
-    operator without a tiling raises InvalidArgumentError: count a Cayley
-    operator's eigenvalues with window_counts(..., cg=cg)."""
+    dimension, trace and Frobenius norm of the assembled operator. Any
+    other operator raises InvalidArgumentError: count a Cayley operator's
+    eigenvalues with window_counts or counts_below."""
     require_eig_cap(op.dimension, cap)
-    if op.tiling is None:
+    if not isinstance(op.tiling, tuple):
         raise InvalidArgumentError(
             "operator_spectrum needs a canopy operator; count a Cayley "
-            "operator's eigenvalues with window_counts(..., cg=cg)"
+            "operator's eigenvalues with window_counts or counts_below"
         )
     if op._eigenvalues is None:
         core, local = _canopy_blocks(op)
@@ -153,40 +153,43 @@ def operator_spectrum(op: SiteOperator, cap: int = DEFAULT_EIG_CAP) -> np.ndarra
     return op._eigenvalues
 
 
-def window_counts(op, targets, tau: float, cap: int = DEFAULT_EIG_CAP, cg=None):
+def window_counts(op, targets, tau: float, cap: int = DEFAULT_EIG_CAP):
     """#{eigenvalues lambda of op : fl(t - tau) < lambda < fl(t + tau)} for
     each target t, the count below t + tau minus the count below the float
     after t - tau, or 0 when rounding leaves the window empty: by
-    counts_below on op fibered over the Cayley graph cg, or else in the
-    canopy operator's cached operator_spectrum."""
+    counts_below on a Cayley operator (op.tiling its CayleyGraph), or else
+    in the canopy operator's cached operator_spectrum."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     shifts = np.concatenate([targets + tau, np.nextafter(targets - tau, np.inf)])
-    if cg is None:
-        below = np.searchsorted(operator_spectrum(op, cap), shifts)
+    if isinstance(op.tiling, CayleyGraph):
+        below = counts_below(op, shifts, cap)
     else:
-        below = counts_below(op, shifts, cap, cg)
+        below = np.searchsorted(operator_spectrum(op, cap), shifts)
     return np.maximum(below[: targets.size] - below[targets.size :], 0)
 
 
-def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, cg=None, potentials=None):
+def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, potentials=None):
     """#{eigenvalues lambda of op : lambda < s} for each shift s, by inertia
-    on the anchor Schur complement of op fibered over the Cayley graph cg
-    (_counts_below), or else on the core tree of a canopy operator
-    (_tree_counts_below); nothing is solved. potentials, a stack (R, n) on a
+    on the anchor Schur complement of a Cayley operator (_counts_below), or
+    else on the core tree of a canopy operator (_tree_counts_below), as
+    op.tiling says; nothing is solved. potentials, a stack (R, n) on a
     canopy operator's tree, counts the R operators of op's adjacency and
     each potential instead, in one stacked elimination. The cap is checked
     on op.dimension first. Each operator's shifts -+(norm_bound + 1) must
     count 0 and n, and no count may fall as the shift grows; otherwise
     CertificateError."""
     require_eig_cap(op.dimension, cap)
-    if cg is None and op.tiling is None or cg and potentials is not None:
+    cayley = isinstance(op.tiling, CayleyGraph)
+    if op.tiling is None or cayley and potentials is not None:
         raise InvalidArgumentError("counts_below needs a canopy tiling or a Cayley graph")
     stack = op.potential[None] if potentials is None else np.asarray(potentials, float)
+    if stack.ndim != 2 or stack.shape[1] != op.dimension:
+        raise InvalidArgumentError(f"potentials need shape (R, {op.dimension}), not {stack.shape}")
     brackets = op.adjacency_bound + np.abs(stack).max(axis=1, initial=0.0) + 1.0
     shifts = np.asarray(shifts, dtype=float).reshape(1, -1).repeat(len(stack), axis=0)
     shifts = np.column_stack([shifts, -brackets, brackets])
-    if cg:
-        below = _counts_below(cg, op, shifts[0])[None]
+    if cayley:
+        below = _counts_below(op, shifts[0])[None]
     else:
         below = _tree_counts_below(op, shifts, stack)[1]
     for row, s, bracket in zip(below, shifts, brackets.tolist()):
@@ -198,12 +201,13 @@ def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, cg=None, potentials=Non
     return below[0, :-2] if potentials is None else below[:, :-2]
 
 
-def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
+def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     """#{lambda < s} = neg(H - s) for each shift s (Sylvester), split by
     Haynsworth's additivity into neg(P - s), P the non-anchor block, plus
-    neg(S(s)), S its anchor Schur complement. op must be fibered over cg,
-    checked in O(nnz): symmetric, its non-anchor rows I_G (x) the base's, its
-    potential omega constant on each fiber; otherwise CertificateError.
+    neg(S(s)), S its anchor Schur complement. op must be fibered over its
+    tiling cg (a hand-built one may not be), checked in O(nnz): symmetric,
+    its non-anchor rows I_G (x) the base's, its potential omega constant on
+    each fiber; otherwise CertificateError.
 
     In P's eigenbasis (cg.template.interior_modes) mode k of fiber h is a
     pivot d = mu_k + omega_h - s, coupled to the anchors of h only, by row c
@@ -220,6 +224,7 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     eigvalsh. Rows with diagonal 1 pad each D_j of a pass to one size, and a
     pass stacks as many shifts as keep its pivot arrays and its widest level
     within SCHUR_BLOCK_BYTES."""
+    cg = op.tiling
     interior, mu, coupling = cg.template.interior_modes
     fibers, nb, n = cg.group.size, cg.n_base, op.dimension
     v, base = op.adjacency.data, cg.template.base_adjacency
@@ -242,12 +247,10 @@ def _counts_below(cg: CayleyGraph, op: SiteOperator, shifts: np.ndarray) -> np.n
     for j, level in enumerate(levels):
         place[level], level_of[level] = links * np.arange(level.size), j
     anchors = [(f[:, None] * nb + cg.template.anchor_vertices()).ravel() for f in levels]
-    table, stored = np.append(keys, n * n), np.append(v, 0.0)  # a sentinel above every key
     blocks = []  # each level's rows of S: its own block, then its coupling to the next level
     for here, there in zip(anchors, anchors[1:] + [anchors[0][:0]]):
-        query = here[:, None] * n + np.append(here, there)  # keys of S = A_AA + diag(potential)
-        pos = table.searchsorted(query)
-        blocks.append(np.where(table[pos] == query, stored[pos], 0.0))
+        pos = op.adjacency.find(here[:, None], np.append(here, there))
+        blocks.append(np.where(pos >= 0, v[pos], 0.0))  # S = A_AA + diag(potential)
         blocks[-1][np.arange(here.size), np.arange(here.size)] += op.potential[here]
     outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, -1)
     width = links * max(f.size for f in levels)
@@ -586,7 +589,7 @@ def support_residuals(
 
     def padded(rows):  # the keys of each row's CSR entries, in storage order
         vertex = rows % n
-        ptr = op.padded_rows[vertex]
+        ptr = op.adjacency.padded_rows[vertex]
         return (rows - vertex)[:, None] + indices[ptr], ptr, vertex
 
     adjacent, ptr, _ = padded(keys)

@@ -122,6 +122,11 @@ class TestCayleyAssembly:
         for v in range(cg.vertex_count):
             assert op.potential[v] == r.values[v // cg.n_base]
 
+    def test_operator_carries_its_graph(self, cayley_setup):
+        cg = cayley_setup
+        r = sample_disorder(DisorderSpec(seed=2), range(6))
+        assert assemble_cayley_operator(cg, r).tiling is cg
+
     def test_gershgorin_norm_bound(self, cayley_setup):
         cg = cayley_setup
         r = sample_disorder(DisorderSpec(seed=2), range(6))

@@ -243,6 +243,14 @@ class TestAndersonGroup:
             nb = cg.n_base
             assert all(p[v] // nb == v // nb for v in range(cg.vertex_count))
 
+    def test_fiber_zero_runs_through_the_anchor_stabilizer(self, pendant_cayley):
+        # the CLI reads the anchor stabilizer's order from this restriction
+        cg, r = pendant_cayley
+        g = anderson_automorphisms(cg, r)
+        stabilizer = automorphisms(cg.template.base, fixed=cg.template.anchor_vertices())
+        assert stabilizer.order == 2
+        assert {p[: cg.n_base] for p in g.elements} == set(stabilizer.elements)
+
     def test_anchor_moving_base_map_rejected(self, pendant_cayley, monkeypatch):
         # a base group that also swaps the anchors (a base automorphism, and
         # closed under products, so only the conjugation check can object)

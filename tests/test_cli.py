@@ -62,6 +62,15 @@ class TestCanopyVerify:
         passing = [e for e in report["per_pair"] if e["status"] == "pass"]
         assert len(passing) == 27 * 4
 
+    def test_patch_depth_one_refused_before_solving(self, monkeypatch, capsys):
+        import multispec.spectral as spectral
+
+        for solve in ("operator_spectrum", "_canopy_blocks"):
+            monkeypatch.setattr(spectral, solve, lambda *a, **k: pytest.fail("solved"))
+        assert run(["canopy-verify", "--K", "3", "--L", "5", "--l", "1"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error (invalid config): construction needs patch depth l >= 2\n"
+
     def test_incompatible_depths_invalid(self):
         assert run(["canopy-verify", "--K", "3", "--L", "4", "--l", "2"]) == EXIT_INVALID
 
@@ -288,6 +297,31 @@ class TestAut:
         assert run(argv) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["brute_order"] is None and report["aut_and_order"] == 1
+
+    def test_stabilizer_read_from_the_structural_search(self, tmp_path, monkeypatch):
+        # two searches, the anchor stabilizer's inside anderson_automorphisms
+        # and the brute one, and the report reads as with a search of its own
+        import multispec.automorphism as automorphism
+        import multispec.cli as cli
+
+        glued = multispec.prime_paths_graph(4, 2)
+        stabilizer = automorphism.automorphisms(glued.graph, fixed=glued.junctions)
+        searched, search = [], automorphism.automorphisms
+        for module in (automorphism, cli):  # a search the CLI calls itself counts too
+            monkeypatch.setattr(
+                module, "automorphisms", lambda *a, **k: searched.append(a) or search(*a, **k),
+                raising=False,
+            )
+        out = tmp_path / "report.json"
+        argv = ["aut", "--pieces", "4", "--group", "cyclic:6", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert [g.vertex_count for g, *_ in searched] == [32, 192]
+        report = json.loads(out.read_text())
+        assert report["anchor_stabilizer_order"] == stabilizer.order == 1
+        assert report["aut_and_order"] == report["brute_order"] == 1
+        assert report["summary"] == (
+            "aut pieces=4 group=cyclic:6: Aut(H|anchors) order 1, Aut_And order 1, brute 1"
+        )
 
     def test_involutive_generators_refused(self, tmp_path, capsys):
         # 512 vertices, over the brute cap: swapping the junctions and

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multispec.anderson import SiteOperator
@@ -157,11 +157,31 @@ class TestCSRMatrix:
         degree = np.diff(theirs.indptr)
         step = np.arange(degree.max(initial=0))
         padded = np.where(step < degree[:, None], theirs.indptr[:-1, None] + step, -1)
-        assert op.padded_rows.dtype == theirs.indptr.dtype
-        assert np.array_equal(op.padded_rows, padded)
+        assert op.adjacency.padded_rows.dtype == theirs.indptr.dtype
+        assert np.array_equal(op.adjacency.padded_rows, padded)
         coo = theirs.tocoo()
         digest = hashlib.sha256(coo.row.tobytes() + coo.col.tobytes() + potential.tobytes())
         assert op.structure_hash() == digest.hexdigest()[:16]
+
+    @given(
+        kind=st.sampled_from(["graph", "canopy", "dense"]),
+        n=st.integers(0, 14),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="graph", n=0, density=0.0, seed=0)  # the empty matrix
+    @example(kind="graph", n=3, density=0.0, seed=0)  # nothing stored
+    @settings(max_examples=120, deadline=None)
+    def test_find_matches_dense_positions(self, kind, n, density, seed):
+        # a dense map of storage positions: each stored entry gives its
+        # position, every other entry -1
+        ours, _ = self._instance(kind, n, density, np.random.default_rng(seed))
+        expect = np.full(ours.shape, -1)
+        expect[ours.rows, ours.indices] = np.arange(ours.nnz)
+        rows, cols = np.indices(ours.shape)
+        assert np.array_equal(ours.find(rows, cols), expect)
+        size = ours.shape[0]  # broadcast: every row against every column
+        assert np.array_equal(ours.find(np.arange(size)[:, None], np.arange(size)), expect)
 
 
 class TestGlue:

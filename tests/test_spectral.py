@@ -821,7 +821,7 @@ class TestCaching:
         _, op = _cayley_operator(cyclic_group(6), 4, 5)
         with pytest.raises(TooLargeError):
             operator_spectrum(op, cap=op.dimension - 1)
-        with pytest.raises(InvalidArgumentError, match=re.escape("window_counts(..., cg=cg)")):
+        with pytest.raises(InvalidArgumentError, match="with window_counts or counts_below"):
             operator_spectrum(op)
         assert op._eigenvalues is None
 
@@ -1008,9 +1008,21 @@ class TestTreeInertiaCounts:
         assert op._eigenvalues is None
 
     def test_counts_need_a_tiling_or_a_graph(self):
-        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        _, tiled = _cayley_operator(cyclic_group(6), 4, 5)
+        op = SiteOperator(tiled.adjacency, tiled.potential, tiled.provenance)
         with pytest.raises(InvalidArgumentError, match="canopy tiling or a Cayley graph"):
             spectral.counts_below(op, [0.0])
+
+    @pytest.mark.parametrize("shape", ["narrow", "three_d"])
+    def test_potentials_of_the_wrong_shape_rejected(self, shape, monkeypatch):
+        # refused with one line before the stacked elimination starts
+        _, _, op = _canopy_operator(3, 5, 2, DISORDERS[0], 3)
+        stack = np.tile(op.potential, (2, 1))
+        potentials = stack[:, 1:] if shape == "narrow" else stack[None]
+        monkeypatch.setattr(spectral, "_tree_counts_below", lambda *a: pytest.fail("eliminated"))
+        message = f"potentials need shape (R, {op.dimension}), not {potentials.shape}"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            spectral.counts_below(op, [0.0], potentials=potentials)
 
 
 class TestCanopyWindowCounts:
@@ -1082,8 +1094,8 @@ CAYLEY_GROUPS = st.one_of(
 
 
 class TestCayleyWindowCounts:
-    """window_counts(..., cg=cg) counts a Cayley operator's eigenvalues by
-    Haynsworth inertia on the anchor Schur complement. The counts are those
+    """window_counts counts a Cayley operator's eigenvalues by Haynsworth
+    inertia on the anchor Schur complement. The counts are those
     of the dense eigvalsh spectrum: exactly, wherever no dense eigenvalue
     lies within the solver margin of a shift, and between the two one-sided
     dense counts where one does (an eigenvalue on a shift is a tie either
@@ -1120,13 +1132,13 @@ class TestCayleyWindowCounts:
             targets + tau, targets - tau, on, np.nextafter(on, np.inf),
             np.nextafter(on, -np.inf), points,
         ])
-        below = spectral._counts_below(cg, op, shifts)
+        below = spectral._counts_below(op, shifts)
         lo, hi = self._dense_bounds(op, shifts)
         assert np.all((lo <= below) & (below <= hi))
         isolated = lo == hi
         assert np.array_equal(below[isolated], lo[isolated])
 
-        counts = spectral.window_counts(op, targets, tau, cg=cg)
+        counts = spectral.window_counts(op, targets, tau)
         w = np.linalg.eigvalsh(dense_operator(op))
         dense = [int(np.sum(np.abs(w - t) < tau)) for t in targets]
         edges_lo, edges_hi = self._dense_bounds(op, np.concatenate([targets - tau, targets + tau]))
@@ -1151,7 +1163,7 @@ class TestCayleyWindowCounts:
         bound = op.norm_bound + 1.0
         shifts = np.concatenate([targets + tau, targets - tau, np.linspace(-bound, bound, 5)])
         with mock.patch.object(spectral, "PIVOT_TOL", pivot):
-            below = spectral._counts_below(cg, op, shifts)
+            below = spectral._counts_below(op, shifts)
         lo, hi = self._dense_bounds(op, shifts)
         assert np.all((lo <= below) & (below <= hi))
         isolated = lo == hi
@@ -1165,36 +1177,37 @@ class TestCayleyWindowCounts:
         targets = np.array([r.values[g] for g in cg.interior_fibers()])
         w = np.linalg.eigvalsh(dense_operator(op))
         dense = [int(np.sum(np.abs(w - t) < 1e-7)) for t in targets]
-        counts = spectral.window_counts(op, targets, 1e-7, cg=cg)
+        counts = spectral.window_counts(op, targets, 1e-7)
         assert counts.tolist() == dense and min(dense) >= 2
 
     @staticmethod
     def _interior_potential(cg, r, op):
         potential = op.potential.copy()
         potential[cg.n_base + 5] += 1e-3  # one non-anchor vertex of fiber 1
-        return SiteOperator(op.adjacency, potential, op.provenance)
+        return SiteOperator(op.adjacency, potential, op.provenance, tiling=cg)
 
     @staticmethod
     def _cross_fiber_edge(cg, r, op):
         a, b = 5, cg.n_base + 6  # non-anchor vertices of fibers 0 and 1
         extra = sp.coo_matrix(([1.0, 1.0], ([a, b], [b, a])), shape=op.adjacency.shape)
-        return SiteOperator(from_scipy(scipy_csr(op.adjacency) + extra), op.potential, op.provenance)
+        adjacency = from_scipy(scipy_csr(op.adjacency) + extra)
+        return SiteOperator(adjacency, op.potential, op.provenance, tiling=cg)
 
     @pytest.mark.parametrize("tamper", [_interior_potential, _cross_fiber_edge],
                              ids=["interior_potential", "cross_fiber_edge"])
     def test_unfibered_operator_rejected(self, tamper):
         cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
         targets = [r.values[g] for g in cg.interior_fibers()]
-        assert spectral.window_counts(op, targets, 1e-7, cg=cg).min() >= 2
+        assert spectral.window_counts(op, targets, 1e-7).min() >= 2
         with pytest.raises(CertificateError, match="not fibered"):
-            spectral.window_counts(tamper(cg, r, op), targets, 1e-7, cg=cg)
+            spectral.window_counts(tamper(cg, r, op), targets, 1e-7)
 
     def test_cap_before_any_eigensolve(self, monkeypatch):
         cg, r, op = _cayley_instance(cyclic_group(6), 4, 5)
         monkeypatch.setattr(spectral, "eig_sym", lambda *a, **k: pytest.fail("solved"))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("solved"))
         with pytest.raises(TooLargeError, match="^dimension 192 exceeds eig cap 191$"):
-            spectral.window_counts(op, [0.5], 1e-7, cap=191, cg=cg)
+            spectral.window_counts(op, [0.5], 1e-7, cap=191)
         assert "interior_modes" not in vars(cg.template)
 
     @staticmethod
@@ -1216,7 +1229,7 @@ class TestCayleyWindowCounts:
         count = spectral._counts_below
         monkeypatch.setattr(spectral, "_counts_below", lambda *a: tamper(count(*a)))
         with pytest.raises(CertificateError, match=message):
-            spectral.window_counts(op, [0.0, 1.0], 0.1, cg=cg)
+            spectral.window_counts(op, [0.0, 1.0], 0.1)
 
 
 class TestResidualTolerance:

@@ -4,6 +4,10 @@ The canopy operator adds one i.i.d. coupling per patch (constant on the
 whole depth-l subtree); the Cayley operator adds one coupling per fiber.
 Sampling uses numpy's PCG64 generator seeded explicitly and drawn in the
 canonical site order, so realizations are bit-reproducible.
+
+The covariance check U_g H_omega U_g* = H_(tau_g omega) compares the
+adjacency on the translations of a generating set only, which the group
+law extends to every element, and the potentials fiber by fiber.
 """
 
 from __future__ import annotations
@@ -173,16 +177,18 @@ def assemble_canopy_operator(
     return SiteOperator(tree_adjacency(t), coupling[p.patch_of], provenance, (t, p))
 
 
-def _fiber_potential(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:
-    """The coupling of each vertex's fiber, vertex by vertex."""
-    missing = [g for g in range(cg.group.size) if g not in r.values]
-    if missing:
-        raise InvalidArgumentError(f"realization misses fibers {missing[:5]}")
-    return np.repeat([r.values[g] for g in range(cg.group.size)], cg.n_base)
+def _fiber_couplings(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:
+    """The coupling of each fiber, fiber by fiber."""
+    fibers = range(cg.group.size)
+    try:
+        return np.array(list(map(r.values.__getitem__, fibers)))
+    except KeyError:
+        missing = [g for g in fibers if g not in r.values]
+        raise InvalidArgumentError(f"realization misses fibers {missing[:5]}") from None
 
 
 def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOperator:
-    potential = _fiber_potential(cg, r)
+    potential = np.repeat(_fiber_couplings(cg, r), cg.n_base)
     provenance = {
         "structure": "cayley",
         "group": cg.group.kind,
@@ -212,27 +218,72 @@ def covariance_check(
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
     shifted couplings. Returns (holds exactly, max entry deviation), the
-    deviation from permuted_deviation, as both operators share the adjacency
-    of cg.graph. operator, when given, is the assembled operator of (cg, r),
-    so a caller checking many elements assembles it once.
+    deviation permuted_deviation gives, as both operators share the
+    adjacency of cg.graph. operator, when given, is the assembled operator
+    of (cg, r), so a caller checking many elements assembles it once. With a
+    sequence of elements g, the result lists (holds, deviation) element by
+    element.
 
-    With a sequence of elements g, every element is checked in stacked
-    passes of at most PERMUTATION_BLOCK permuted entries, and the result
-    lists (holds, deviation) element by element.
+    The deviation is the larger of an adjacency part and a potential part.
+    g -> U_g is a group action, so an adjacency that U_t fixes for each t of
+    a generating set (_generating_set) is fixed by every U_g, and its part
+    is 0. Only when some U_t moves it is each element's permuted adjacency
+    compared, in stacked passes of at most PERMUTATION_BLOCK permuted
+    entries. The potential part compares fiber g*h of op.potential with the
+    coupling the shifted realization gives fiber h. Rounding is monotone, so
+    |fl(x - c)| over a fiber is largest at the fiber's largest or smallest
+    x, and the part equals the per-vertex maximum bit for bit.
     """
-    require_finite(cg.group, "covariance_check")
+    group, nb = cg.group, cg.n_base
+    require_finite(group, "covariance_check")
     op = assemble_cayley_operator(cg, r) if operator is None else operator
-    elements, nb = np.asarray(g).reshape(-1).tolist(), cg.n_base
-    step, deviations = permutation_step(op), []
-    for lo in range(0, len(elements), step):
+    elements = np.asarray(g, dtype=np.intp).reshape(-1)
+    fibers = op.potential.reshape(group.size, nb)
+    top, bottom = fibers.max(axis=1), fibers.min(axis=1)
+    step, potential = max(1, PERMUTATION_BLOCK // group.size), np.empty(elements.size)
+    for lo in range(0, elements.size, step):
         block = elements[lo : lo + step]
-        shifted = [_fiber_potential(cg, shift_disorder(r, e, cg.group)) for e in block]
-        # permutation phi(v,h) = (v, g*h); (U_g M U_g*)[a,b] = M[phi(a), phi(b)]
-        gh = cg.group.table[block]
-        phi = (gh[:, :, None] * nb + np.arange(nb)).reshape(len(block), -1)
-        deviations += permuted_deviation(op, phi, np.array(shifted)).tolist()
-    checks = [(dev == 0.0, dev) for dev in deviations]
+        shifted = np.array([_fiber_couplings(cg, shift_disorder(r, e, group)) for e in block])
+        gh = group.table[block]
+        gap = np.maximum(np.abs(top[gh] - shifted), np.abs(bottom[gh] - shifted))
+        potential[lo : lo + step] = gap.max(axis=1, initial=0.0)
+    adjacency = _translation_deviation(op, cg, _generating_set(group))
+    if adjacency.any():  # some generator moves the adjacency: compare each element
+        adjacency = _translation_deviation(op, cg, elements)
+    else:
+        adjacency = np.zeros(elements.size)
+    checks = [(dev == 0.0, dev) for dev in np.maximum(adjacency, potential).tolist()]
     return checks[0] if np.ndim(g) == 0 else checks
+
+
+def _generating_set(group: GroupSpec) -> list[int]:
+    """group's generators, extended greedily by the first element outside
+    the subgroup they generate until they generate the whole finite group."""
+    gens, table = list(group.generator_indices), group.table
+    while True:
+        reached, stack = {group.identity}, [group.identity]
+        rows = table[:, gens].tolist()
+        while stack:  # right products: in a finite group they reach <gens>
+            for h in rows[stack.pop()]:
+                if h not in reached:
+                    reached.add(h)
+                    stack.append(h)
+        if len(reached) == group.size:
+            return gens
+        gens.append(next(h for h in range(group.size) if h not in reached))
+
+
+def _translation_deviation(op: SiteOperator, cg: CayleyGraph, elements) -> np.ndarray:
+    """The adjacency deviation of permuted_deviation under the translation
+    (v, h) -> (v, g*h) for each element g, in passes of at most
+    PERMUTATION_BLOCK permuted entries."""
+    elements, nb, step = np.asarray(elements, dtype=np.intp), cg.n_base, permutation_step(op)
+    out = np.empty(elements.size)
+    for lo in range(0, elements.size, step):
+        gh = cg.group.table[elements[lo : lo + step]]
+        phi = (gh[:, :, None] * nb + np.arange(nb)).reshape(len(gh), -1)
+        out[lo : lo + step] = _adjacency_deviation(op.adjacency, phi)
+    return out
 
 
 def permutation_step(op: SiteOperator) -> int:
@@ -248,13 +299,20 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
     phi (k, n) with potentials (k, n), or one potential (n,) for all, gives
     k deviations; a single phi (n,) gives a float.
 
-    The adjacency has no self-loops, so the permuted adjacency and the
-    permuted potential are compared separately, in O(nnz) per permutation:
-    each stored (a, b) is found at (phi(a), phi(b)) by CSRMatrix.find, and
-    stored entries no lookup hits are compared with 0. The deviation is the
-    one a dense comparison gives."""
-    n, a = op.dimension, op.adjacency
-    perms = np.asarray(phi, dtype=np.int64).reshape(-1, n)
+    The adjacency has no self-loops, so the permuted adjacency
+    (_adjacency_deviation) and the permuted potential are compared
+    separately, in O(nnz) per permutation. The deviation is the one a dense
+    comparison gives."""
+    perms = np.asarray(phi, dtype=np.int64).reshape(-1, op.dimension)
+    potential = np.abs(op.potential[perms] - potential).max(axis=1, initial=0.0)
+    deviation = np.maximum(_adjacency_deviation(op.adjacency, perms), potential)
+    return deviation if np.ndim(phi) > 1 else float(deviation[0])
+
+
+def _adjacency_deviation(a: CSRMatrix, perms: np.ndarray) -> np.ndarray:
+    """max |A[phi(a), phi(b)] - A[a, b]| over all (a, b) for each row phi of
+    perms (k, n): each stored (a, b) is found at (phi(a), phi(b)) by
+    CSRMatrix.find, and stored entries no lookup hits are compared with 0."""
     pos = a.find(perms[:, a.rows], perms[:, a.indices])
     found = pos >= 0
     deviation = np.abs(np.where(found, a.data[pos] - a.data, a.data))
@@ -264,6 +322,4 @@ def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray)
         hit[np.nonzero(found)[0], pos[found]] = True
         missed = np.where(hit, 0.0, np.abs(a.data)).max(axis=1, initial=0.0)
         deviation = np.maximum(deviation, missed)
-    potential = np.abs(op.potential[perms] - potential)
-    deviation = np.maximum(deviation, potential.max(axis=1, initial=0.0))
-    return deviation if np.ndim(phi) > 1 else float(deviation[0])
+    return deviation

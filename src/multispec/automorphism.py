@@ -48,7 +48,7 @@ def is_automorphism(g: FiniteGraph, perm) -> bool | np.ndarray:
     ok = np.zeros(len(stack), dtype=bool)
     if stack.shape[1] == n:
         ok = (np.sort(stack, axis=1) == np.arange(n)).all(axis=1)
-        u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+        u, v = g.edge_array.T
         ok[ok] = (adjacency_sparse(g).find(stack[ok][:, u], stack[ok][:, v]) >= 0).all(axis=1)
     return ok if perms.ndim == 2 else bool(ok[0])
 

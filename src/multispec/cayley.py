@@ -18,14 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, TooLargeError, UnsupportedError
-from .graph_core import DEFAULT_VERTEX_CAP, CSRMatrix, FiniteGraph, adjacency_sparse
+from .graph_core import DEFAULT_VERTEX_CAP, FiniteGraph, adjacency_sparse
 
 
 class GroupSpec:
     """An enumerated finitely generated group (or a truncation of one).
 
     ``mul`` is total for finite kinds and returns None when the product
-    falls outside the enumeration of a truncated kind. Each constructor
+    falls outside the enumeration of a truncated kind. ``right_steps[i, k]``
+    is ``mul(i, s_k)`` for the generators s_k and then their inverses, -1
+    where the product leaves the enumeration; an element is interior when
+    every step from it stays inside. Each constructor
     passes the identity index and ``inverse`` (element index to the index
     of its inverse) in closed form, and a finite kind the builder of its
     ``table``. A fixed sample of elements checks both against ``mul``, and
@@ -49,11 +52,12 @@ class GroupSpec:
         self._table = table
         self.identity = identity
         self.inverse = inverse
-        steps = [(gi, inverse(gi)) for gi in self.generator_indices]
-        self.interior = tuple(
-            all(mul(i, a) is not None and mul(i, b) is not None for a, b in steps)
-            for i in range(self.size)
-        )
+        steps = self.generator_indices + tuple(map(inverse, self.generator_indices))
+        products = (mul(i, s) for i in range(self.size) for s in steps)
+        right = (-1 if p is None else p for p in products)
+        self.right_steps = np.fromiter(right, np.intp).reshape(self.size, len(steps))
+        self.right_steps.flags.writeable = False
+        self.interior = tuple((self.right_steps >= 0).all(axis=1).tolist())
         self._spot_check()
 
     @functools.cached_property
@@ -317,12 +321,6 @@ class CayleyTemplate:
         return tuple(sorted(set(self.anchors.values())))
 
     @functools.cached_property
-    def base_adjacency(self) -> CSRMatrix:
-        """CSR adjacency of the base graph, built on first use; read it,
-        do not edit it."""
-        return adjacency_sparse(self.base)
-
-    @functools.cached_property
     def interior_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The non-anchor vertices I, the eigenvalues mu of the base adjacency
         among them, solved once by the self-checked eig_sym, and the coupling
@@ -331,12 +329,12 @@ class CayleyTemplate:
         from .spectral import eig_sym  # spectral imports this module
 
         anchors, n = list(self.anchor_vertices()), self.base.vertex_count
-        interior = np.setdiff1d(np.arange(n), anchors)
-        es = eig_sym(self.base_adjacency.toarray()[np.ix_(interior, interior)])
+        interior, base = np.setdiff1d(np.arange(n), anchors), adjacency_sparse(self.base)
+        es = eig_sym(base.toarray()[np.ix_(interior, interior)])
         # A_AI Q, each entry summed over ascending interior rows, is (Q^T A_IA)^T
         spread = np.zeros((n, interior.size))
         spread[interior] = es.eigenvectors
-        return interior, es.eigenvalues, (self.base_adjacency @ spread)[anchors].T
+        return interior, es.eigenvalues, (base @ spread)[anchors].T
 
 
 class CayleyGraph:
@@ -374,26 +372,21 @@ def build_cayley_graph(
             f"template has {n} anchor pairs but group has "
             f"{len(group.generators)} generators"
         )
-    nb = template.base.vertex_count
+    nb, fibers = template.base.vertex_count, np.arange(group.size)
     require_vertex_cap(nb, group.size, vertex_cap)
     total = nb * group.size
-    edges: set[tuple[int, int]] = set()
-    for g in range(group.size):
-        off = g * nb
-        for u, v in template.base.edges:
-            edges.add((off + u, off + v))
-    for g in range(group.size):
-        for i in range(1, n + 1):
-            h = group.mul(g, group.generator_indices[i - 1])
-            if h is None:
-                continue
-            a = g * nb + template.anchors[-i]
-            b = h * nb + template.anchors[i]
-            if a == b:
-                # an edge is a 2-element set; the degenerate pair is no edge
-                continue
-            edges.add((min(a, b), max(a, b)))
-    graph = FiniteGraph(total, tuple(sorted(edges)))
+    # the base edges in every fiber, then for each generator s_i the edge
+    # from anchor v_-i of fiber g to anchor v_i of fiber g * s_i, if inside
+    pairs = [(template.base.edge_array + nb * fibers[:, None, None]).reshape(-1, 2)]
+    for i, h in enumerate(group.right_steps[:, :n].T, start=1):
+        inside = h >= 0
+        a = nb * fibers[inside] + template.anchors[-i]
+        b = nb * h[inside] + template.anchors[i]
+        # an edge is a 2-element set; the degenerate pair a == b is no edge
+        pairs.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)])[a != b])
+    keys = np.sort(np.concatenate(pairs) @ np.array([total, 1]))
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # each edge once
+    graph = FiniteGraph(total, np.column_stack(np.divmod(keys, total)))
     return CayleyGraph(graph, template, group)
 
 

@@ -22,7 +22,9 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Undirected simple graph on vertices 0..vertex_count-1."""
+    """Undirected simple graph on vertices 0..vertex_count-1. edges may also
+    be given as an (m, 2) integer array; they are stored as a tuple of pairs,
+    and edge_array holds them as a read-only (m, 2) int64 array."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -30,19 +32,41 @@ class FiniteGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise InvalidArgumentError("vertex_count must be non-negative")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise InvalidArgumentError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise InvalidArgumentError(f"bad edge ({u},{v})")
-            if (u, v) in seen:
-                raise InvalidArgumentError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        pairs = np.array(self.edges, dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidArgumentError("edges must be vertex pairs")
+        if isinstance(self.edges, np.ndarray):
+            object.__setattr__(self, "edges", tuple(map(tuple, pairs.tolist())))
+        u, v = pairs.T
+        loop, bad = u == v, (u < 0) | (u >= v) | (v >= self.vertex_count)
+        # the first offending edge, in order: a self-loop, an endpoint out of
+        # order or range, or a repeat of an earlier valid edge
+        first = int(np.argmax(loop | bad)) if (loop | bad).any() else len(pairs)
+        keys = pairs[:first] @ np.array([self.vertex_count, 1])
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            first = int(repeats.min())
+            raise InvalidArgumentError(f"duplicate edge ({u[first]},{v[first]})")
+        if first < len(pairs):
+            if loop[first]:
+                raise InvalidArgumentError(f"self-loop at vertex {u[first]}")
+            raise InvalidArgumentError(f"bad edge ({u[first]},{v[first]})")
+        pairs.flags.writeable = False
+        object.__setattr__(self, "edge_array", pairs)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def _adjacency(self) -> CSRMatrix:
+        n, edges = self.vertex_count, self.edge_array
+        keys = np.sort(np.concatenate([edges @ [n, 1], edges @ [1, n]]))  # row * n + column
+        rows, cols = np.divmod(keys, max(n, 1))
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        return CSRMatrix(np.ones(keys.size), cols, indptr, (n, n))
 
     def neighbors(self) -> list[list[int]]:
         adj = adjacency_sparse(self)
@@ -106,15 +130,19 @@ class CSRMatrix:
         table.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """row * ncols + col of each stored entry, ascending, then a sentinel
+        above them that keeps each search position of find in range."""
+        n = self.shape[1]
+        return np.append(self.rows * n + self.indices, self.shape[0] * n)
+
     def find(self, rows, cols) -> np.ndarray:
         """The storage position of each entry (rows, cols), broadcast, or -1
-        where none is stored; indices in range. The keys row * ncols + col
-        ascend, and a sentinel above them keeps each search position in range."""
-        n = self.shape[1]
-        keys = np.append(self.rows * n + self.indices, self.shape[0] * n)
-        target = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols)
-        pos = keys.searchsorted(target)
-        return np.where(keys[pos] == target, pos, -1)
+        where none is stored; indices in range."""
+        target = np.asarray(rows, dtype=np.int64) * self.shape[1] + np.asarray(cols)
+        pos = self._keys.searchsorted(target)
+        return np.where(self._keys[pos] == target, pos, -1)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -134,11 +162,9 @@ class CSRMatrix:
 
 
 def adjacency_sparse(g: FiniteGraph) -> CSRMatrix:
-    """The 0/1 adjacency of g in CSR form, built from its sorted edges."""
-    n, edges = g.vertex_count, np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    keys = np.sort(np.concatenate([edges @ [n, 1], edges @ [1, n]]))  # row * n + column
-    rows, cols = np.divmod(keys, max(n, 1))
-    return CSRMatrix(np.ones(keys.size), cols, np.searchsorted(rows, np.arange(n + 1)), (n, n))
+    """The 0/1 adjacency of g in CSR form, built from its sorted edges on
+    first use and kept on g; read it, do not edit it."""
+    return g._adjacency
 
 
 @dataclass(frozen=True)

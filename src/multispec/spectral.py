@@ -180,8 +180,10 @@ def counts_below(op, shifts, cap: int = DEFAULT_EIG_CAP, potentials=None):
     CertificateError."""
     require_eig_cap(op.dimension, cap)
     cayley = isinstance(op.tiling, CayleyGraph)
-    if op.tiling is None or cayley and potentials is not None:
+    if op.tiling is None:
         raise InvalidArgumentError("counts_below needs a canopy tiling or a Cayley graph")
+    if cayley and potentials is not None:
+        raise InvalidArgumentError("stacked potentials are canopy-only, not for a Cayley operator")
     stack = op.potential[None] if potentials is None else np.asarray(potentials, float)
     if stack.ndim != 2 or stack.shape[1] != op.dimension:
         raise InvalidArgumentError(f"potentials need shape (R, {op.dimension}), not {stack.shape}")
@@ -212,7 +214,8 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     In P's eigenbasis (cg.template.interior_modes) mode k of fiber h is a
     pivot d = mu_k + omega_h - s, coupled to the anchors of h only, by row c
     of Q^T A_IA. A pivot with |d| >= PIVOT_TOL counts 1 if d < 0 and adds
-    -c c^T / d to S; a smaller one stays in S as its own row.
+    -c c^T / d to S; a smaller one stays in S as its own row. A base with no
+    vertex besides its anchors has no modes, and S is all of H.
 
     S is block-tridiagonal in the BFS spheres of the fibers (_sphere_levels),
     and neg(S) sums the inertias of its block LDL^T pivots. Level j's block
@@ -227,7 +230,7 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     cg = op.tiling
     interior, mu, coupling = cg.template.interior_modes
     fibers, nb, n = cg.group.size, cg.n_base, op.dimension
-    v, base = op.adjacency.data, cg.template.base_adjacency
+    v, base = op.adjacency.data, adjacency_sparse(cg.template.base)
     (r, c), (br, bc) = (np.array([m.rows, m.indices], np.int64) for m in (op.adjacency, base))
     keys, flip, omega = r * n + c, np.argsort(c * n + r), op.potential[::nb]
     inner, mine = np.isin(br, interior), np.isin(r % nb, interior)
@@ -250,9 +253,9 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     blocks = []  # each level's rows of S: its own block, then its coupling to the next level
     for here, there in zip(anchors, anchors[1:] + [anchors[0][:0]]):
         pos = op.adjacency.find(here[:, None], np.append(here, there))
-        blocks.append(np.where(pos >= 0, v[pos], 0.0))  # S = A_AA + diag(potential)
+        blocks.append(np.append(v, 0.0)[pos])  # S = A_AA + diag(potential); 0 where pos = -1
         blocks[-1][np.arange(here.size), np.arange(here.size)] += op.potential[here]
-    outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, -1)
+    outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, links * links)
     width = links * max(f.size for f in levels)
     step = max(1, SCHUR_BLOCK_BYTES // (8 * max(fibers * max(modes, links**2), width**2)))
     below = np.empty(shifts.size, dtype=np.intp)
@@ -791,7 +794,7 @@ def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
             f"eigenvector does not vanish at an anchor (|value| = {bad:.3e})"
         )
     check_eigenvectors(
-        cg.template.base_adjacency, psis, E0, InvalidArgumentError, "base eigenvector"
+        adjacency_sparse(cg.template.base), psis, E0, InvalidArgumentError, "base eigenvector"
     )
     if operator is None:
         operator = assemble_cayley_operator(cg, r)

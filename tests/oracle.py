@@ -1,10 +1,13 @@
 """The dense operator, the oracle that tests compare the program's sparse
 and reduced computations against, and scipy's CSR, the oracle of the
-program's own CSR type."""
+program's own CSR type. The per-element covariance check and the set-based
+Cayley graph builder are the oracles of the generator check and of the
+array builder."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from multispec import anderson
 from multispec.graph_core import CSRMatrix
 
 
@@ -23,3 +26,35 @@ def from_scipy(matrix) -> CSRMatrix:
     CSR arrays scipy builds for it."""
     m = sp.csr_matrix(matrix)
     return CSRMatrix(m.data, m.indices, m.indptr, m.shape)
+
+
+def covariance_oracle(cg, r, elements, op) -> list:
+    """(holds, deviation) for each element g, by permuted_deviation on the
+    whole permutation (v, h) -> (v, g*h) against the vertex-by-vertex
+    potential of anderson.shift_disorder's couplings, one element at a time."""
+    out = []
+    for g in elements:
+        shifted = anderson.shift_disorder(r, g, cg.group)
+        potential = np.repeat([shifted.values[h] for h in range(cg.group.size)], cg.n_base)
+        phi = (cg.group.table[g][:, None] * cg.n_base + np.arange(cg.n_base)).ravel()
+        dev = anderson.permuted_deviation(op, phi, potential)
+        out.append((dev == 0.0, dev))
+    return out
+
+
+def cayley_graph_edges(template, group) -> tuple:
+    """The sorted edges of the Cayley graph, collected in a set edge by edge:
+    the base edges in each fiber, and for each generator s_i the pair from
+    anchor v_-i of fiber g to anchor v_i of fiber g * s_i where mul defines
+    it, a degenerate pair a == b giving no edge."""
+    nb = template.base.vertex_count
+    edges = set()
+    for g in range(group.size):
+        edges.update((g * nb + u, g * nb + v) for u, v in template.base.edges)
+        for i, s in enumerate(group.generator_indices, start=1):
+            h = group.mul(g, s)
+            if h is not None:
+                a, b = g * nb + template.anchors[-i], h * nb + template.anchors[i]
+                if a != b:
+                    edges.add((min(a, b), max(a, b)))
+    return tuple(sorted(edges))

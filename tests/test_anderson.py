@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,17 @@ from multispec.anderson import (
     shift_disorder,
 )
 from multispec.canopy import build_truncated_canopy, potential_roots
-from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group, product_of_cyclics, zd_box
+from multispec.cayley import (
+    CayleyTemplate,
+    build_cayley_graph,
+    cyclic_group,
+    from_table,
+    product_of_cyclics,
+    zd_box,
+)
 from multispec.errors import DegenerateDisorderError, InvalidArgumentError, UnsupportedError
-from multispec.graph_core import adjacency_matrix, prime_paths_graph
-from oracle import dense_operator, from_scipy
+from multispec.graph_core import CSRMatrix, adjacency_matrix, prime_paths_graph
+from oracle import covariance_oracle, dense_operator, from_scipy
 
 
 @pytest.fixture(scope="module")
@@ -330,3 +340,93 @@ class TestCovarianceBatch:
         phi = np.array([2, 3, 4, 5, 0, 6, 1])
         assert np.max(np.abs(dense[phi][:, phi] - dense)) == 2.0
         assert permuted_deviation(op, phi, np.zeros(7)) == 2.0
+
+
+def _s3(generators):
+    """S3 from its table: the permutations of (0, 1, 2) in lexicographic
+    order, (a * b)(i) = a(b(i)), generated by the elements at the given
+    positions. (1,) and (3,) generate proper subgroups of orders 2 and 3,
+    (0,) only the identity."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
+    return from_table(perms, table, [perms[k] for k in generators])
+
+
+def _changed_entries(op, cg, entries, value):
+    """op with the given stored adjacency entries and their transposes set to
+    value, tiled by cg."""
+    a, data = op.adjacency, op.adjacency.data.copy()
+    data[entries] = value
+    data[a.find(a.indices[entries], a.rows[entries])] = value
+    return SiteOperator(CSRMatrix(data, a.indices, a.indptr, a.shape), op.potential, {}, cg)
+
+
+class TestCovarianceByGenerators:
+    """covariance_check checks the adjacency on the left translations of a
+    generating set and compares the potentials fiber by fiber; each element's
+    (holds, deviation) equals the per-element check it replaced
+    (oracle.covariance_oracle), on valid operators, with the shift removed,
+    and on operators whose adjacency a translation moves."""
+
+    GROUPS = st.one_of(
+        st.integers(1, 12).map(cyclic_group),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).map(product_of_cyclics),
+        st.sampled_from([(1, 3), (3, 5), (1,), (3,), (0,), (4, 4)]).map(_s3),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        group=GROUPS,
+        pieces=st.integers(1, 2),
+        case=st.sampled_from(["valid", "unshifted", "changed_anchor_entry"]),
+        block=st.sampled_from([1, 7, anderson.PERMUTATION_BLOCK]),
+        two_point=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_per_element_oracle(self, group, pieces, case, block, two_point, seed, data):
+        base = prime_paths_graph(pieces, 2).graph
+        vertex = st.integers(0, base.vertex_count - 1)
+        anchors = {}
+        for i in range(1, len(group.generators) + 1):
+            anchors[-i], anchors[i] = data.draw(vertex), data.draw(vertex)
+        cg = build_cayley_graph(CayleyTemplate(base, anchors), group)
+        spec = DisorderSpec(TWO_POINT, (0.0, 1.0), seed) if two_point else DisorderSpec(seed=seed)
+        r = sample_disorder(spec, range(group.size))
+        op = assemble_cayley_operator(cg, r)
+        if case == "changed_anchor_entry":
+            a = op.adjacency
+            cross = np.nonzero(a.rows // cg.n_base != a.indices // cg.n_base)[0]
+            if cross.size:
+                op = _changed_entries(op, cg, [data.draw(st.sampled_from(cross.tolist()))], 2.0)
+        elements = data.draw(st.lists(st.integers(0, group.size - 1), max_size=8))
+        shift = (lambda r, g, group: r) if case == "unshifted" else anderson.shift_disorder
+        with mock.patch.object(anderson, "shift_disorder", shift), \
+                mock.patch.object(anderson, "PERMUTATION_BLOCK", block):
+            expect = covariance_oracle(cg, r, range(group.size), op)
+            assert covariance_check(cg, r, range(group.size), operator=op) == expect
+            assert covariance_check(cg, r, elements, operator=op) == [expect[g] for g in elements]
+            assert covariance_check(cg, r, group.identity, operator=op) == expect[group.identity]
+            if case != "changed_anchor_entry":
+                assert covariance_check(cg, r, range(group.size)) == expect
+        if case == "valid":
+            assert expect == [(True, 0.0)] * group.size
+
+    def test_generators_of_a_proper_subgroup_are_extended(self):
+        # S3 generated as a Cayley graph by one transposition t only: the
+        # edited operator doubles one base edge in fibers e and t, so U_t
+        # fixes its adjacency but no translation outside {e, t} does, and
+        # only a generating set extended to all of S3 finds the difference
+        group = _s3((1,))
+        glued = prime_paths_graph(2, 2)
+        cg = build_cayley_graph(CayleyTemplate(glued.graph, {-1: 0, 1: 1}), group)
+        r = sample_disorder(DisorderSpec(seed=3), range(group.size))
+        op = assemble_cayley_operator(cg, r)
+        t, nb, a = group.generator_indices[0], cg.n_base, op.adjacency
+        u, v = glued.graph.edges[0]
+        entries = [a.find(f * nb + u, f * nb + v) for f in (group.identity, t)]
+        changed = _changed_entries(op, cg, entries, 2.0)
+        checks = covariance_check(cg, r, range(group.size), operator=changed)
+        assert checks == covariance_oracle(cg, r, range(group.size), changed)
+        assert [holds for holds, _ in checks] == [g in (group.identity, t) for g in range(6)]
+        assert max(dev for _, dev in checks) == 1.0

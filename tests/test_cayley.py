@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multispec.cayley import (
     CayleyTemplate,
@@ -16,6 +18,7 @@ from multispec.cayley import (
 )
 from multispec.errors import InvalidArgumentError, TooLargeError, UnsupportedError
 from multispec.graph_core import FiniteGraph, make_graph, path_graph, prime_paths_graph
+from oracle import cayley_graph_edges
 
 
 def _symmetric_group():
@@ -226,6 +229,33 @@ class TestBuild:
                 cyclic_group(50),
                 vertex_cap=1000,
             )
+
+    GROUPS = st.one_of(
+        st.integers(1, 9).map(cyclic_group),
+        st.tuples(st.integers(1, 4), st.integers(1, 3)).map(product_of_cyclics),
+        st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda a: zd_box(*a)),
+        st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda a: free_group_ball(*a)),
+        st.just(_symmetric_group()),
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(group=GROUPS, n=st.integers(1, 6), data=st.data())
+    @example(group=cyclic_group(2), n=1, data=None)  # a == b at every anchor pair
+    def test_matches_set_builder(self, group, n, data):
+        # random base and anchors, degenerate pairs a == b included
+        pairs = list(itertools.combinations(range(n), 2))
+        if data is None:
+            edges, anchors = [], {-1: 0, 1: 0}
+        else:
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            anchors = {}
+            for i in range(1, len(group.generators) + 1):
+                anchors[-i], anchors[i] = (data.draw(st.integers(0, n - 1)) for _ in "ab")
+        template = CayleyTemplate(make_graph(n, edges), anchors)
+        graph = build_cayley_graph(template, group).graph
+        assert graph.vertex_count == n * group.size
+        assert graph.edges == cayley_graph_edges(template, group)
+        assert all(type(u) is int and type(v) is int for u, v in graph.edges)
 
     def test_generator_count_mismatch(self):
         base = path_graph(3)

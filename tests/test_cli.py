@@ -870,35 +870,32 @@ def test_no_command_loads_scipy(tmp_path):
 
 def test_cayley_verify_builds_each_sparse_matrix_once(monkeypatch):
     # one operator for every fiber certificate and every covariance check;
-    # the 32-vertex base CSR is built once for the junction kernel check and
-    # once for the fiber certificates, however many fibers there are
+    # one CSR per graph: the 32-vertex base CSR serves the junction kernel
+    # check, the counts and the fiber certificates, however many fibers
+    # there are, and each piece and the Cayley graph get one each
     import multispec.anderson as anderson
-    import multispec.cayley as cayley
     import multispec.graph_core as graph_core
-    import multispec.spectral as spectral
 
-    operators = []
-    base_builds = []
-    init, adjacency_sparse = anderson.SiteOperator.__init__, graph_core.adjacency_sparse
+    operators, builds = [], []
+    init, csr = anderson.SiteOperator.__init__, graph_core.CSRMatrix
 
     def counting_init(self, *args, **kwargs):
         operators.append(self)
         init(self, *args, **kwargs)
 
-    def counting_adjacency(g):
-        if g.vertex_count == 32:
-            base_builds.append(g)
-        return adjacency_sparse(g)
+    def counting_csr(*args):
+        builds.append(args[-1])  # the shape
+        return csr(*args)
 
     monkeypatch.setattr(anderson.SiteOperator, "__init__", counting_init)
-    for module in (anderson, cayley, graph_core, spectral):
-        monkeypatch.setattr(module, "adjacency_sparse", counting_adjacency, raising=False)
-    for group in ("cyclic:3", "cyclic:9"):
+    monkeypatch.setattr(graph_core, "CSRMatrix", counting_csr)
+    for group, size in (("cyclic:3", 3), ("cyclic:9", 9)):
         operators.clear()
-        base_builds.clear()
+        builds.clear()
         assert run(["cayley-verify", "--pieces", "4", "--group", group]) == EXIT_OK
         assert len(operators) == 1
-        assert len(base_builds) == 2
+        pieces = [(k, k) for k in (3, 5, 9, 13)]  # the prime paths 2p - 1
+        assert sorted(builds) == pieces + [(32, 32), (32 * size, 32 * size)]
 
 
 def test_cayley_verify_checks_the_kernel_once(monkeypatch):

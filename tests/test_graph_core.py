@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,43 @@ class TestFiniteGraph:
         with pytest.raises(InvalidArgumentError):
             FiniteGraph(3, ((0, 1), (0, 1)))
 
+    @staticmethod
+    def _first_error(n, edges):
+        """The message of the edge-by-edge check the array check replaced."""
+        seen = set()
+        for u, v in edges:
+            if u == v:
+                return f"self-loop at vertex {u}"
+            if not (0 <= u < v < n):
+                return f"bad edge ({u},{v})"
+            if (u, v) in seen:
+                return f"duplicate edge ({u},{v})"
+            seen.add((u, v))
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=10),
+        as_array=st.booleans(),
+    )
+    @example(n=3, edges=[(0, 1), (1, 2), (0, 1), (2, 2)], as_array=False)
+    @example(n=3, edges=[(0, 1), (2, 2), (0, 1)], as_array=True)
+    def test_first_offending_edge_reported(self, n, edges, as_array):
+        expect = self._first_error(n, edges)
+        given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else tuple(edges)
+        if expect is None:
+            g = FiniteGraph(n, given_edges)
+            assert g.edges == tuple(edges)
+            assert g.edge_array.tolist() == [list(e) for e in edges]
+        else:
+            with pytest.raises(InvalidArgumentError, match=f"^{re.escape(expect)}$"):
+                FiniteGraph(n, given_edges)
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
+            FiniteGraph(4, ((0, 1, 2),))
+
     def test_make_graph_canonicalizes(self):
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))
@@ -73,6 +111,26 @@ class TestPathGraph:
 
 
 class TestAdjacency:
+    def test_one_csr_per_graph(self, monkeypatch):
+        # the automorphism search and its check, the junction kernel check
+        # and a Cayley template over the same glued graph share one CSR
+        from multispec import graph_core
+        from multispec.automorphism import automorphisms, is_automorphism
+        from multispec.cayley import CayleyTemplate
+        from multispec.spectral import junction_kernel_basis
+
+        builds, csr = [], graph_core.CSRMatrix
+        monkeypatch.setattr(graph_core, "CSRMatrix", lambda *a: builds.append(a[-1]) or csr(*a))
+        glued = prime_paths_graph(3, 2)
+        g, n = glued.graph, glued.graph.vertex_count
+        assert automorphisms(g, fixed=glued.junctions).order == 1
+        assert is_automorphism(g, range(n))
+        assert g.neighbors() and adjacency_matrix(g).any()
+        junction_kernel_basis(glued, 0.0)
+        CayleyTemplate(g, {-1: 0, 1: 1}).interior_modes
+        assert builds.count((n, n)) == 1
+        assert adjacency_sparse(g) is adjacency_sparse(g)
+
     def test_edgeless(self):
         assert not adjacency_matrix(FiniteGraph(3, ())).any()
 

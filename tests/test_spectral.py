@@ -1013,6 +1013,12 @@ class TestTreeInertiaCounts:
         with pytest.raises(InvalidArgumentError, match="canopy tiling or a Cayley graph"):
             spectral.counts_below(op, [0.0])
 
+    def test_stacked_potentials_are_canopy_only(self):
+        _, op = _cayley_operator(cyclic_group(6), 4, 5)
+        message = "stacked potentials are canopy-only, not for a Cayley operator"
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            spectral.counts_below(op, [0.0], potentials=op.potential[None])
+
     @pytest.mark.parametrize("shape", ["narrow", "three_d"])
     def test_potentials_of_the_wrong_shape_rejected(self, shape, monkeypatch):
         # refused with one line before the stacked elimination starts
@@ -1179,6 +1185,21 @@ class TestCayleyWindowCounts:
         dense = [int(np.sum(np.abs(w - t) < 1e-7)) for t in targets]
         counts = spectral.window_counts(op, targets, 1e-7)
         assert counts.tolist() == dense and min(dense) >= 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_base_of_anchors_only_counts_equal_dense(self, m):
+        # one base vertex, both anchors on it: no interior mode, so S is all
+        # of H; at m = 1 the adjacency stores nothing, at m = 2 one edge
+        cg = build_cayley_graph(CayleyTemplate(path_graph(1), {-1: 0, 1: 0}), cyclic_group(m))
+        r = sample_disorder(DisorderSpec(seed=m), range(m))
+        op = assemble_cayley_operator(cg, r)
+        w = np.linalg.eigvalsh(dense_operator(op))
+        bound = op.norm_bound + 1.0
+        shifts = np.concatenate([w - 1e-3, w + 1e-3, np.linspace(-bound, bound, 9)])
+        lo, hi = self._dense_bounds(op, shifts)
+        assert np.array_equal(lo, hi)
+        assert np.array_equal(spectral.counts_below(op, shifts), lo)
+        assert spectral.window_counts(op, w, 1e-7).tolist() == [1] * m
 
     @staticmethod
     def _interior_potential(cg, r, op):

@@ -11,7 +11,6 @@ from .anderson import (
     assemble_cayley_operator,
     covariance_check,
     sample_disorder,
-    shift_disorder,
 )
 from .automorphism import (
     AutGroup,

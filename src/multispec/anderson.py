@@ -7,7 +7,8 @@ canonical site order, so realizations are bit-reproducible.
 
 The covariance check U_g H_omega U_g* = H_(tau_g omega) compares the
 adjacency on the translations of a generating set only, which the group
-law extends to every element, and the potentials fiber by fiber.
+law extends to every element, and the potential with the fiber couplings
+once for all elements.
 """
 
 from __future__ import annotations
@@ -199,16 +200,6 @@ def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOpe
     return SiteOperator(adjacency_sparse(cg.graph), potential, provenance, cg)
 
 
-def shift_disorder(
-    r: DisorderRealization, g: int, group: GroupSpec
-) -> DisorderRealization:
-    """Left shift of the coupling field: the new value at h is the old value
-    at g*h, read from the group's multiplication table."""
-    require_finite(group, "shift_disorder")
-    shifted = map(r.values.__getitem__, group.table[g].tolist())
-    return DisorderRealization(dict(enumerate(shifted)), r.spec)
-
-
 def covariance_check(
     cg: CayleyGraph,
     r: DisorderRealization,
@@ -217,12 +208,12 @@ def covariance_check(
 ):
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
-    shifted couplings. Returns (holds exactly, max entry deviation), the
-    deviation permuted_deviation gives, as both operators share the
-    adjacency of cg.graph. operator, when given, is the assembled operator
-    of (cg, r), so a caller checking many elements assembles it once. With a
-    sequence of elements g, the result lists (holds, deviation) element by
-    element.
+    shifted couplings, the value at h being the old value at g*h. Returns
+    (holds exactly, max entry deviation), the deviation permuted_deviation
+    gives, as both operators share the adjacency of cg.graph. operator,
+    when given, is the assembled operator of (cg, r), so a caller checking
+    many elements assembles it once. With a sequence of elements g, the
+    result lists (holds, deviation) element by element.
 
     The deviation is the larger of an adjacency part and a potential part.
     g -> U_g is a group action, so an adjacency that U_t fixes for each t of
@@ -230,23 +221,16 @@ def covariance_check(
     is 0. Only when some U_t moves it is each element's permuted adjacency
     compared, in stacked passes of at most PERMUTATION_BLOCK permuted
     entries. The potential part compares fiber g*h of op.potential with the
-    coupling the shifted realization gives fiber h. Rounding is monotone, so
-    |fl(x - c)| over a fiber is largest at the fiber's largest or smallest
-    x, and the part equals the per-vertex maximum bit for bit.
+    coupling of fiber g*h; as h -> g*h permutes the fibers, it is the same
+    number for every element: each vertex's potential against its fiber's
+    coupling.
     """
-    group, nb = cg.group, cg.n_base
+    group = cg.group
     require_finite(group, "covariance_check")
     op = assemble_cayley_operator(cg, r) if operator is None else operator
     elements = np.asarray(g, dtype=np.intp).reshape(-1)
-    fibers = op.potential.reshape(group.size, nb)
-    top, bottom = fibers.max(axis=1), fibers.min(axis=1)
-    step, potential = max(1, PERMUTATION_BLOCK // group.size), np.empty(elements.size)
-    for lo in range(0, elements.size, step):
-        block = elements[lo : lo + step]
-        shifted = np.array([_fiber_couplings(cg, shift_disorder(r, e, group)) for e in block])
-        gh = group.table[block]
-        gap = np.maximum(np.abs(top[gh] - shifted), np.abs(bottom[gh] - shifted))
-        potential[lo : lo + step] = gap.max(axis=1, initial=0.0)
+    fibers = op.potential.reshape(group.size, cg.n_base)
+    potential = np.abs(fibers - _fiber_couplings(cg, r)[:, None]).max(initial=0.0)
     adjacency = _translation_deviation(op, cg, _generating_set(group))
     if adjacency.any():  # some generator moves the adjacency: compare each element
         adjacency = _translation_deviation(op, cg, elements)

@@ -9,7 +9,9 @@ vertices. Each search step tries only the vertices of its own color cell,
 the search order comes from a heap, and the elements found are checked
 against the graph in one stacked pass. Aut_And is built in closed form as
 one permutation array, one fiber-wise product of anchor-stabilizer
-elements per row, and checked by one stacked conjugation.
+elements per row, and checked by one stacked conjugation. The same
+refinement, seeded with one color per fiber, checks the premise of that
+closed form: every operator-fixing automorphism pins the anchors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .anderson import (
 )
 from .cayley import CayleyGraph, require_finite
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
-from .graph_core import FiniteGraph, adjacency_sparse
+from .graph_core import CSRMatrix, FiniteGraph, adjacency_sparse
 
 DEFAULT_SEARCH_CAP = 2_000
 BRUTE_VERTEX_CAP = 200
@@ -48,7 +50,7 @@ def is_automorphism(g: FiniteGraph, perm) -> bool | np.ndarray:
     ok = np.zeros(len(stack), dtype=bool)
     if stack.shape[1] == n:
         ok = (np.sort(stack, axis=1) == np.arange(n)).all(axis=1)
-        u, v = g.edge_array.T
+        u, v = g.edges.T
         ok[ok] = (adjacency_sparse(g).find(stack[ok][:, u], stack[ok][:, v]) >= 0).all(axis=1)
     return ok if perms.ndim == 2 else bool(ok[0])
 
@@ -80,17 +82,28 @@ def _check_closure(group: AutGroup):
         raise CertificateError("group not closed under composition")
 
 
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    n = len(adj)
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
-        ]
-        remap = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [remap[k] for k in keys]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+def _refine(adj: CSRMatrix, colors, pinned=()) -> np.ndarray:
+    """Colour refinement of colors (ids in range(n)) on the graph of adj:
+    each round hashes a vertex's neighbour colours as the uint64 sum of
+    fixed random odd weights and numbers the (colour, hash) pairs in
+    ascending order, until a round adds no cell or every vertex of pinned
+    is alone in its cell. Automorphisms keeping colors keep every round."""
+    n, indptr = adj.shape[0], adj.indptr
+    colors, pinned = np.asarray(colors, dtype=np.intp), np.asarray(pinned, dtype=np.intp)
+    weights = np.random.default_rng(0).integers(1 << 63, size=n, dtype=np.uint64) * 2 + 1
+    rows = np.diff(indptr) > 0  # reduceat would give an empty row its next entry
+    hashes, cells = np.zeros(n, dtype=np.uint64), np.count_nonzero(np.bincount(colors))
+    while not (pinned.size and (np.bincount(colors)[colors[pinned]] == 1).all()):
+        hashes[rows] = np.add.reduceat(weights[colors[adj.indices]], indptr[:-1][rows])
+        order = np.lexsort((hashes, colors))
+        c, h = colors[order], hashes[order]
+        step = (np.diff(c, prepend=c[:1]) != 0) | (np.diff(h, prepend=h[:1]) != 0)
+        colors = np.empty(n, dtype=np.intp)
+        colors[order] = np.cumsum(step)
+        previous, cells = cells, colors.max(initial=-1) + 1
+        if cells == previous:
+            break
+    return colors
 
 
 def automorphisms(
@@ -106,8 +119,10 @@ def automorphisms(
     for v in fixed:
         if not (0 <= v < n):
             raise InvalidArgumentError(f"fixed vertex {v} out of range")
+    seed = np.full(n, len(fixed))
+    seed[list(fixed)] = range(len(fixed))
+    colors = _refine(adjacency_sparse(g), seed).tolist()
     adj = g.neighbors()
-    colors = _refine(adj, [fixed.index(v) if v in fixed else -1 for v in range(n)])
     # cells[c]: the vertices of color c, ascending; v can only map into its own
     cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for v in range(n):
@@ -195,27 +210,36 @@ def conjugation_deviation(op: SiteOperator, perm: np.ndarray) -> float | np.ndar
     return deviation if perms.ndim == 2 else float(deviation[0])
 
 
-def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
-    """The operator-fixing automorphism group, computed structurally: with
-    pairwise-distinct couplings every fixing automorphism preserves fibers
-    and pins the anchors, so the group is the fiber-wise image of the
-    per-fiber anchor stabilizer, of order |Aut(base|anchors)|^|G|. Every
-    element is listed, so an order above EXPLICIT_ORDER_CAP raises
-    TooLargeError, and checked by one stacked conjugation_deviation, whose
-    zero proves it an automorphism of cg.graph that fixes the operator.
+def _unpinned_anchors(cg: CayleyGraph) -> np.ndarray:
+    """The anchor vertices of all fibers, ascending, that _refine from one
+    colour per fiber leaves in a cell with another vertex. With generic
+    couplings a fixing automorphism keeps every fiber, hence every cell, so
+    it pins every anchor not listed. On the prime-paths base the anchors stay
+    unpinned when the generator set is closed under inversion (S = S^-1):
+    swapping the junctions and reversing every path in every fiber fixes
+    the operator."""
+    nb = cg.n_base
+    anchors = (nb * np.arange(cg.group.size)[:, None] + cg.template.anchor_vertices()).ravel()
+    colors = _refine(adjacency_sparse(cg.graph), np.arange(cg.vertex_count) // nb, anchors)
+    return anchors[np.bincount(colors)[colors[anchors]] > 1]
 
-    That premise fails when the generator set is closed under inversion
-    (S = S^-1): on the prime-paths base with generators that are all
-    involutions, swapping the two junctions and reversing every path in
-    every fiber fixes the operator. Such groups raise CertificateError
-    instead of reporting an order."""
+
+def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
+    """The operator-fixing automorphism group, computed structurally: when
+    every fixing automorphism pins the anchors (_unpinned_anchors is
+    empty), the group is the fiber-wise image of the per-fiber anchor
+    stabilizer, of order |Aut(base|anchors)|^|G|; otherwise CertificateError.
+    Every element is listed, so an order above EXPLICIT_ORDER_CAP raises
+    TooLargeError, and checked by one stacked conjugation_deviation, whose
+    zero proves it an automorphism of cg.graph that fixes the operator."""
     require_finite(cg.group, "anderson_automorphisms")
     require_generic(r)
-    generators = set(cg.group.generator_indices)
-    if {cg.group.inverse(g) for g in generators} == generators:
+    unpinned = _unpinned_anchors(cg)
+    if unpinned.size:
         raise CertificateError(
-            "generator set is closed under inversion (S = S^-1), so a fixing "
-            "automorphism need not pin the anchors; no order is claimed"
+            f"colour refinement from the fibers leaves anchor vertex {unpinned[0]} "
+            "unpinned, so a fixing automorphism need not pin the anchors (known "
+            "cause: a generator set closed under inversion, S = S^-1); no order is claimed"
         )
     base_group = automorphisms(cg.template.base, fixed=cg.template.anchor_vertices())
     size, nb = cg.group.size, cg.n_base

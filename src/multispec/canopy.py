@@ -46,7 +46,7 @@ class TruncatedCanopy:
     @functools.cached_property
     def graph(self) -> FiniteGraph:
         """The tree as a FiniteGraph, built on first access."""
-        edges = tuple(zip(self.parent[1:].tolist(), range(1, self.vertex_count)))
+        edges = np.column_stack([self.parent[1:], np.arange(1, self.vertex_count)])
         return FiniteGraph(self.vertex_count, edges)
 
 

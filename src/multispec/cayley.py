@@ -377,7 +377,7 @@ def build_cayley_graph(
     total = nb * group.size
     # the base edges in every fiber, then for each generator s_i the edge
     # from anchor v_-i of fiber g to anchor v_i of fiber g * s_i, if inside
-    pairs = [(template.base.edge_array + nb * fibers[:, None, None]).reshape(-1, 2)]
+    pairs = [(template.base.edges + nb * fibers[:, None, None]).reshape(-1, 2)]
     for i, h in enumerate(group.right_steps[:, :n].T, start=1):
         inside = h >= 0
         a = nb * fibers[inside] + template.anchors[-i]

@@ -196,14 +196,14 @@ def cmd_cayley_verify(args) -> int:
     r = sample_disorder(spec, range(group.size))
     op = assemble_cayley_operator(cg, r)
     fibers = cg.interior_fibers()
-    targets = [args.E0 + r.values[g] for g in fibers]
+    # kernel vectors live on the glued graph, which is the Cayley base
+    families = spectral.cayley_families(cg, r, fibers, args.E0, kernel, operator=op)
+    targets = families.claims.ravel()
     matches = spectral.window_counts(op, targets, args.tau, cap=_eig_cap())
     failures = []
     per_fiber = []
-    # kernel vectors live on the glued graph, which is the Cayley base
-    families = spectral.cayley_families(cg, r, fibers, args.E0, kernel, operator=op)
     outcomes = zip(matches.tolist(), families.residuals.tolist(), families.rejections)
-    for g, target, (nearby, residuals, error) in zip(fibers, targets, outcomes):
+    for g, target, (nearby, residuals, error) in zip(fibers, targets.tolist(), outcomes):
         if error:
             failures.append(f"fiber {g}: {error}")
             continue

@@ -1,8 +1,8 @@
 """Undirected simple graphs and the two explicit glued constructions.
 
-Vertices are dense integer indices 0..n-1; edges are stored as a sorted
-tuple of sorted pairs so every derived object (matrices, automorphism
-searches) iterates deterministically.
+Vertices are dense integer indices 0..n-1; edges are stored as one
+read-only (m, 2) array of pairs u < v, so every derived object (matrices,
+automorphism searches) iterates deterministically.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ DEFAULT_VERTEX_CAP = 200_000  # the largest canopy or Cayley graph built
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
-    """Undirected simple graph on vertices 0..vertex_count-1. edges may also
-    be given as an (m, 2) integer array; they are stored as a tuple of pairs,
-    and edge_array holds them as a read-only (m, 2) int64 array."""
+    """Undirected simple graph on vertices 0..vertex_count-1. edges, given
+    as pairs or an (m, 2) integer array, is kept as a read-only (m, 2) int64
+    array in the given order."""
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -36,8 +36,6 @@ class FiniteGraph:
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InvalidArgumentError("edges must be vertex pairs")
-        if isinstance(self.edges, np.ndarray):
-            object.__setattr__(self, "edges", tuple(map(tuple, pairs.tolist())))
         u, v = pairs.T
         loop, bad = u == v, (u < 0) | (u >= v) | (v >= self.vertex_count)
         # the first offending edge, in order: a self-loop, an endpoint out of
@@ -54,7 +52,7 @@ class FiniteGraph:
                 raise InvalidArgumentError(f"self-loop at vertex {u[first]}")
             raise InvalidArgumentError(f"bad edge ({u[first]},{v[first]})")
         pairs.flags.writeable = False
-        object.__setattr__(self, "edge_array", pairs)
+        object.__setattr__(self, "edges", pairs)
 
     @property
     def edge_count(self) -> int:
@@ -62,7 +60,7 @@ class FiniteGraph:
 
     @functools.cached_property
     def _adjacency(self) -> CSRMatrix:
-        n, edges = self.vertex_count, self.edge_array
+        n, edges = self.vertex_count, self.edges
         keys = np.sort(np.concatenate([edges @ [n, 1], edges @ [1, n]]))  # row * n + column
         rows, cols = np.divmod(keys, max(n, 1))
         indptr = np.searchsorted(rows, np.arange(n + 1))
@@ -214,27 +212,19 @@ class GluedGraph:
 def glue_subgraphs(spec: GluedGraphSpec) -> GluedGraph:
     """Disjoint union of the pieces plus edges {x_j, v_{i,j}} for every
     piece i and junction j. Junctions occupy indices 0..m-1."""
-    m = spec.junction_count
-    offsets = []
-    edges: list[tuple[int, int]] = []
-    base = m
-    for piece in spec.pieces:
-        offsets.append(base)
-        for u, v in piece.edges:
-            edges.append((base + u, base + v))
-        base += piece.vertex_count
-    logical = len(edges)
-    for i, attach in enumerate(spec.attach_points):
-        for j, v in enumerate(attach):
-            edges.append((j, offsets[i] + v))
-            logical += 1
-    canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    if len(canon) != logical:
-        raise InvalidArgumentError(
-            "distinct logical edges collapsed to the same vertex pair"
-        )
-    graph = FiniteGraph(base, tuple(canon))
-    return GluedGraph(graph, tuple(range(m)), tuple(offsets), spec)
+    m, pieces = spec.junction_count, spec.pieces
+    sizes = [piece.vertex_count for piece in pieces]
+    offsets = m + np.cumsum([0] + sizes[:-1])
+    # each piece's edges shifted to its offset, then {x_j, v_ij}; junctions
+    # sit below every piece vertex, so every pair is already ordered
+    attach = np.column_stack([
+        np.tile(np.arange(m), len(pieces)),
+        (np.array(spec.attach_points) + offsets[:, None]).ravel(),
+    ])
+    edges = np.concatenate([p.edges + o for p, o in zip(pieces, offsets)] + [attach])
+    n = m + sum(sizes)
+    graph = FiniteGraph(n, edges[np.argsort(edges @ [n, 1])])
+    return GluedGraph(graph, tuple(range(m)), tuple(offsets.tolist()), spec)
 
 
 def prime_paths_graph(piece_count: int, scale: int = 2) -> GluedGraph:

@@ -2,12 +2,15 @@
 and reduced computations against, and scipy's CSR, the oracle of the
 program's own CSR type. The per-element covariance check and the set-based
 Cayley graph builder are the oracles of the generator check and of the
-array builder."""
+array builder, and the tuple-keyed colour refinement that of the array
+refinement kernel."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from multispec import anderson
+from multispec.anderson import DisorderRealization
+from multispec.cayley import require_finite
 from multispec.graph_core import CSRMatrix
 
 
@@ -28,13 +31,21 @@ def from_scipy(matrix) -> CSRMatrix:
     return CSRMatrix(m.data, m.indices, m.indptr, m.shape)
 
 
+def shift_disorder(r, g: int, group) -> DisorderRealization:
+    """Left shift of the coupling field: the new value at h is the old value
+    at g*h, read from the group's multiplication table."""
+    require_finite(group, "shift_disorder")
+    shifted = map(r.values.__getitem__, group.table[g].tolist())
+    return DisorderRealization(dict(enumerate(shifted)), r.spec)
+
+
 def covariance_oracle(cg, r, elements, op) -> list:
     """(holds, deviation) for each element g, by permuted_deviation on the
     whole permutation (v, h) -> (v, g*h) against the vertex-by-vertex
-    potential of anderson.shift_disorder's couplings, one element at a time."""
+    potential of shift_disorder's couplings, one element at a time."""
     out = []
     for g in elements:
-        shifted = anderson.shift_disorder(r, g, cg.group)
+        shifted = shift_disorder(r, g, cg.group)
         potential = np.repeat([shifted.values[h] for h in range(cg.group.size)], cg.n_base)
         phi = (cg.group.table[g][:, None] * cg.n_base + np.arange(cg.n_base)).ravel()
         dev = anderson.permuted_deviation(op, phi, potential)
@@ -50,7 +61,7 @@ def cayley_graph_edges(template, group) -> tuple:
     nb = template.base.vertex_count
     edges = set()
     for g in range(group.size):
-        edges.update((g * nb + u, g * nb + v) for u, v in template.base.edges)
+        edges.update((g * nb + u, g * nb + v) for u, v in template.base.edges.tolist())
         for i, s in enumerate(group.generator_indices, start=1):
             h = group.mul(g, s)
             if h is not None:
@@ -58,3 +69,19 @@ def cayley_graph_edges(template, group) -> tuple:
                 if a != b:
                     edges.add((min(a, b), max(a, b)))
     return tuple(sorted(edges))
+
+
+def refine(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Colour refinement keyed by tuples: each round gives every vertex the
+    rank of (its colour, its neighbours' sorted colours) among all such
+    keys, until a round adds no colour. adj lists each vertex's neighbours."""
+    n = len(adj)
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)
+        ]
+        remap = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [remap[k] for k in keys]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new

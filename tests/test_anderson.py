@@ -18,7 +18,6 @@ from multispec.anderson import (
     permuted_deviation,
     require_generic,
     sample_disorder,
-    shift_disorder,
 )
 from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.cayley import (
@@ -31,7 +30,7 @@ from multispec.cayley import (
 )
 from multispec.errors import DegenerateDisorderError, InvalidArgumentError, UnsupportedError
 from multispec.graph_core import CSRMatrix, adjacency_matrix, prime_paths_graph
-from oracle import covariance_oracle, dense_operator, from_scipy
+from oracle import covariance_oracle, dense_operator, from_scipy, shift_disorder
 
 
 @pytest.fixture(scope="module")
@@ -230,17 +229,17 @@ class TestCovariance:
         assert covariance_check(cg, r, g) == (True, 0.0)
 
 
-def _dense_covariance_oracle(cg, r, shifted, g):
-    """max |U_g H U_g* - H(shifted)| with U_g materialized as a dense matrix."""
+def _dense_covariance_oracle(cg, op, shifted, g):
+    """max |U_g H U_g* - H(shifted)| for the operator op, with U_g
+    materialized as a dense matrix."""
     n, nb = cg.vertex_count, cg.n_base
     U = np.zeros((n, n))
     for h in range(cg.group.size):
         gh = cg.group.mul(g, h)
         for v in range(nb):
             U[h * nb + v, gh * nb + v] = 1.0
-    H = dense_operator(assemble_cayley_operator(cg, r))
     H_shifted = dense_operator(assemble_cayley_operator(cg, shifted))
-    return float(np.max(np.abs(U @ H @ U.T - H_shifted)))
+    return float(np.max(np.abs(U @ dense_operator(op) @ U.T - H_shifted)))
 
 
 class TestCovarianceOracle:
@@ -260,26 +259,24 @@ class TestCovarianceOracle:
             r = sample_disorder(DisorderSpec(seed=5), range(group.size))
             op = assemble_cayley_operator(cg, r)
             for g in range(group.size):
-                dev = _dense_covariance_oracle(cg, r, shift_disorder(r, g, group), g)
+                dev = _dense_covariance_oracle(cg, op, shift_disorder(r, g, group), g)
                 assert dev == 0.0
                 assert covariance_check(cg, r, g) == (True, dev)
                 assert covariance_check(cg, r, g, operator=op) == (True, dev)
 
-    def test_negative_control_unshifted_couplings(self, monkeypatch):
-        # with the shift removed, the identity fails at every non-identity
+    def test_negative_control_other_couplings(self):
+        # an operator assembled from another realization fails at every
         # element, by exactly the deviation the dense comparison reports
-        import multispec.anderson as anderson
-
-        monkeypatch.setattr(anderson, "shift_disorder", lambda r, g, group: r)
         for group in self.GROUPS:
             cg = self._graph(group)
             r = sample_disorder(DisorderSpec(seed=6), range(group.size))
-            op = assemble_cayley_operator(cg, r)
+            other = assemble_cayley_operator(
+                cg, sample_disorder(DisorderSpec(seed=7), range(group.size))
+            )
             for g in range(group.size):
-                dev = _dense_covariance_oracle(cg, r, r, g)
-                assert covariance_check(cg, r, g) == (dev == 0.0, dev)
-                assert covariance_check(cg, r, g, operator=op) == (dev == 0.0, dev)
-                assert (dev == 0.0) == (g == group.identity)
+                dev = _dense_covariance_oracle(cg, other, shift_disorder(r, g, group), g)
+                assert dev > 0.0
+                assert covariance_check(cg, r, g, operator=other) == (False, dev)
 
 
 class TestCovarianceBatch:
@@ -363,10 +360,11 @@ def _changed_entries(op, cg, entries, value):
 
 class TestCovarianceByGenerators:
     """covariance_check checks the adjacency on the left translations of a
-    generating set and compares the potentials fiber by fiber; each element's
-    (holds, deviation) equals the per-element check it replaced
-    (oracle.covariance_oracle), on valid operators, with the shift removed,
-    and on operators whose adjacency a translation moves."""
+    generating set and compares the potential with the fiber couplings once;
+    each element's (holds, deviation) equals the per-element check it
+    replaced (oracle.covariance_oracle), on valid operators, on operators
+    assembled from other couplings, and on operators whose adjacency a
+    translation moves."""
 
     GROUPS = st.one_of(
         st.integers(1, 12).map(cyclic_group),
@@ -378,7 +376,7 @@ class TestCovarianceByGenerators:
     @given(
         group=GROUPS,
         pieces=st.integers(1, 2),
-        case=st.sampled_from(["valid", "unshifted", "changed_anchor_entry"]),
+        case=st.sampled_from(["valid", "other_couplings", "changed_anchor_entry"]),
         block=st.sampled_from([1, 7, anderson.PERMUTATION_BLOCK]),
         two_point=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -394,20 +392,21 @@ class TestCovarianceByGenerators:
         spec = DisorderSpec(TWO_POINT, (0.0, 1.0), seed) if two_point else DisorderSpec(seed=seed)
         r = sample_disorder(spec, range(group.size))
         op = assemble_cayley_operator(cg, r)
+        if case == "other_couplings":
+            other = DisorderSpec(spec.distribution, spec.params, seed + 1)
+            op = assemble_cayley_operator(cg, sample_disorder(other, range(group.size)))
         if case == "changed_anchor_entry":
             a = op.adjacency
             cross = np.nonzero(a.rows // cg.n_base != a.indices // cg.n_base)[0]
             if cross.size:
                 op = _changed_entries(op, cg, [data.draw(st.sampled_from(cross.tolist()))], 2.0)
         elements = data.draw(st.lists(st.integers(0, group.size - 1), max_size=8))
-        shift = (lambda r, g, group: r) if case == "unshifted" else anderson.shift_disorder
-        with mock.patch.object(anderson, "shift_disorder", shift), \
-                mock.patch.object(anderson, "PERMUTATION_BLOCK", block):
+        with mock.patch.object(anderson, "PERMUTATION_BLOCK", block):
             expect = covariance_oracle(cg, r, range(group.size), op)
             assert covariance_check(cg, r, range(group.size), operator=op) == expect
             assert covariance_check(cg, r, elements, operator=op) == [expect[g] for g in elements]
             assert covariance_check(cg, r, group.identity, operator=op) == expect[group.identity]
-            if case != "changed_anchor_entry":
+            if case == "valid":
                 assert covariance_check(cg, r, range(group.size)) == expect
         if case == "valid":
             assert expect == [(True, 0.0)] * group.size

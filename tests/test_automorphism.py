@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multispec import anderson, automorphism
 from multispec.anderson import (
@@ -31,8 +33,14 @@ from multispec.errors import (
     TooLargeError,
     UnsupportedError,
 )
-from multispec.graph_core import FiniteGraph, make_graph, path_graph, prime_paths_graph
-from oracle import dense_operator
+from multispec.graph_core import (
+    FiniteGraph,
+    adjacency_sparse,
+    make_graph,
+    path_graph,
+    prime_paths_graph,
+)
+from oracle import dense_operator, refine
 
 
 def pendant_base():
@@ -174,8 +182,8 @@ def edge_oracle(g, perm):
     """A permutation of range(n) mapping every edge onto an edge, by sets."""
     if sorted(perm) != list(range(g.vertex_count)):
         return False
-    edges = set(g.edges)
-    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in g.edges)
+    edges = set(map(tuple, g.edges.tolist()))
+    return all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges)
 
 
 class TestStackedAutomorphismCheck:
@@ -434,3 +442,48 @@ class TestConjugation:
         op = assemble_cayley_operator(cg, r)
         with pytest.raises(InvalidArgumentError):
             conjugation_deviation(op, tuple([0] * cg.vertex_count))
+
+
+def _cells(colors) -> set:
+    """A colouring as a set partition: the frozen set of each colour's vertices."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+class TestRefinement:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 14), density=st.floats(0.0, 1.0), data=st.data())
+    def test_kernel_partition_equals_tuple_refinement(self, n, density, data):
+        # random graphs with a random fixed set seeded as automorphisms() does
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = make_graph(n, [p for p, t in zip(pairs, rng.random(len(pairs)) < density) if t])
+        fixed = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)) if n else []
+        colors = np.full(n, len(fixed))
+        colors[fixed] = range(len(fixed))
+        kernel = automorphism._refine(adjacency_sparse(g), colors)
+        expect = refine(g.neighbors(), [fixed.index(v) if v in fixed else -1 for v in range(n)])
+        assert _cells(kernel.tolist()) == _cells(expect)
+        assert sorted(set(kernel.tolist())) == list(range(len(set(expect))))  # ids a range
+
+    @pytest.mark.parametrize(
+        "descriptor, pinned",
+        [("cyclic:6", True), ("cyclic:40", True), ("product:3,2", True),
+         ("cyclic:2", False), ("product:2,2", False)],
+    )
+    def test_fiber_refinement_pins_the_anchors_of_the_aut_instances(self, descriptor, pinned):
+        # the aut CLI's prime-paths instances: S = S^-1 exactly on cyclic:2
+        # and product:2,2, where the junction swap leaves anchors unpinned
+        glued, group = prime_paths_graph(4, 2), build_group(descriptor)
+        anchors = {}
+        for i in range(1, len(group.generators) + 1):
+            anchors[-i], anchors[i] = glued.junctions
+        cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
+        unpinned = automorphism._unpinned_anchors(cg)
+        assert (unpinned.size == 0) == pinned
+        if not pinned:  # every anchor of every fiber
+            nb = cg.n_base
+            assert unpinned.tolist() == [h * nb + j for h in range(group.size) for j in (0, 1)]

@@ -209,8 +209,8 @@ def covariance_check(
     """Exact check of the covariance identity: conjugating the operator by
     the fiber translation (v,h) -> (v, g*h) equals assembling with the
     shifted couplings, the value at h being the old value at g*h. Returns
-    (holds exactly, max entry deviation), the deviation permuted_deviation
-    gives, as both operators share the adjacency of cg.graph. operator,
+    (holds exactly, max entry deviation), the one a dense comparison gives,
+    as both operators share the adjacency of cg.graph. operator,
     when given, is the assembled operator of (cg, r), so a caller checking
     many elements assembles it once. With a sequence of elements g, the
     result lists (holds, deviation) element by element.
@@ -219,11 +219,11 @@ def covariance_check(
     g -> U_g is a group action, so an adjacency that U_t fixes for each t of
     a generating set (_generating_set) is fixed by every U_g, and its part
     is 0. Only when some U_t moves it is each element's permuted adjacency
-    compared, in stacked passes of at most PERMUTATION_BLOCK permuted
-    entries. The potential part compares fiber g*h of op.potential with the
-    coupling of fiber g*h; as h -> g*h permutes the fibers, it is the same
-    number for every element: each vertex's potential against its fiber's
-    coupling.
+    compared by adjacency_deviation, each pass building its translations
+    from the group table. The potential part compares fiber g*h of
+    op.potential with the coupling of fiber g*h; as h -> g*h permutes the
+    fibers, it is the same number for every element: each vertex's
+    potential against its fiber's coupling.
     """
     group = cg.group
     require_finite(group, "covariance_check")
@@ -231,11 +231,15 @@ def covariance_check(
     elements = np.asarray(g, dtype=np.intp).reshape(-1)
     fibers = op.potential.reshape(group.size, cg.n_base)
     potential = np.abs(fibers - _fiber_couplings(cg, r)[:, None]).max(initial=0.0)
-    adjacency = _translation_deviation(op, cg, _generating_set(group))
-    if adjacency.any():  # some generator moves the adjacency: compare each element
-        adjacency = _translation_deviation(op, cg, elements)
-    else:
-        adjacency = np.zeros(elements.size)
+    nb = cg.n_base
+
+    def translated(elements):  # the adjacency part under each (v, h) -> (v, g*h)
+        return adjacency_deviation(op.adjacency, len(elements), lambda lo, hi: (
+            group.table[elements[lo:hi], :, None] * nb + np.arange(nb)).reshape(hi - lo, -1))
+
+    adjacency = np.zeros(elements.size)
+    if translated(np.array(_generating_set(group))).any():  # some U_t moves it
+        adjacency = translated(elements)
     checks = [(dev == 0.0, dev) for dev in np.maximum(adjacency, potential).tolist()]
     return checks[0] if np.ndim(g) == 0 else checks
 
@@ -257,53 +261,25 @@ def _generating_set(group: GroupSpec) -> list[int]:
         gens.append(next(h for h in range(group.size) if h not in reached))
 
 
-def _translation_deviation(op: SiteOperator, cg: CayleyGraph, elements) -> np.ndarray:
-    """The adjacency deviation of permuted_deviation under the translation
-    (v, h) -> (v, g*h) for each element g, in passes of at most
-    PERMUTATION_BLOCK permuted entries."""
-    elements, nb, step = np.asarray(elements, dtype=np.intp), cg.n_base, permutation_step(op)
-    out = np.empty(elements.size)
-    for lo in range(0, elements.size, step):
-        gh = cg.group.table[elements[lo : lo + step]]
-        phi = (gh[:, :, None] * nb + np.arange(nb)).reshape(len(gh), -1)
-        out[lo : lo + step] = _adjacency_deviation(op.adjacency, phi)
+def adjacency_deviation(a: CSRMatrix, count: int, rows) -> np.ndarray:
+    """max |A[phi(a), phi(b)] - A[a, b]| over all (a, b) for each of count
+    permutations phi, where rows(lo, hi) returns permutations lo..hi-1 as a
+    (hi - lo, n) array. The permutations come in passes of at most
+    PERMUTATION_BLOCK permuted entries, or of one permutation where that is
+    more. Each stored (a, b) is found at (phi(a), phi(b)) by CSRMatrix.find,
+    and stored entries no lookup hits are compared with 0: the deviation is
+    the one a dense comparison gives."""
+    out, step = np.empty(count), max(1, PERMUTATION_BLOCK // max(1, a.shape[0], a.nnz))
+    for lo in range(0, count, step):
+        perms = rows(lo, min(lo + step, count))
+        pos = a.find(perms[:, a.rows], perms[:, a.indices])
+        found = pos >= 0
+        deviation = np.abs(np.where(found, a.data[pos] - a.data, a.data))
+        deviation = deviation.max(axis=1, initial=0.0)
+        if not found.all():  # else phi maps the stored entries onto themselves
+            hit = np.zeros((len(perms), a.nnz), dtype=bool)
+            hit[np.nonzero(found)[0], pos[found]] = True
+            missed = np.where(hit, 0.0, np.abs(a.data)).max(axis=1, initial=0.0)
+            deviation = np.maximum(deviation, missed)
+        out[lo : lo + step] = deviation
     return out
-
-
-def permutation_step(op: SiteOperator) -> int:
-    """How many permutations of op one stacked pass checks, so that a pass
-    holds at most PERMUTATION_BLOCK permuted entries (at least one)."""
-    return max(1, PERMUTATION_BLOCK // max(op.dimension, op.adjacency.nnz))
-
-
-def permuted_deviation(op: SiteOperator, phi: np.ndarray, potential: np.ndarray):
-    """max |(U H U*)[a, b] - H'[a, b]| for the permutation unitary
-    (U u)(v) = u(phi(v)), where H' has op's adjacency and the given
-    potential: (U H U*)[a, b] = H[phi(a), phi(b)]. A stack of permutations
-    phi (k, n) with potentials (k, n), or one potential (n,) for all, gives
-    k deviations; a single phi (n,) gives a float.
-
-    The adjacency has no self-loops, so the permuted adjacency
-    (_adjacency_deviation) and the permuted potential are compared
-    separately, in O(nnz) per permutation. The deviation is the one a dense
-    comparison gives."""
-    perms = np.asarray(phi, dtype=np.int64).reshape(-1, op.dimension)
-    potential = np.abs(op.potential[perms] - potential).max(axis=1, initial=0.0)
-    deviation = np.maximum(_adjacency_deviation(op.adjacency, perms), potential)
-    return deviation if np.ndim(phi) > 1 else float(deviation[0])
-
-
-def _adjacency_deviation(a: CSRMatrix, perms: np.ndarray) -> np.ndarray:
-    """max |A[phi(a), phi(b)] - A[a, b]| over all (a, b) for each row phi of
-    perms (k, n): each stored (a, b) is found at (phi(a), phi(b)) by
-    CSRMatrix.find, and stored entries no lookup hits are compared with 0."""
-    pos = a.find(perms[:, a.rows], perms[:, a.indices])
-    found = pos >= 0
-    deviation = np.abs(np.where(found, a.data[pos] - a.data, a.data))
-    deviation = deviation.max(axis=1, initial=0.0)
-    if not found.all():  # else phi maps the stored entries onto themselves
-        hit = np.zeros((len(perms), a.nnz), dtype=bool)
-        hit[np.nonzero(found)[0], pos[found]] = True
-        missed = np.where(hit, 0.0, np.abs(a.data)).max(axis=1, initial=0.0)
-        deviation = np.maximum(deviation, missed)
-    return deviation

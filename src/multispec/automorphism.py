@@ -7,11 +7,12 @@ one color; it splits colors by neighbor-color multisets until the partition
 is equitable, which already separates degrees and distances to the fixed
 vertices. Each search step tries only the vertices of its own color cell,
 the search order comes from a heap, and the elements found are checked
-against the graph in one stacked pass. Aut_And is built in closed form as
-one permutation array, one fiber-wise product of anchor-stabilizer
-elements per row, and checked by one stacked conjugation. The same
-refinement, seeded with one color per fiber, checks the premise of that
-closed form: every operator-fixing automorphism pins the anchors.
+against the graph by anderson.adjacency_deviation, the one permuted
+adjacency kernel. Aut_And is built in closed form as one permutation
+array, one fiber-wise product of anchor-stabilizer elements per row, and
+checked by one stacked conjugation. The same refinement, seeded with one
+color per fiber, checks the premise of that closed form: every
+operator-fixing automorphism pins the anchors.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import numpy as np
 from .anderson import (
     DisorderRealization,
     SiteOperator,
+    adjacency_deviation,
     assemble_cayley_operator,
-    permutation_step,
-    permuted_deviation,
     require_generic,
 )
 from .cayley import CayleyGraph, require_finite
@@ -43,15 +43,16 @@ Permutation = tuple[int, ...]
 
 def is_automorphism(g: FiniteGraph, perm) -> bool | np.ndarray:
     """Whether perm is a permutation of range(n) mapping every edge of g onto
-    an edge. A stack (k, n) gives k answers: the image of every edge under
-    each row that is a permutation is looked up in g's adjacency."""
+    an edge. A stack (k, n) gives k answers. g's adjacency is 0/1, so a row
+    that is a permutation is an automorphism iff its adjacency_deviation is 0."""
     n, perms = g.vertex_count, np.asarray(perm, dtype=np.intp)
     stack = np.atleast_2d(perms)
     ok = np.zeros(len(stack), dtype=bool)
     if stack.shape[1] == n:
         ok = (np.sort(stack, axis=1) == np.arange(n)).all(axis=1)
-        u, v = g.edges.T
-        ok[ok] = (adjacency_sparse(g).find(stack[ok][:, u], stack[ok][:, v]) >= 0).all(axis=1)
+        valid = stack[ok]
+        dev = adjacency_deviation(adjacency_sparse(g), len(valid), lambda lo, hi: valid[lo:hi])
+        ok[ok] = dev == 0.0
     return ok if perms.ndim == 2 else bool(ok[0])
 
 
@@ -195,18 +196,17 @@ def conjugation_deviation(op: SiteOperator, perm: np.ndarray) -> float | np.ndar
 
     A stack of permutations (k, n) gives k deviations, each equal to the
     single-permutation call's bit for bit. Every row is checked to be a
-    permutation first; the deviations are then computed in passes of at
-    most anderson.PERMUTATION_BLOCK permuted entries."""
+    permutation first. The adjacency has no self-loops, so its part
+    (anderson.adjacency_deviation) and the potential's part are separate."""
     n, perms = op.dimension, np.asarray(perm)
     if perms.ndim not in (1, 2) or perms.shape[-1] != n or not (
         np.sort(perms, axis=-1) == np.arange(n)
     ).all():
         raise InvalidArgumentError("not a permutation")
-    stack, step = perms.reshape(-1, n), permutation_step(op)
-    deviation = np.concatenate([
-        permuted_deviation(op, stack[lo : lo + step], op.potential)
-        for lo in range(0, len(stack), step)
-    ])
+    stack = perms.reshape(-1, n)
+    potential = np.abs(op.potential[stack] - op.potential).max(axis=1, initial=0.0)
+    adjacency = adjacency_deviation(op.adjacency, len(stack), lambda lo, hi: stack[lo:hi])
+    deviation = np.maximum(adjacency, potential)
     return deviation if perms.ndim == 2 else float(deviation[0])
 
 

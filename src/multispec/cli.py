@@ -391,10 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--seed", type=int, default=0)
 
+    def canopy(p):
+        for name in ("--K", "--L", "--l"):
+            p.add_argument(name, type=int, required=True)
+
+    def cayley(p):
+        p.add_argument("--pieces", type=int, required=True)
+        p.add_argument("--scale", type=int, default=2, choices=[2, 3])
+        p.add_argument("--group", required=True, help="e.g. cyclic:6 or product:2,2")
+
     p = sub.add_parser("canopy-verify", help="issue and check canopy certificates")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    canopy(p)
     p.add_argument("--tau", type=_window, default=MATCH_WINDOW, help=tau_help)
     p.add_argument(
         "--self-test",
@@ -405,18 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canopy_verify)
 
     p = sub.add_parser("cayley-verify", help="issue and check fiber certificates")
-    p.add_argument("--pieces", type=int, required=True)
-    p.add_argument("--scale", type=int, default=2, choices=[2, 3])
-    p.add_argument("--group", required=True, help="e.g. cyclic:6 or product:2,2")
+    cayley(p)
     p.add_argument("--E0", type=float, default=0.0)
     p.add_argument("--tau", type=_window, default=MATCH_WINDOW, help=tau_help)
     common(p)
     p.set_defaults(func=cmd_cayley_verify)
 
     p = sub.add_parser("aut", help="automorphism-group characterization")
-    p.add_argument("--pieces", type=int, required=True)
-    p.add_argument("--scale", type=int, default=2, choices=[2, 3])
-    p.add_argument("--group", required=True)
+    cayley(p)
     common(p)
     p.set_defaults(func=cmd_aut)
 
@@ -426,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("dos", help="density-of-states histogram")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    canopy(p)
     p.add_argument("--bins", type=int, default=40, help=f"at most {BINS_CAP}")
     p.add_argument("--realizations", type=int, default=20)
     common(p)

@@ -23,8 +23,9 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 @dataclass(frozen=True, eq=False)
 class FiniteGraph:
     """Undirected simple graph on vertices 0..vertex_count-1. edges, given
-    as pairs or an (m, 2) integer array, is kept as a read-only (m, 2) int64
-    array in the given order."""
+    as integer pairs or an (m, 2) integer array, is kept as a read-only
+    (m, 2) int64 array in the given order; a float or bool endpoint is
+    refused."""
 
     vertex_count: int
     edges: np.ndarray
@@ -32,7 +33,14 @@ class FiniteGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise InvalidArgumentError("vertex_count must be non-negative")
-        pairs = np.array(self.edges, dtype=np.int64)
+        given = np.asarray(self.edges)
+        # numpy casts a bool beside ints to int64, so a sequence is checked item by item
+        items = () if isinstance(self.edges, np.ndarray) else np.asarray(self.edges, object).flat
+        if given.size and given.dtype.kind not in "iu" or any(
+            isinstance(x, (bool, np.bool_)) for x in items
+        ):
+            raise InvalidArgumentError("edge endpoints must be integers")
+        pairs = np.array(given, dtype=np.int64)
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InvalidArgumentError("edges must be vertex pairs")

@@ -14,11 +14,12 @@ from multispec.anderson import (
     SiteOperator,
     assemble_canopy_operator,
     assemble_cayley_operator,
+    adjacency_deviation,
     covariance_check,
-    permuted_deviation,
     require_generic,
     sample_disorder,
 )
+from multispec.automorphism import conjugation_deviation, is_automorphism
 from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.cayley import (
     CayleyTemplate,
@@ -296,6 +297,43 @@ class TestCovarianceBatch:
             assert singles == [(True, 0.0)] * group.size
             assert covariance_check(cg, r, [], operator=op) == []
 
+    @staticmethod
+    def _random_operator(n, density, weighted, rng):
+        """A random symmetric adjacency (weighted or 0/1) without self-loops,
+        dense and as a SiteOperator with a random 0/1 potential."""
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        weights = rng.choice([0.5, 1.0, 2.0], size=(n, n)) if weighted else np.ones((n, n))
+        dense = np.where(upper, weights, 0.0)
+        dense = dense + dense.T
+        return dense, SiteOperator(from_scipy(dense), rng.choice([0.0, 1.0], size=n), {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        density=st.floats(0.0, 1.0),
+        stack=st.integers(0, 9),
+        weighted=st.booleans(),
+        block=st.sampled_from([1, 7, 40, anderson.PERMUTATION_BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_dense(self, n, density, stack, weighted, block, seed):
+        # a stack of permutations, the first the identity, in passes of any
+        # size; rows is asked for each permutation once, in order
+        rng = np.random.default_rng(seed)
+        dense, op = self._random_operator(n, density, weighted, rng)
+        phi = np.array([rng.permutation(n) for _ in range(stack)], dtype=int).reshape(stack, n)
+        phi[:1] = np.arange(n)
+        oracle = [np.max(np.abs(dense[p][:, p] - dense), initial=0.0) for p in phi]
+        asked = []
+
+        def rows(lo, hi):
+            asked.extend(range(lo, hi))
+            return phi[lo:hi]
+
+        with mock.patch.object(anderson, "PERMUTATION_BLOCK", block):
+            assert adjacency_deviation(op.adjacency, stack, rows).tolist() == oracle
+        assert asked == list(range(stack))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 12),
@@ -304,26 +342,17 @@ class TestCovarianceBatch:
         weighted=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_permuted_deviation_matches_dense(self, n, density, stack, weighted, seed):
-        # random symmetric adjacency (weighted or 0/1) without self-loops, a
-        # stack of permutations, some of them automorphisms of the pattern
+    def test_conjugation_matches_dense(self, n, density, stack, weighted, seed):
+        # the kernel's adjacency part and the permuted potential together,
+        # for a stack and for a single permutation
         rng = np.random.default_rng(seed)
-        upper = np.triu(rng.random((n, n)) < density, k=1)
-        weights = rng.choice([0.5, 1.0, 2.0], size=(n, n)) if weighted else np.ones((n, n))
-        dense = np.where(upper, weights, 0.0)
-        dense = dense + dense.T
-        potential = rng.choice([0.0, 1.0], size=n)
-        op = SiteOperator(from_scipy(dense), potential, {})
+        dense, op = self._random_operator(n, density, weighted, rng)
         phi = np.array([rng.permutation(n) for _ in range(stack)])
         phi[0] = np.arange(n)
-        other = rng.choice([0.0, 1.0], size=(stack, n))
-        oracle = [
-            max(np.max(np.abs(dense[p][:, p] - dense), initial=0.0),
-                np.max(np.abs(potential[p] - q), initial=0.0))
-            for p, q in zip(phi, other)
-        ]
-        assert permuted_deviation(op, phi, other).tolist() == oracle
-        assert permuted_deviation(op, phi[1 % stack], other[1 % stack]) == oracle[1 % stack]
+        h = dense + np.diag(op.potential)
+        oracle = [float(np.max(np.abs(h[p][:, p] - h))) for p in phi]
+        assert conjugation_deviation(op, phi).tolist() == oracle
+        assert conjugation_deviation(op, phi[1 % stack]) == oracle[1 % stack]
 
     def test_entry_no_image_lands_on(self):
         # edges (0,1) and (2,3) of weight 2 and (4,5) of weight 0.5; phi
@@ -336,7 +365,36 @@ class TestCovarianceBatch:
         op = SiteOperator(from_scipy(dense), np.zeros(7), {})
         phi = np.array([2, 3, 4, 5, 0, 6, 1])
         assert np.max(np.abs(dense[phi][:, phi] - dense)) == 2.0
-        assert permuted_deviation(op, phi, np.zeros(7)) == 2.0
+        assert adjacency_deviation(op.adjacency, 1, lambda lo, hi: phi[None]).tolist() == [2.0]
+        assert conjugation_deviation(op, phi) == 2.0
+
+    def test_lookups_per_find_call_are_bounded(self, monkeypatch):
+        # no CSRMatrix.find call of the kernel holds more than
+        # max(PERMUTATION_BLOCK, one permutation's nnz) lookups, whichever
+        # caller builds the permutations
+        group = cyclic_group(6)
+        cg = TestCovarianceOracle()._graph(group)
+        r = sample_disorder(DisorderSpec(seed=8), range(group.size))
+        op = assemble_cayley_operator(cg, r)
+        changed = _changed_entries(op, cg, [0], 2.0)  # so every element is compared
+        g = prime_paths_graph(2, 2).graph
+        rng = np.random.default_rng(1)
+        perms = np.array([rng.permutation(g.vertex_count) for _ in range(9)])
+        monkeypatch.setattr(anderson, "PERMUTATION_BLOCK", 7)
+        sizes, find = [], CSRMatrix.find
+        monkeypatch.setattr(
+            CSRMatrix, "find", lambda a, r, c: sizes.append((np.size(r), a.nnz)) or find(a, r, c)
+        )
+        checks = covariance_check(cg, r, range(group.size), operator=changed)
+        assert [holds for holds, _ in checks] == [h == group.identity for h in range(6)]
+        calls = [len(sizes)]
+        assert conjugation_deviation(op, np.tile(np.arange(cg.vertex_count), (5, 1))).max() == 0.0
+        calls.append(len(sizes) - sum(calls))
+        assert not is_automorphism(g, perms).any()
+        calls.append(len(sizes) - sum(calls))
+        # one permutation per pass: the generator and the 6 elements, 5 rows, 9 rows
+        assert calls == [7, 5, 9]
+        assert all(size <= max(7, nnz) for size, nnz in sizes)
 
 
 def _s3(generators):

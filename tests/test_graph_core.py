@@ -87,6 +87,21 @@ class TestFiniteGraph:
         with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
             FiniteGraph(4, ((0, 1, 2),))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [((0.5, 2),), np.array([[0.0, 2.0]]), ((True, 2),), ((0, np.True_),),
+         np.array([[False, True]]), ((0, 2**70),)],
+    )
+    def test_rejects_non_integer_endpoints(self, edges):
+        # none may be truncated or cast to an integer vertex index
+        with pytest.raises(InvalidArgumentError, match="^edge endpoints must be integers$"):
+            FiniteGraph(3, edges)
+
+    @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2)), np.array([[0, 2]], np.int32)])
+    def test_accepts_empty_and_integer_arrays(self, edges):
+        g = FiniteGraph(3, edges)
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == np.reshape(edges, (-1, 2)).tolist()
+
     def test_make_graph_canonicalizes(self):
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges.tolist() == [[0, 1], [0, 2]]

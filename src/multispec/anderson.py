@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .graph_core import CSRMatrix, adjacency_sparse
 UNIFORM = "uniform"
 POINT_MASS = "point_mass"
 TWO_POINT = "two_point"
+PARAMETER_COUNTS = {UNIFORM: 2, POINT_MASS: 1, TWO_POINT: 2}
 PERMUTATION_BLOCK = 1 << 15  # permuted entries per stacked permutation pass, to bound memory
 
 
@@ -42,33 +46,95 @@ class DisorderSpec:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+        if self.distribution not in PARAMETER_COUNTS:
+            raise InvalidArgumentError(f"unknown distribution {self.distribution!r}")
+        try:
+            params = [float(x) for x in self.params]
+        except (TypeError, ValueError):
+            raise InvalidArgumentError("parameters must be numbers") from None
+        if len(params) != PARAMETER_COUNTS[self.distribution]:
+            raise InvalidArgumentError(
+                f"{self.distribution} takes {PARAMETER_COUNTS[self.distribution]} parameters"
+            )
+        if not all(map(math.isfinite, params)):
+            raise InvalidArgumentError(f"parameters must be finite, got {self.params!r}")
         if self.distribution == UNIFORM:
-            a, b = self.params
+            a, b = params
             if not a < b:
                 raise InvalidArgumentError("uniform needs a < b")
-        elif self.distribution == POINT_MASS:
-            if len(self.params) != 1:
-                raise InvalidArgumentError("point mass takes one parameter")
-        elif self.distribution == TWO_POINT:
-            if len(self.params) != 2:
-                raise InvalidArgumentError("two-point takes two values")
-        else:
-            raise InvalidArgumentError(
-                f"unknown distribution {self.distribution!r}"
-            )
+            if not math.isfinite(b - a):
+                raise InvalidArgumentError("uniform needs a finite width b - a")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderRealization:
-    values: dict[int, float]
+    """One coupling per site: sites (distinct integers) and couplings
+    (finite floats), two read-only arrays in site order."""
+
+    sites: np.ndarray
+    couplings: np.ndarray
     spec: DisorderSpec
 
+    def __post_init__(self):
+        sites = np.asarray(self.sites)
+        if sites.size and sites.dtype.kind not in "iu":
+            raise InvalidArgumentError("sites must be integers")
+        sites = np.array(sites, dtype=np.intp).reshape(-1)
+        couplings = np.array(self.couplings, dtype=float).reshape(-1)
+        if sites.size != couplings.size:
+            raise InvalidArgumentError("need one coupling per site")
+        if _repeats(sites):
+            raise InvalidArgumentError("sites must be distinct")
+        if not np.isfinite(couplings).all():
+            raise InvalidArgumentError("couplings must be finite")
+        sites.flags.writeable = couplings.flags.writeable = False
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "couplings", couplings)
+
+    def __eq__(self, other):
+        if not isinstance(other, DisorderRealization):
+            return NotImplemented
+        return (self.spec == other.spec and np.array_equal(self.sites, other.sites)
+                and np.array_equal(self.couplings, other.couplings))
+
+    @functools.cached_property
+    def values(self) -> Mapping[int, float]:
+        """site -> coupling as a read-only mapping, in site order."""
+        return MappingProxyType(dict(zip(self.sites.tolist(), self.couplings.tolist())))
+
+    @functools.cached_property
+    def _sorted_sites(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.sites)
+        return order, self.sites[order]
+
+    def couplings_at(self, sites, what: str = "sites") -> np.ndarray:
+        """The coupling of each given site, read-only when the sites are the
+        realization's own in its order; InvalidArgumentError names the
+        first five sites it has no coupling for."""
+        sites = np.asarray(sites, dtype=np.intp).reshape(-1)
+        if np.array_equal(sites, self.sites):
+            return self.couplings
+        order, ordered = self._sorted_sites
+        pos = np.searchsorted(ordered, sites)  # == size past the last site: clipped
+        found = ordered.take(pos, mode="clip") == sites if ordered.size else pos < 0
+        if not found.all():
+            raise InvalidArgumentError(
+                f"realization misses {what} {sites[~found][:5].tolist()}"
+            )
+        return self.couplings[order[pos]]
+
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        return float(np.abs(self.couplings).max(initial=0.0))
 
     def is_generic(self) -> bool:
-        vals = list(self.values.values())
-        return len(set(vals)) == len(vals)
+        return not _repeats(self.couplings)
+
+
+def _repeats(a: np.ndarray) -> bool:
+    """Whether two entries of a are equal, by one sort (np.unique's first
+    call costs about 2 MB of peak memory more)."""
+    ordered = np.sort(a)
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def require_generic(r: DisorderRealization):
@@ -81,7 +147,8 @@ def require_generic(r: DisorderRealization):
 
 
 def sample_disorder(spec: DisorderSpec, sites) -> DisorderRealization:
-    """Draw one i.i.d. value per site, in the given (canonical) site order."""
+    """Draw one i.i.d. value per site, in the given (canonical) site order;
+    a repeated site raises InvalidArgumentError."""
     sites = list(sites)
     rng = np.random.default_rng(spec.seed)
     if spec.distribution == UNIFORM:
@@ -91,7 +158,7 @@ def sample_disorder(spec: DisorderSpec, sites) -> DisorderRealization:
         draws = np.full(len(sites), spec.params[0])
     else:  # two-point, equal weights
         draws = rng.choice(np.array(spec.params), size=len(sites))
-    return DisorderRealization(dict(zip(sites, draws.tolist())), spec)
+    return DisorderRealization(sites, draws, spec)
 
 
 class SiteOperator:
@@ -107,7 +174,9 @@ class SiteOperator:
     tiling is the (TruncatedCanopy, PatchSet) or the CayleyGraph an operator
     was assembled from, and None for a hand-built one; spectral reads it to
     solve a canopy operator's reduced core or count by inertia, and no
-    untiled operator is solved.
+    untiled operator is solved. realization is the DisorderRealization it
+    was assembled from, or None, so dos.certified_band_count can match an
+    operator to its realization by identity.
     """
 
     def __init__(
@@ -116,6 +185,7 @@ class SiteOperator:
         potential: np.ndarray,
         provenance,
         tiling: tuple[TruncatedCanopy, PatchSet] | CayleyGraph | None = None,
+        realization: DisorderRealization | None = None,
     ):
         if adjacency.shape[0] != adjacency.shape[1]:
             raise InvalidArgumentError("adjacency must be square")
@@ -127,7 +197,9 @@ class SiteOperator:
         self._potential = potential
         self.provenance = provenance
         self.tiling = tiling
+        self.realization = realization
         self._eigenvalues: np.ndarray | None = None  # see operator_spectrum
+        self._claims: np.ndarray | None = None  # see dos.certified_band_count
 
     @property
     def adjacency(self) -> CSRMatrix:
@@ -162,11 +234,9 @@ class SiteOperator:
 def assemble_canopy_operator(
     t: TruncatedCanopy, p: PatchSet, r: DisorderRealization
 ) -> SiteOperator:
-    missing = [x for x in p.roots if x not in r.values]
-    if missing:
-        raise InvalidArgumentError(f"realization misses patch roots {missing[:5]}")
+    roots = np.asarray(p.roots, dtype=np.intp)
     coupling = np.zeros(t.vertex_count)  # indexed by patch root
-    coupling[list(p.roots)] = [r.values[x] for x in p.roots]
+    coupling[roots] = r.couplings_at(roots, "patch roots")
     provenance = {
         "structure": "canopy",
         "K": t.K,
@@ -175,17 +245,12 @@ def assemble_canopy_operator(
         "seed": r.spec.seed,
         "distribution": r.spec.distribution,
     }
-    return SiteOperator(tree_adjacency(t), coupling[p.patch_of], provenance, (t, p))
+    return SiteOperator(tree_adjacency(t), coupling[p.patch_of], provenance, (t, p), r)
 
 
 def _fiber_couplings(cg: CayleyGraph, r: DisorderRealization) -> np.ndarray:
     """The coupling of each fiber, fiber by fiber."""
-    fibers = range(cg.group.size)
-    try:
-        return np.array(list(map(r.values.__getitem__, fibers)))
-    except KeyError:
-        missing = [g for g in fibers if g not in r.values]
-        raise InvalidArgumentError(f"realization misses fibers {missing[:5]}") from None
+    return r.couplings_at(np.arange(cg.group.size), "fibers")
 
 
 def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOperator:
@@ -197,7 +262,7 @@ def assemble_cayley_operator(cg: CayleyGraph, r: DisorderRealization) -> SiteOpe
         "seed": r.spec.seed,
         "distribution": r.spec.distribution,
     }
-    return SiteOperator(adjacency_sparse(cg.graph), potential, provenance, cg)
+    return SiteOperator(adjacency_sparse(cg.graph), potential, provenance, cg, r)
 
 
 def covariance_check(

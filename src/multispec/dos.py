@@ -69,7 +69,7 @@ def eigenvalue_histogram(
     coupling = np.zeros((n_realizations, t.vertex_count))  # indexed by patch root
     for i in range(1, n_realizations):
         r = sample_disorder(replace(spec, seed=spec.seed + i), p.roots)
-        coupling[i, list(r.values)] = list(r.values.values())
+        coupling[i, r.sites] = r.couplings
     potentials = coupling[:, p.patch_of]
     potentials[0] = operator.potential
     shifts = np.append(bin_edges[:-1], np.nextafter(bin_edges[-1], np.inf))
@@ -104,22 +104,58 @@ def certified_band_count(
     for them. With enforce=True a certified count exceeding the observed
     count raises, which catches that excess.
 
-    The observed count reads the operator's cached spectrum (see
-    spectral.operator_spectrum), so repeated queries solve it once.
+    Both counts bisect ascending arrays cached on the operator, its claims
+    E + omega_x (_sorted_claims) and its spectrum (spectral.operator_spectrum),
+    so repeated queries sum and solve once. An operator that was not
+    assembled from (t, p, r) raises InvalidArgumentError: it is matched by
+    identity when assemble_canopy_operator built it from r, t and p, and
+    otherwise by (K, L, l) and its potential at the patch roots.
     """
     a, b = band
     if not a <= b:
         raise InvalidArgumentError("band must satisfy a <= b")
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
-    spectrum = subtree_eigenpairs(t.K, p.l - 1).eigenvalues
-    shifted = spectrum + np.array([r.values[x] for x in p.roots])[:, None]
-    certified = (t.K - 1) * int(np.sum((shifted >= a) & (shifted <= b)))
-    eigs = operator_spectrum(operator, cap)
-    observed = int(np.sum((eigs >= a) & (eigs <= b)))
+    elif not (operator.realization is r and operator.tiling == (t, p)):
+        _require_assembled_from(operator, t, p, r)
+    certified = (t.K - 1) * _count_in(_sorted_claims(operator), a, b)
+    observed = _count_in(operator_spectrum(operator, cap), a, b)
     if enforce and certified > observed:
         raise CertificateError(
             f"certified count {certified} exceeds observed {observed} "
             f"in band [{a}, {b}]"
         )
     return BandCount((a, b), certified, observed)
+
+
+def _count_in(ascending: np.ndarray, a: float, b: float) -> int:
+    """#{w in ascending : a <= w <= b}, the count up to b minus the count below a."""
+    return int(np.searchsorted(ascending, b, "right") - np.searchsorted(ascending, a, "left"))
+
+
+def _require_assembled_from(op, t: TruncatedCanopy, p: PatchSet, r) -> None:
+    """Raise InvalidArgumentError unless op is a canopy operator of the same
+    (K, L, l) whose potential at the patch roots is r's couplings there."""
+    roots = np.asarray(p.roots, dtype=np.intp)
+    if not (
+        isinstance(op.tiling, tuple)
+        and (op.tiling[0].K, op.tiling[0].L, op.tiling[1].l) == (t.K, t.L, p.l)
+        and np.array_equal(op.potential[roots], r.couplings_at(roots, "patch roots"))
+    ):
+        raise InvalidArgumentError(
+            "operator was not assembled from this canopy, tiling and realization"
+        )
+
+
+def _sorted_claims(op) -> np.ndarray:
+    """A canopy operator's claims E + omega_x, one per patch root x and
+    depth-(l-1) subtree eigenvalue E with multiplicity, ascending and
+    read-only; summed and sorted on the first call and cached on op."""
+    if op._claims is None:
+        t, p = op.tiling
+        spectrum = subtree_eigenpairs(t.K, p.l - 1).eigenvalues
+        omega = op.potential[np.asarray(p.roots, dtype=np.intp)]
+        claims = np.sort((spectrum + omega[:, None]).ravel())
+        claims.flags.writeable = False
+        op._claims = claims
+    return op._claims

@@ -33,7 +33,10 @@ class FiniteGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise InvalidArgumentError("vertex_count must be non-negative")
-        given = np.asarray(self.edges)
+        try:
+            given = np.asarray(self.edges)
+        except ValueError:  # ragged: pairs beside shorter or longer items
+            raise InvalidArgumentError("edges must be vertex pairs") from None
         # numpy casts a bool beside ints to int64, so a sequence is checked item by item
         items = () if isinstance(self.edges, np.ndarray) else np.asarray(self.edges, object).flat
         if given.size and given.dtype.kind not in "iu" or any(

@@ -751,10 +751,10 @@ def canopy_families(t, p, r, x, E, psi, operator=None) -> CertificateFamilies:
     y = K * roots[:, None] + np.arange(1, K + 1)
     scale = np.repeat(K ** np.arange(l), K ** np.arange(l))
     supports = (y[:, :, None] * scale + np.arange(size)).reshape(roots.size, K * size)
+    claims = energies + r.couplings_at(roots, "patch roots")[:, None]
     roots, energy_list = roots.tolist(), energies.tolist()
     rows = alpha_basis(K).rows
     spread = rows[:, :, None] * psi.T[:, None, None]  # (m, K-1, K, subtree size)
-    claims = energies + np.array([r.values[x] for x in roots])[:, None]
 
     def provenance(i, j, a):
         x, E = roots[i], energy_list[j]
@@ -800,7 +800,7 @@ def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
         operator = assemble_cayley_operator(cg, r)
     supports = np.array([cg.fiber_vertices(f) for f in fibers], dtype=np.intp)
     supports = supports.reshape(len(fibers), cg.n_base)
-    claims = E0 + np.array([r.values[f] for f in fibers]).reshape(-1, 1)
+    claims = E0 + r.couplings_at(fibers, "fibers")[:, None]
 
     def provenance(i, j, a):
         fiber = repr(cg.group.elements[fibers[i]])

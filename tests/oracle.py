@@ -34,8 +34,8 @@ def shift_disorder(r, g: int, group) -> DisorderRealization:
     """Left shift of the coupling field: the new value at h is the old value
     at g*h, read from the group's multiplication table."""
     require_finite(group, "shift_disorder")
-    shifted = map(r.values.__getitem__, group.table[g].tolist())
-    return DisorderRealization(dict(enumerate(shifted)), r.spec)
+    shifted = list(map(r.values.__getitem__, group.table[g].tolist()))
+    return DisorderRealization(np.arange(group.size), np.array(shifted), r.spec)
 
 
 def covariance_oracle(cg, r, elements, op) -> list:

@@ -10,6 +10,8 @@ from multispec import anderson
 from multispec.anderson import (
     POINT_MASS,
     TWO_POINT,
+    UNIFORM,
+    DisorderRealization,
     DisorderSpec,
     SiteOperator,
     assemble_canopy_operator,
@@ -86,6 +88,48 @@ class TestSampling:
         r = sample_disorder(DisorderSpec(POINT_MASS, (2.0,), seed=1), range(3))
         with pytest.raises(DegenerateDisorderError):
             require_generic(r)
+
+    @pytest.mark.parametrize("distribution, params", [
+        (POINT_MASS, (np.nan,)),
+        (TWO_POINT, (0.0, np.inf)),
+        (UNIFORM, (0.0, np.inf)),
+        (UNIFORM, (-1e308, 1e308)),  # b - a overflows
+    ])
+    def test_parameters_must_be_finite(self, distribution, params):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DisorderSpec(distribution, params)
+
+    def test_repeated_sites_refused(self):
+        # one coupling per site: a repeat would silently drop a draw
+        with pytest.raises(InvalidArgumentError, match="distinct"):
+            sample_disorder(DisorderSpec(seed=0), [5, 5, 7])
+
+    def test_arrays_in_unsorted_site_order(self):
+        sites = [7, 2, 9, 0, 4]
+        r = sample_disorder(DisorderSpec(seed=6, params=(-3.0, 1.0)), sites)
+        assert r.sites.tolist() == sites and r.couplings.shape == (5,)
+        assert not r.sites.flags.writeable and not r.couplings.flags.writeable
+        assert list(r.values) == sites
+        assert [r.values[x] for x in sites] == r.couplings.tolist()
+        assert r.max_abs() == max(abs(v) for v in r.values.values())
+        assert r.is_generic()
+        assert r.couplings_at([9, 7]).tolist() == [r.values[9], r.values[7]]
+        with pytest.raises(InvalidArgumentError, match=r"misses sites \[3, 10\]"):
+            r.couplings_at([9, 3, 10])
+        with pytest.raises(TypeError):
+            r.values[2] = 0.0
+        flat = sample_disorder(DisorderSpec(TWO_POINT, (-2.0, 1.0), seed=1), sites)
+        assert not flat.is_generic() and len(set(flat.values.values())) < 5
+        assert flat.max_abs() == max(abs(v) for v in flat.values.values())
+
+    @pytest.mark.parametrize("sites, couplings, message", [
+        ([0, 1], [0.5], "one coupling per site"),
+        ([0.0, 1.0], [0.5, 0.25], "integers"),
+        ([0, 1], [0.5, np.inf], "finite"),
+    ])
+    def test_realization_arrays_checked(self, sites, couplings, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            DisorderRealization(sites, couplings, DisorderSpec())
 
 
 class TestCanopyAssembly:

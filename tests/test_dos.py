@@ -5,17 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multispec import spectral
+from multispec import dos, spectral
 from multispec.anderson import (
     POINT_MASS,
     TWO_POINT,
     DisorderSpec,
     assemble_canopy_operator,
+    assemble_cayley_operator,
     sample_disorder,
 )
 from multispec.canopy import build_truncated_canopy, potential_roots, tree_size
+from multispec.cayley import CayleyTemplate, build_cayley_graph, cyclic_group
 from multispec.dos import certified_band_count, eigenvalue_histogram
 from multispec.errors import CertificateError, InvalidArgumentError
+from multispec.graph_core import prime_paths_graph
 from multispec.spectral import counts_below, eig_sym, subtree_eigenpairs
 from oracle import dense_operator
 
@@ -292,3 +295,113 @@ def test_every_realization_keeps_its_checks(instance, off, message, monkeypatch)
     monkeypatch.setattr(spectral, "_tree_counts_below", last_off)
     with pytest.raises(CertificateError, match=message):
         eigenvalue_histogram(t, p, DisorderSpec(seed=0), np.linspace(-5, 5, 41), 3)
+
+
+ENDPOINT = st.one_of(
+    st.sampled_from([-np.inf, np.inf]),
+    st.floats(-8.0, 8.0),
+    st.tuples(st.sampled_from(["claim", "eigenvalue"]), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(2, 4),
+    l=st.integers(1, 3),
+    blocks=st.integers(0, 2),
+    disorder=st.sampled_from([
+        DisorderSpec(), DisorderSpec(TWO_POINT, (-1.0, 2.0)), DisorderSpec(POINT_MASS, (0.5,))
+    ]),
+    seed=st.integers(0, 2**31 - 1),
+    bands=st.lists(st.tuples(ENDPOINT, ENDPOINT | st.none()), min_size=1, max_size=6),
+)
+def test_band_counts_equal_the_formula_and_the_dense_count(K, l, blocks, disorder, seed, bands):
+    # certified: (K-1) * #{(x, E) : a <= E + omega_x <= b}, compared in
+    # floats; observed: the dense spectrum's count. Endpoints fall on
+    # claims, on eigenvalues, at +-inf, and a == b (a missing second end)
+    L = l + blocks * (l + 1)
+    assume(tree_size(K, L) <= 400)
+    t = build_truncated_canopy(K, L)
+    p = potential_roots(t, l)
+    r = sample_disorder(replace(disorder, seed=seed), p.roots)
+    op = assemble_canopy_operator(t, p, r)
+    sub = subtree_eigenpairs(K, l - 1).eigenvalues
+    claims = [E + r.values[x] for x in p.roots for E in sub]
+    spectrum = spectral.operator_spectrum(op)
+    dense = np.linalg.eigvalsh(dense_operator(op))
+    assert np.allclose(spectrum, dense, rtol=0.0, atol=1e-9)
+
+    def endpoint(e):
+        if isinstance(e, tuple):
+            pool = claims if e[0] == "claim" else spectrum.tolist()
+            return float(pool[e[1] % len(pool)])
+        return e
+
+    for first, second in bands:
+        a = endpoint(first)
+        b = a if second is None else endpoint(second)
+        a, b = min(a, b), max(a, b)
+        bc = certified_band_count(t, p, r, (a, b), operator=op, enforce=False)
+        assert bc.certified_count == (K - 1) * sum(a <= c <= b for c in claims)
+        assert bc.observed_count == int(np.sum((spectrum >= a) & (spectrum <= b)))
+        # a dense eigenvalue within 1e-9 of an end may fall either side
+        inner = np.sum((dense >= a + 1e-9) & (dense <= b - 1e-9))
+        outer = np.sum((dense >= a - 1e-9) & (dense <= b + 1e-9))
+        assert inner <= bc.observed_count <= outer
+
+
+def test_band_ends_are_inclusive(instance, realization):
+    # a one-point band at a claim holds its K-1 certified copies, and one at
+    # an eigenvalue holds that eigenvalue
+    t, p = instance
+    op = assemble_canopy_operator(t, p, realization)
+    x = next(x for x in p.roots if t.depth[x] == 2)
+    claim = float(subtree_eigenpairs(3, 1).eigenvalues[3]) + realization.values[x]
+    bc = certified_band_count(t, p, realization, (claim, claim), operator=op, enforce=False)
+    assert bc.certified_count >= 2
+    eig = float(spectral.operator_spectrum(op)[100])
+    bc = certified_band_count(t, p, realization, (eig, eig), operator=op, enforce=False)
+    assert bc.observed_count >= 1
+
+
+class TestMismatchedOperator:
+    def test_other_seed_refused(self, instance, realization):
+        # a seed-1 operator counted against a seed-2 realization's claims
+        t, p = instance
+        op = assemble_canopy_operator(t, p, sample_disorder(DisorderSpec(seed=1), p.roots))
+        other = sample_disorder(DisorderSpec(seed=2), p.roots)
+        with pytest.raises(InvalidArgumentError, match="not assembled from"):
+            certified_band_count(t, p, other, (0.0, 0.5), operator=op, enforce=False)
+
+    def test_other_patch_depth_refused(self, instance, realization):
+        t, p = instance
+        p1 = potential_roots(t, 1)
+        op = assemble_canopy_operator(t, p1, sample_disorder(DisorderSpec(seed=7), p1.roots))
+        with pytest.raises(InvalidArgumentError, match="not assembled from"):
+            certified_band_count(t, p, realization, (0.0, 0.5), operator=op, enforce=False)
+
+    def test_cayley_operator_refused(self, instance, realization):
+        t, p = instance
+        glued = prime_paths_graph(2, 2)
+        tmpl = CayleyTemplate(glued.graph, {-1: glued.junctions[0], 1: glued.junctions[1]})
+        cg = build_cayley_graph(tmpl, cyclic_group(6))
+        op = assemble_cayley_operator(cg, sample_disorder(DisorderSpec(seed=0), range(6)))
+        with pytest.raises(InvalidArgumentError, match="not assembled from"):
+            certified_band_count(t, p, realization, (0.0, 0.5), operator=op)
+
+    def test_equal_rebuild_accepted(self, instance, realization):
+        # the same (K, L, l) and couplings, built as new objects, match by value
+        t, p = instance
+        t2 = build_truncated_canopy(3, 5)
+        p2 = potential_roots(t2, 2)
+        op = assemble_canopy_operator(t2, p2, sample_disorder(DisorderSpec(seed=7), p2.roots))
+        bc = certified_band_count(t, p, realization, (-1.0, 1.0), operator=op, enforce=False)
+        assert bc == certified_band_count(t, p, realization, (-1.0, 1.0), enforce=False)
+
+    def test_own_operator_matched_by_identity(self, instance, realization, monkeypatch):
+        # an operator assembled from (t, p, r) needs no array comparison
+        t, p = instance
+        op = assemble_canopy_operator(t, p, realization)
+        monkeypatch.setattr(dos, "_require_assembled_from", lambda *a: pytest.fail("compared"))
+        bc = certified_band_count(t, p, realization, (-np.inf, np.inf), operator=op, enforce=False)
+        assert (bc.certified_count, bc.observed_count) == (224, 364)

@@ -87,6 +87,13 @@ class TestFiniteGraph:
         with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
             FiniteGraph(4, ((0, 1, 2),))
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1,)], [(0, 1), (1, 2, 3)]])
+    def test_rejects_ragged_edges(self, edges):
+        # a pair beside a shorter or longer item is refused before numpy
+        # sees an inhomogeneous shape
+        with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
+            FiniteGraph(4, edges)
+
     @pytest.mark.parametrize(
         "edges",
         [((0.5, 2),), np.array([[0.0, 2.0]]), ((True, 2),), ((0, np.True_),),

@@ -111,8 +111,11 @@ def automorphisms(
     g: FiniteGraph,
     fixed: tuple[int, ...] = (),
     cap: int = DEFAULT_SEARCH_CAP,
+    classes=None,
 ) -> AutGroup:
-    """All automorphisms of g fixing the given vertices pointwise."""
+    """All automorphisms of g fixing the given vertices pointwise and, when
+    classes (one label per vertex) is given, mapping each vertex into its
+    own class; without classes every vertex is in one."""
     n = g.vertex_count
     if n > cap:
         raise TooLargeError(f"{n} vertices exceeds search cap {cap}")
@@ -120,9 +123,12 @@ def automorphisms(
     for v in fixed:
         if not (0 <= v < n):
             raise InvalidArgumentError(f"fixed vertex {v} out of range")
-    seed = np.full(n, len(fixed))
-    seed[list(fixed)] = range(len(fixed))
-    colors = _refine(adjacency_sparse(g), seed).tolist()
+    labels = np.zeros(n) if classes is None else np.asarray(classes)
+    if labels.shape != (n,):
+        raise InvalidArgumentError(f"classes need shape ({n},), not {labels.shape}")
+    seed = np.unique(labels, return_inverse=True)[1].reshape(n) + len(fixed)
+    seed[list(fixed)] = range(len(fixed))  # the fixed vertices as singletons
+    colors = _refine(adjacency_sparse(g), np.unique(seed, return_inverse=True)[1]).tolist()
     adj = g.neighbors()
     # cells[c]: the vertices of color c, ascending; v can only map into its own
     cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
@@ -265,14 +271,18 @@ def anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
 
 
 def brute_anderson_automorphisms(cg: CayleyGraph, r: DisorderRealization) -> AutGroup:
-    """Independent oracle: enumerate every automorphism of the full Cayley
-    graph and keep those whose conjugation fixes the operator exactly."""
+    """Independent oracle: enumerate the automorphisms of the full Cayley
+    graph that map each exact value class of the potential into itself, and
+    keep those whose conjugation fixes the operator exactly. A permutation
+    that fixes H keeps its diagonal, so the classes drop only elements the
+    conjugation check would drop; under a constant potential they are one
+    class, and every automorphism is enumerated."""
     if cg.vertex_count > BRUTE_VERTEX_CAP:
         raise TooLargeError(
             f"{cg.vertex_count} vertices exceeds brute cap {BRUTE_VERTEX_CAP}"
         )
     op = assemble_cayley_operator(cg, r)
-    all_auts = automorphisms(cg.graph, fixed=(), cap=BRUTE_VERTEX_CAP)
+    all_auts = automorphisms(cg.graph, cap=BRUTE_VERTEX_CAP, classes=op.potential)
     dev = conjugation_deviation(op, np.array(all_auts.elements))
     kept = tuple(itertools.compress(all_auts.elements, dev == 0.0))
     group = AutGroup(len(kept), (), elements=kept)

@@ -48,9 +48,12 @@ with fl(t - tau) < lambda < fl(t + tau), two counts #{lambda < s} apart, by
 bisection of a canopy operator's cached spectrum, and for a Cayley operator,
 whose spectrum is never solved, by inertia, neg(H - s), on the anchor Schur
 complement (Haynsworth), under the same eig cap, eliminated level by level
-in the BFS spheres of the fibers, where it is block-tridiagonal. The
-operator must be fibered over its Cayley graph, and counts_below checks that
-every count brackets 0 and n and grows with the shift.
+in the BFS spheres of the fibers, where it is block-tridiagonal. Each level
+forms its own fibers' pivots, so a pass is sized by the widest level, not by
+the group: the CLI's window edges at cyclic:1000 fit in one pass, which
+eliminates each level once. The operator must be fibered over its Cayley
+graph, and counts_below checks that every count brackets 0 and n and grows
+with the shift.
 """
 
 from __future__ import annotations
@@ -215,7 +218,10 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     pivot d = mu_k + omega_h - s, coupled to the anchors of h only, by row c
     of Q^T A_IA. A pivot with |d| >= PIVOT_TOL counts 1 if d < 0 and adds
     -c c^T / d to S; a smaller one stays in S as its own row. A base with no
-    vertex besides its anchors has no modes, and S is all of H.
+    vertex besides its anchors has no modes, and S is all of H. Bisection of
+    the sorted mu_k + omega_h finds the kept pivots and counts the negative
+    ones of every shift (_kept_pivots); the corrections are formed one
+    level's fibers at a time.
 
     S is block-tridiagonal in the BFS spheres of the fibers (_sphere_levels),
     and neg(S) sums the inertias of its block LDL^T pivots. Level j's block
@@ -224,16 +230,19 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     to level j+1, counts 1 if lambda < 0 and adds -w w^T / lambda to D_(j+1),
     unless |lambda| < PIVOT_TOL * min(1, |w|^2), when it is carried into
     D_(j+1), undivided, as its own row. The last level is counted by
-    eigvalsh. Rows with diagonal 1 pad each D_j of a pass to one size, and a
-    pass stacks as many shifts as keep its pivot arrays and its widest level
-    within SCHUR_BLOCK_BYTES."""
+    eigvalsh. The kept and carried rows come first in D_j, and rows with
+    diagonal 1 pad each shift's D_j to the level's largest. A pass runs each
+    level once for as many shifts as keep the arrays of the widest level (its
+    pivots, corrections and D_j) within SCHUR_BLOCK_BYTES."""
     cg = op.tiling
     interior, mu, coupling = cg.template.interior_modes
     fibers, nb, n = cg.group.size, cg.n_base, op.dimension
     v, base = op.adjacency.data, adjacency_sparse(cg.template.base)
     (r, c), (br, bc) = (np.array([m.rows, m.indices], np.int64) for m in (op.adjacency, base))
     keys, flip, omega = r * n + c, np.argsort(c * n + r), op.potential[::nb]
-    inner, mine = np.isin(br, interior), np.isin(r % nb, interior)
+    inside = np.zeros(nb, dtype=bool)
+    inside[interior] = True
+    inner, mine = inside[br], inside[r % nb]
     tiled = (n + 1) * nb * np.arange(fibers)[:, None] + (br * n + bc)[inner]
     if (
         n != fibers * nb
@@ -246,76 +255,128 @@ def _counts_below(op: SiteOperator, shifts: np.ndarray) -> np.ndarray:
     modes, links = coupling.shape
     cross = r // nb != c // nb  # only anchor-anchor entries join two fibers
     levels = _sphere_levels(r[cross] // nb, c[cross] // nb, fibers)
-    place, level_of = np.empty(fibers, dtype=np.intp), np.empty(fibers, dtype=np.intp)
-    for j, level in enumerate(levels):
-        place[level], level_of[level] = links * np.arange(level.size), j
-    anchors = [(f[:, None] * nb + cg.template.anchor_vertices()).ravel() for f in levels]
-    blocks = []  # each level's rows of S: its own block, then its coupling to the next level
-    for here, there in zip(anchors, anchors[1:] + [anchors[0][:0]]):
-        pos = op.adjacency.find(here[:, None], np.append(here, there))
-        blocks.append(np.append(v, 0.0)[pos])  # S = A_AA + diag(potential); 0 where pos = -1
-        blocks[-1][np.arange(here.size), np.arange(here.size)] += op.potential[here]
+    order, sizes = np.concatenate(levels), np.array([f.size for f in levels])
+    start = np.cumsum(sizes) - sizes  # each level's first place in order
+    anchors = (order[:, None] * nb + cg.template.anchor_vertices()).ravel()
+    blocks = _schur_blocks(op, anchors, links * sizes)
+    # d + s of mode k at the fiber in place h of order, at h * modes + k
+    pivots = (omega[order, None] + mu).ravel()
+    rank, level_of = np.argsort(pivots, kind="stable"), np.repeat(np.arange(len(levels)), sizes)
     outer = (coupling[:, :, None] * coupling[:, None, :]).reshape(modes, links * links)
-    width = links * max(f.size for f in levels)
-    step = max(1, SCHUR_BLOCK_BYTES // (8 * max(fibers * max(modes, links**2), width**2)))
+    widest = sizes.max()
+    fiber, p, q = np.indices((widest, links, links)).reshape(3, -1)
+    own_rows, own_cols = links * fiber + p, links * fiber + q  # each fiber's diagonal block
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * widest * max(modes, links**2, links**2 * widest)))
     below = np.empty(shifts.size, dtype=np.intp)
     for lo in range(0, shifts.size, step):
         s = shifts[lo : lo + step]
-        d = mu[:, None] + omega - s[:, None, None]  # (shift, mode, fiber)
-        kept = np.abs(d) < PIVOT_TOL
-        count = np.count_nonzero((d < 0) & ~kept, axis=(1, 2))
-        kept_at, k, h = np.nonzero(kept)  # kept pivots: rows of S in the level of h
-        kept_d, kept_c = d[kept_at, k, h], np.zeros((kept_at.size, width))
-        np.put_along_axis(kept_c, place[h, None] + np.arange(links), coupling[k], 1)
-        d[kept] = np.inf  # 1 / d is 0 at a kept pivot, which is not eliminated
-        inverse = np.reciprocal(d, out=d).transpose(0, 2, 1)  # (shift, fiber, mode)
-        corrections = (inverse @ outer).reshape(-1, fibers, links, links)
-        del d, inverse, kept  # freed before the level stacks, which share the budget
-        lam, w, update = np.zeros((s.size, 0)), np.zeros((s.size, 0, width)), 0.0
-        carried = lam != 0  # nothing is carried into level 0
-        for j, (level, block) in enumerate(zip(levels, blocks)):
-            a, (ca, cj), here = block.shape[0], np.nonzero(carried), level_of[h] == j
-            at = np.concatenate([kept_at[here], ca])
-            by_shift = np.argsort(at, kind="stable")
-            at = at[by_shift]
-            value = np.concatenate([kept_d[here], lam[ca, cj]])[by_shift]
-            joined = np.concatenate([kept_c[here, :a], w[ca, cj, :a]])[by_shift]
-            used = a + np.bincount(at, minlength=s.size)
-            diag = np.arange(used.max())
-            D = np.zeros((s.size, diag.size, diag.size))
-            D[:, :a, :a] = block[:, :a] - update
-            D[:, diag, diag] += np.where(diag < a, -s[:, None], diag >= used[:, None])
-            loc = np.arange(a).reshape(-1, links)
-            D[:, loc[:, :, None], loc[:, None, :]] -= corrections[:, level]
-            row = a + np.arange(at.size) - at.searchsorted(at)
-            D[at, row, row] = value
-            D[at, row, :a] = D[at, :a, row] = joined
+        count, kept_at, kept, kept_d = _kept_pivots(pivots, rank, s)
+        h, k = np.divmod(kept, modes)
+        level = level_of[h]
+        by_level = np.argsort(level, kind="stable")  # and by shift within a level
+        kept_at, h, k, kept_d, level = (x[by_level] for x in (kept_at, h, k, kept_d, level))
+        bounds = level.searchsorted(np.arange(len(levels) + 1)).tolist()
+        h -= start[level]  # the fiber's place in its level
+        key = level * s.size + kept_at
+        row = np.arange(key.size) - key.searchsorted(key)  # among its shift's kept rows
+        most = np.zeros(len(levels), dtype=np.intp)
+        np.maximum.at(most, level, row + 1)
+        cols, kept_c = links * h[:, None] + np.arange(links), coupling[k]
+        lam, update = np.zeros((s.size, 0)), 0.0
+        carried, w = lam != 0, np.zeros((s.size, 0, links * sizes[0]))  # nothing into level 0
+        for j, (block, f, size) in enumerate(zip(blocks, start.tolist(), sizes.tolist())):
+            a, e, here = links * size, int(most[j]), slice(bounds[j], bounds[j + 1])
+            d = pivots[modes * f : modes * (f + size)].reshape(size, modes) - s[:, None, None]
+            d[kept_at[here], h[here], k[here]] = np.inf  # 1 / d is 0 at a kept pivot
+            correction = np.reciprocal(d, out=d).reshape(s.size * size, modes) @ outer
+            carrying = carried.any()
+            if carrying:  # directions too small to divide by, each a row of its own
+                carried_at, carried_row = np.nonzero(carried)
+                carried_rank = e + np.arange(carried_at.size) - carried_at.searchsorted(carried_at)
+                e = max(e, int(carried_rank.max()) + 1)  # after every shift's kept rows
+            D = np.zeros((s.size, e + a, e + a))  # eigh and eigvalsh read its lower triangle
+            np.subtract(block[:, :a], update, out=D[:, e:, e:])
+            diagonal = D.reshape(s.size, -1)[:, :: e + a + 1]
+            diagonal[:, :e] = 1.0  # padding, unless a row is placed there
+            diagonal[:, e:] -= s[:, None]
+            own = slice(a * links)
+            D[:, e + own_rows[own], e + own_cols[own]] -= correction.reshape(s.size, -1)
+            at, place = kept_at[here], row[here]
+            D[at, place, place] = kept_d[here]
+            D[at[:, None], e + cols[here], place[:, None]] = kept_c[here]
+            if carrying:
+                D[carried_at, carried_rank, carried_rank] = lam[carried_at, carried_row]
+                D[carried_at, e:, carried_rank] = w[carried_at, carried_row]
             if j == len(levels) - 1:
-                count += np.count_nonzero(np.linalg.eigvalsh(D) < 0, axis=1)
+                count += (np.linalg.eigvalsh(D) < 0).sum(axis=1)
                 break
             lam, vectors = np.linalg.eigh(D)
-            w = vectors[:, :a].transpose(0, 2, 1) @ block[:, a:]  # to the next level
-            w2 = np.einsum("sij,sij->si", w, w)
-            carried = np.abs(lam) / PIVOT_TOL < np.minimum(1.0, w2)
-            eliminated = ~carried & (lam != 0)
-            count += np.count_nonzero(eliminated & (lam < 0), axis=1)
-            inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=eliminated)
+            w = vectors[:, e:].transpose(0, 2, 1) @ block[:, a:]  # to the next level
+            carried = np.abs(lam) / PIVOT_TOL < np.minimum(1.0, np.einsum("sij,sij->si", w, w))
+            inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=~carried & (lam != 0))
+            count += (inverse < 0).sum(axis=1)
             update = (w.transpose(0, 2, 1) * inverse[:, None]) @ w
         below[lo : lo + step] = count
     return below
 
 
+def _schur_blocks(op: SiteOperator, anchors: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Level j's rows of S = A_AA + diag(potential), the anchors listed level
+    by level with sizes[j] in level j: its own columns, then the next
+    level's. Read from op's stored entries in one pass, as views of one band
+    array; an entry in a previous level's column is the transpose of one
+    kept there."""
+    first = np.cumsum(sizes) - sizes
+    at, own = np.full(op.dimension, -1), np.repeat(first, sizes)  # place, level's first place
+    at[anchors] = np.arange(anchors.size)
+    i = at[op.adjacency.rows]
+    col = at[op.adjacency.indices] - own[i]
+    stored = (i >= 0) & (col >= 0)  # col < 0 for a non-anchor column too
+    wide = sizes + np.append(sizes[1:], 0)
+    band = np.zeros((anchors.size, wide.max()))
+    band[i[stored], col[stored]] = op.adjacency.data[stored]
+    band[np.arange(anchors.size), np.arange(anchors.size) - own] += op.potential[anchors]
+    return [band[f : f + a, :w] for f, a, w in zip(first.tolist(), sizes.tolist(), wide.tolist())]
+
+
+def _kept_pivots(pivots: np.ndarray, rank: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the pivots d = p - s of each p in pivots (rank sorts them) at each
+    shift s: the count of d <= -PIVOT_TOL per shift, and the kept ones,
+    |d| < PIVOT_TOL, as (shift, index into pivots, d) in shift order. Both
+    come from bisection: fl(p - s) < 0 exactly when p < s, and rounding to
+    nearest puts every kept p in [fl(s - 2 PIVOT_TOL), fl(s + 2 PIVOT_TOL)]."""
+    ascending = pivots[rank]
+    low = ascending.searchsorted(s - 2 * PIVOT_TOL)
+    near = ascending.searchsorted(s + 2 * PIVOT_TOL, "right") - low
+    at = np.repeat(np.arange(s.size), near)
+    index = rank[np.arange(at.size) + np.repeat(low - np.cumsum(near) + near, near)]
+    d = pivots[index] - s[at]
+    kept = np.abs(d) < PIVOT_TOL
+    at, index, d = at[kept], index[kept], d[kept]
+    return ascending.searchsorted(s) - np.bincount(at[d < 0], minlength=s.size), at, index, d
+
+
 def _sphere_levels(rows: np.ndarray, cols: np.ndarray, fibers: int) -> list[np.ndarray]:
     """The fibers by BFS sphere from fiber 0, and from the first fiber not yet
     reached for each further component, in the graph that joins fibers rows[i]
-    and cols[i]. Its edges then join only the same or adjacent spheres."""
-    seen, frontier, levels = np.zeros(fibers, dtype=bool), np.arange(fibers) == 0, []
-    while frontier.any():
-        seen |= frontier
-        levels.append(np.flatnonzero(frontier))
-        frontier = (np.bincount(rows[frontier[cols]], minlength=fibers) > 0) & ~seen
-        if not frontier.any():  # a new component, or none when all are seen
-            frontier[np.argmin(seen)] = not seen.all()
+    and cols[i], each sphere ascending. Its edges then join only the same or
+    adjacent spheres."""
+    neighbours = [[] for _ in range(fibers)]
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        neighbours[b].append(a)
+    seen, levels = [False] * fibers, []
+    for root in range(fibers):
+        sphere = [] if seen[root] else [root]
+        seen[root] = True
+        while sphere:
+            levels.append(np.array(sphere))
+            ahead = []
+            for u in sphere:
+                for x in neighbours[u]:
+                    if not seen[x]:
+                        seen[x] = True
+                        ahead.append(x)
+            sphere = sorted(ahead)
     return levels
 
 

@@ -2,13 +2,17 @@
 and reduced computations against, and scipy's CSR, the oracle of the
 program's own CSR type. The per-element covariance check and the set-based
 Cayley graph builder are the oracles of the generator check and of the
-array builder, and the tuple-keyed colour refinement that of the array
-refinement kernel."""
+array builder, the tuple-keyed colour refinement that of the array
+refinement kernel, and the unseeded enumeration that of the brute Aut_And
+oracle's search seeded by the potential."""
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
-from multispec.anderson import DisorderRealization
+from multispec.anderson import DisorderRealization, assemble_cayley_operator
+from multispec.automorphism import BRUTE_VERTEX_CAP, automorphisms, conjugation_deviation
 from multispec.cayley import require_finite
 from multispec.graph_core import CSRMatrix
 
@@ -88,3 +92,12 @@ def refine(adj: list[list[int]], colors: list[int]) -> list[int]:
         if len(set(new)) == len(set(colors)):
             return new
         colors = new
+
+
+def unseeded_anderson_automorphisms(cg, r) -> tuple:
+    """The operator-fixing automorphisms, sorted, found with no seed: every
+    automorphism of the Cayley graph from a one-colour start, then those
+    whose conjugation fixes the operator exactly."""
+    op = assemble_cayley_operator(cg, r)
+    every = automorphisms(cg.graph, cap=BRUTE_VERTEX_CAP).elements
+    return tuple(itertools.compress(every, conjugation_deviation(op, np.array(every)) == 0.0))

@@ -40,7 +40,7 @@ from multispec.graph_core import (
     path_graph,
     prime_paths_graph,
 )
-from oracle import dense_operator, refine
+from oracle import dense_operator, refine, unseeded_anderson_automorphisms
 
 
 def pendant_base():
@@ -66,6 +66,16 @@ class TestSearch:
         star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert automorphisms(star).order == 6  # S_3 on the leaves
         assert automorphisms(star, fixed=(1,)).order == 2
+
+    def test_classes_restrict_the_search(self):
+        # each vertex maps into its own class; fixed vertices stay singletons
+        star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert automorphisms(star, classes=[7.0] * 4).order == 6
+        assert automorphisms(star, classes=[0.5, 2.0, 2.0, -1.0]).order == 2
+        assert automorphisms(star, fixed=(1,), classes=[0.5, 2.0, 2.0, -1.0]).order == 1
+        assert automorphisms(star, classes=range(4)).order == 1
+        with pytest.raises(InvalidArgumentError, match="classes need shape"):
+            automorphisms(star, classes=[0, 1])
 
     def test_prime_paths_junction_stabilizer_trivial(self):
         glued = prime_paths_graph(4, 2)
@@ -350,6 +360,44 @@ class TestAndersonGroup:
         r = sample_disorder(DisorderSpec(seed=2), range(7))
         with pytest.raises(TooLargeError):
             brute_anderson_automorphisms(cg, r)
+
+
+def _aut_instance(descriptor, spec):
+    """The aut CLI's instance: four prime paths over the group, both
+    junctions the anchors of every generator."""
+    glued, group = prime_paths_graph(4, 2), build_group(descriptor)
+    anchors = {}
+    for i in range(1, len(group.generators) + 1):
+        anchors[-i], anchors[i] = glued.junctions
+    cg = build_cayley_graph(CayleyTemplate(glued.graph, anchors), group)
+    return cg, sample_disorder(spec, range(group.size))
+
+
+class TestSeededBrute:
+    """brute_anderson_automorphisms seeds its search with the exact value
+    classes of the potential. The unseeded enumeration, every automorphism
+    of the Cayley graph and then the conjugation filter, is the reference;
+    S = S^-1 on cyclic:2 and product:2,2 gives fixing elements beyond the
+    identity, which a seed finer than the potential's classes would drop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("descriptor", ["cyclic:6", "product:3,2", "cyclic:2", "product:2,2"])
+    def test_equals_the_unseeded_enumeration(self, descriptor, seed):
+        cg, r = _aut_instance(descriptor, DisorderSpec(seed=seed))
+        brute = brute_anderson_automorphisms(cg, r)
+        assert brute.elements == unseeded_anderson_automorphisms(cg, r)
+        assert brute.order == (2 if descriptor in ("cyclic:2", "product:2,2") else 1)
+
+    @pytest.mark.parametrize("descriptor", ["cyclic:6", "product:3,2", "cyclic:2", "product:2,2"])
+    def test_point_mass_keeps_every_graph_automorphism(self, descriptor):
+        # a constant potential is one class: every automorphism fixes H
+        cg, r = _aut_instance(descriptor, DisorderSpec(POINT_MASS, (1.0,), seed=0))
+        cap = automorphism.BRUTE_VERTEX_CAP
+        every = automorphisms(cg.graph, cap=cap).elements
+        op = assemble_cayley_operator(cg, r)
+        assert automorphisms(cg.graph, cap=cap, classes=op.potential).elements == every
+        assert brute_anderson_automorphisms(cg, r).elements == every
+        assert unseeded_anderson_automorphisms(cg, r) == every
 
 
 def dense_conjugation_deviation(op, perm):

@@ -1253,6 +1253,85 @@ class TestCayleyWindowCounts:
             spectral.window_counts(op, [0.0, 1.0], 0.1)
 
 
+class TestCayleyCountPasses:
+    """_counts_below eliminates every level once per pass, forms each level's
+    pivots and corrections as it reaches the level, and finds the kept
+    pivots and the negative ones by bisection."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+            solve = getattr(np.linalg, name)
+
+            def spy(D, solve=solve, name=name):
+                calls[name].append(D.shape)
+                return solve(D)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    @staticmethod
+    def _window_shifts(group, seed):
+        cg, r, op = _cayley_instance(group, 4, seed)
+        targets = np.array([r.values[g] for g in cg.interior_fibers()])
+        cg.template.interior_modes  # solved once per template, not by the counts
+        return op, targets, np.concatenate([targets + 1e-7, np.nextafter(targets - 1e-7, np.inf)])
+
+    def test_one_eigh_per_level(self, monkeypatch):
+        # cyclic:150: 76 BFS spheres, so 75 batched eigh calls and one
+        # eigvalsh for the CLI's 300 window edges and 2 brackets, in one pass
+        op, targets, _ = self._window_shifts(cyclic_group(150), 0)
+        calls = self._spied(monkeypatch)
+        counts = spectral.window_counts(op, targets, 1e-7)
+        assert counts.min() >= 2
+        assert len(calls["eigh"]) == 75 and len(calls["eigvalsh"]) == 1
+        assert {shape[0] for shape in calls["eigh"] + calls["eigvalsh"]} == {302}
+
+    @pytest.mark.parametrize("group, per_shift", [
+        (cyclic_group(40), 8 * 2 * 30),  # widest sphere 2 fibers of 30 modes
+        (product_of_cyclics((6, 6)), 8 * 10 * 40),  # 10 fibers, D_j of 20 x 20 anchors
+    ], ids=["cyclic:40", "product:6,6"])
+    @pytest.mark.parametrize("per_pass", [1, 7])
+    def test_passes_split_under_the_byte_budget(self, group, per_shift, per_pass, monkeypatch):
+        op, _, shifts = self._window_shifts(group, 3)
+        bound = op.norm_bound + 1.0
+        shifts = np.concatenate([shifts, np.linspace(-bound, bound, 9)])
+        whole = spectral._counts_below(op, shifts)
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_BYTES", per_shift * per_pass)
+        calls = self._spied(monkeypatch)
+        assert np.array_equal(spectral._counts_below(op, shifts), whole)
+        assert len(calls["eigvalsh"]) == -(-shifts.size // per_pass)  # the passes
+        lo, hi = TestCayleyWindowCounts._dense_bounds(op, shifts)
+        assert np.all((lo <= whole) & (whole <= hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pivots=st.lists(st.floats(-8, 8), min_size=0, max_size=12).map(np.array),
+        tol=st.sampled_from([1e-6, 1e-2, 0.5, np.inf]),
+        data=st.data(),
+    )
+    def test_kept_pivots_follow_the_rule(self, pivots, tol, data):
+        # shifts on a pivot, an ulp away, at fractions of PIVOT_TOL away
+        # and anywhere; d = p - s exactly as a level forms it
+        pivots = np.concatenate([pivots, pivots[:3]])  # repeated values
+        places = st.integers(0, pivots.size - 1)
+        at = data.draw(st.lists(places, max_size=8) if pivots.size else st.just([]))
+        step = data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.75, 0.0, 0.5, 1.0, 1.5]),
+                                  min_size=len(at), max_size=len(at)))
+        near = pivots[at] + np.array(step) * (tol if np.isfinite(tol) else 1.0)
+        free = data.draw(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
+        s = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf), free])
+        with mock.patch.object(spectral, "PIVOT_TOL", tol):
+            negative, kept_at, index, kept_d = spectral._kept_pivots(
+                pivots, np.argsort(pivots, kind="stable"), s)
+        d = pivots - s[:, None]
+        kept = np.abs(d) < tol
+        assert np.array_equal(negative, np.count_nonzero(d <= -tol, axis=1))
+        assert sorted(zip(kept_at.tolist(), index.tolist())) == list(zip(*np.nonzero(kept)))
+        assert np.array_equal(kept_d, d[kept_at, index]) and np.all(np.diff(kept_at) >= 0)
+
+
 class TestResidualTolerance:
     """residual_tolerance(op, E) reads the operator's cached norm bound. For
     canopies with L >= 2 and for Cayley operators it equals the per-family

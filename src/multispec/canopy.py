@@ -66,23 +66,26 @@ def build_truncated_canopy(
     return TruncatedCanopy(K, L, depth, parent)
 
 
-def subtree(t: TruncatedCanopy, w: int, j: int) -> tuple[int, ...]:
-    """All descendants of w within distance j, in BFS order starting at w."""
+def subtree(t: TruncatedCanopy, w, j: int):
+    """All descendants of w within distance j, in BFS order starting at w:
+    a tuple for a vertex, and for an array of vertices one such row each."""
     if j < 0:
         raise InvalidArgumentError("subtree depth j must be >= 0")
-    if not (0 <= w < t.vertex_count):
-        raise InvalidArgumentError(f"vertex {w} out of range")
-    if t.depth[w] < j:
+    vertices = np.asarray(w)
+    if vertices.min(initial=0) < 0 or vertices.max(initial=0) >= t.vertex_count:
+        v = vertices[(vertices < 0) | (vertices >= t.vertex_count)][0]
+        raise InvalidArgumentError(f"vertex {v} out of range")
+    depth = t.depth[vertices]
+    if depth.min(initial=j) < j:
+        v = vertices[depth < j][0]
         raise IncompleteSubtreeError(
-            f"vertex {w} has depth {t.depth[w]} < requested subtree depth {j}"
+            f"vertex {v} has depth {t.depth[v]} < requested subtree depth {j}"
         )
-    out: list[int] = []
-    first, width = w, 1
-    for _ in range(j + 1):
-        out.extend(range(first, first + width))
-        # the children of a run of consecutive vertices are consecutive
-        first, width = t.K * first + 1, t.K * width
-    return tuple(out)
+    # the descendants of w at distance m are K^m * w + q, q in level m's positions
+    powers = t.K ** np.arange(j + 1)
+    scale = np.repeat(powers, powers)
+    rows = vertices.reshape(-1, 1) * scale + np.arange(scale.size)
+    return tuple(rows[0].tolist()) if vertices.ndim == 0 else rows
 
 
 def tree_adjacency(t: TruncatedCanopy) -> CSRMatrix:

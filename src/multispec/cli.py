@@ -99,28 +99,32 @@ def _emit(report: dict, args) -> None:
 
 
 def _prime_paths_template(args):
-    """The glued prime-paths base, the group of args.group and the Cayley
-    template joining them. The vertex cap is checked on |G| * |V(base)|,
-    with |G| read from the descriptor, before the group is built."""
+    """The glued prime-paths base, its Cayley graph over args.group and the
+    disorder of args.seed. The vertex cap is checked on |G| * |V(base)|, with
+    |G| read from the descriptor, before the group is built."""
     glued = graph_core.prime_paths_graph(args.pieces, args.scale)
     cayley_mod.require_vertex_cap(
         glued.graph.vertex_count, cayley_mod.group_order(args.group), _vertex_cap()
     )
     group = cayley_mod.build_group(args.group)
-    n = len(group.generators)
     anchors = {}
-    for i in range(1, n + 1):
-        anchors[-i] = glued.junctions[0]
-        anchors[i] = glued.junctions[1]
+    for i in range(1, len(group.generators) + 1):
+        anchors[-i], anchors[i] = glued.junctions
     template = cayley_mod.CayleyTemplate(glued.graph, anchors)
-    return glued, group, template
+    cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
+    return glued, cg, sample_disorder(DisorderSpec(seed=args.seed), range(group.size))
+
+
+def _canopy_model(args):
+    """The canopy of args, refused over the eig cap before any operator is
+    built, its tiling by depth-l patches and the disorder spec of args.seed."""
+    t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
+    spectral.require_eig_cap(t.vertex_count, _eig_cap())
+    return t, canopy_mod.potential_roots(t, args.l), DisorderSpec(seed=args.seed)
 
 
 def cmd_canopy_verify(args) -> int:
-    t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
-    spectral.require_eig_cap(t.vertex_count, _eig_cap())  # before the operator is built
-    p = canopy_mod.potential_roots(t, args.l)
-    spec = DisorderSpec(seed=args.seed)
+    t, p, spec = _canopy_model(args)
     r = sample_disorder(spec, p.roots)
     op = assemble_canopy_operator(t, p, r)
     sub = spectral.subtree_eigenpairs(t.K, args.l - 1)
@@ -187,13 +191,10 @@ def cmd_canopy_verify(args) -> int:
 
 
 def cmd_cayley_verify(args) -> int:
-    glued, group, template = _prime_paths_template(args)
+    glued, cg, r = _prime_paths_template(args)
     kernel = spectral.junction_kernel_basis(glued, args.E0)
     if not kernel:
         raise CertificateError("junction kernel at E0 is trivial")
-    cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
-    spec = DisorderSpec(seed=args.seed)
-    r = sample_disorder(spec, range(group.size))
     op = assemble_cayley_operator(cg, r)
     fibers = cg.interior_fibers()
     # kernel vectors live on the glued graph, which is the Cayley base
@@ -218,8 +219,8 @@ def cmd_cayley_verify(args) -> int:
         if nearby < len(residuals):
             failures.append(f"fiber {g}: only {nearby} matching eigenvalues")
     covariance = []
-    if group.finite:
-        checks = covariance_check(cg, r, range(group.size), operator=op)
+    if cg.group.finite:
+        checks = covariance_check(cg, r, range(cg.group.size), operator=op)
         for g, (holds, dev) in enumerate(checks):
             covariance.append({"g": g, "holds": holds, "deviation": dev})
             if not holds:
@@ -240,10 +241,7 @@ def cmd_cayley_verify(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    _, group, template = _prime_paths_template(args)
-    cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
-    spec = DisorderSpec(seed=args.seed)
-    r = sample_disorder(spec, range(group.size))
+    _, cg, r = _prime_paths_template(args)
     structural = anderson_automorphisms(cg, r)
     # on fiber 0, Aut_And's elements run through the anchor stabilizer
     stabilizer_order = len({element[: cg.n_base] for element in structural.elements})
@@ -287,10 +285,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_dos(args) -> int:
-    t = canopy_mod.build_truncated_canopy(args.K, args.L, vertex_cap=_vertex_cap())
-    spectral.require_eig_cap(t.vertex_count, _eig_cap())  # before the operator is built
-    p = canopy_mod.potential_roots(t, args.l)
-    spec = DisorderSpec(seed=args.seed)
+    t, p, spec = _canopy_model(args)
     lo, hi = -(args.K + 2), args.K + 2
     if args.bins < 1:
         raise InvalidArgumentError(f"--bins must be at least 1, got {args.bins}")

@@ -84,7 +84,10 @@ class FiniteGraph:
 
 def make_graph(vertex_count: int, edges) -> FiniteGraph:
     """Canonicalize an edge iterable (sort endpoints, sort and dedup pairs)."""
-    canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    try:
+        canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    except ValueError:  # an item that does not unpack into two endpoints
+        raise InvalidArgumentError("edges must be vertex pairs") from None
     return FiniteGraph(vertex_count, tuple(canon))
 
 

@@ -29,19 +29,20 @@ bit to the dense H v - E v of each. canopy_families and cayley_families
 stop at these arrays, which the CLI reports read, and the certificates are
 built from them.
 
-operator_spectrum solves each canopy operator once, on its symmetry-reduced
-core, the vertices above depth l plus an (l+1)-vertex level chain per
-depth-l patch root (213 instead of 1,365 vertices for K=4, L=5, l=2; 94
-instead of 364 for K=3, L=5; 364 instead of 3,280 for K=3, L=7, l=3), plus
-closed-form (K-1)-fold patch blocks. The eig cap still bounds the full
-dimension, so K=3, L=8 is refused although its core has 2,551 vertices. The
-core is a tree: eigvalsh solves it without vectors, its inertia counts
-enclose each value within eig_sym's residual bound, and the merged values
-must match the operator's dimension, trace and Frobenius norm. counts_below
-counts below given shifts on the same tree and solves nothing; given a
-stack of potentials on the tree, it counts every realization in one stacked
-elimination, with each one's checks, so dos solves no spectrum. eig_sym,
-which self-checks its eigenvectors, serves the solves whose vectors are used.
+operator_spectrum solves each canopy operator once, on its core, the
+operator's quotient by its level cells (each vertex above depth l, and the
+vertices at each depth below each depth-l patch root: 213 cells instead of
+1,365 vertices for K=4, L=5, l=2; 94 instead of 364 for K=3, L=5; 364
+instead of 3,280 for K=3, L=7, l=3), plus closed-form (K-1)-fold patch
+blocks. The eig cap still bounds the full dimension, so K=3, L=8 is refused
+although its core has 2,551 cells. The core is a tree: eigvalsh solves it
+without vectors, its inertia counts enclose each value within eig_sym's
+residual bound, and the merged values must match the operator's dimension,
+trace and Frobenius norm. counts_below counts below given shifts on the
+same tree and solves nothing; given a stack of potentials on the tree, it
+counts every realization in one stacked elimination, with each one's
+checks, so dos solves no spectrum. eig_sym, which self-checks its
+eigenvectors, serves the solves whose vectors are used.
 
 window_counts is the one window of both families: it counts the eigenvalues
 with fl(t - tau) < lambda < fl(t + tau), two counts #{lambda < s} apart, by
@@ -69,6 +70,7 @@ from .canopy import (
     PatchSet,
     TruncatedCanopy,
     build_truncated_canopy,
+    subtree,
     tree_adjacency,
     tree_size,
 )
@@ -402,41 +404,38 @@ def _canopy_blocks(op: SiteOperator) -> tuple[np.ndarray, np.ndarray]:
     The coupling is constant on the depth-l patch below a root x, so every
     vertex w of depth d >= 1 inside it has K identical child subtrees.
     Zero-sum combinations of their level indicators vanish at w and span
-    K-1 invariant copies of R_(d-1) + omega_x (see _patch_block_spectrum). What
-    remains of the patch are its l+1 normalised level indicators, a chain
-    with weights sqrt(K) and potential omega_x joined to x's parent with
-    weight 1. The core is the vertices at depth > l (a BFS prefix) plus one
-    such chain per depth-l root, a tree. eigvalsh solves it, and its inertia
-    counts must enclose each value w_i within delta = _solver_bound(core):
+    K-1 invariant copies of R_(d-1) + omega_x (see _patch_block_spectrum).
+    The rest is spanned by the indicators of the level cells, an equitable
+    partition, and the core is H's quotient by it (C. Godsil, Algebraic
+    Combinatorics, 1993, ch. 5). A vertex above depth l is a cell of its
+    own, and the vertices at one depth below one depth-l root are one, l+1
+    per root from the root down. With B the adjacency weight between cells
+    Ci and Cj over the stored entries, the core holds sqrt(B^2 / (|Ci| |Cj|))
+    (sqrt(K) down a root's levels, 1 elsewhere) and each cell's potential on
+    the diagonal: a tree. eigvalsh solves it, and its inertia counts must
+    enclose each value w_i within delta = _solver_bound(core):
     #{lambda < w_i - delta} <= i < #{lambda < w_i + delta}; otherwise
     CertificateError.
     """
     t, p = op.tiling
     K, l = t.K, p.l
-    deep = int(np.count_nonzero(t.depth > l))
-    roots = np.flatnonzero(t.depth == l)
-    couplings = op.potential[roots]
-    chain = deep + (l + 1) * np.arange(roots.size)[:, None] + np.arange(l + 1)
-    size = deep + chain.size
-    core = np.zeros((size, size))
-    rows, cols, data = op.adjacency.rows, op.adjacency.indices, op.adjacency.data
-    prefix = (rows < deep) & (cols < deep)  # the vertices above depth l
-    core[rows[prefix], cols[prefix]] += data[prefix]
-    core[np.arange(deep), np.arange(deep)] = op.potential[:deep]
-    core[chain, chain] = couplings[:, None]
-    a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
-    core[a, b] = core[b, a] = np.sqrt(K)
-    parents = t.parent[roots]
-    linked = parents >= 0  # only a single-patch tree has a parentless root
-    heads = chain[linked, 0]
-    core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
+    deep = int(np.count_nonzero(t.depth > l))  # a BFS prefix; the depth-l roots follow
+    level = deep + (l + 1) * (p.patch_of - deep) + l - t.depth
+    cell = np.where(t.depth > l, np.arange(t.vertex_count), level)
+    count = np.bincount(cell)
+    size = count.size
+    i, j = cell[op.adjacency.rows], cell[op.adjacency.indices]
+    weights = np.bincount(i * size + j, weights=op.adjacency.data, minlength=size * size)
+    core = weights.reshape(size, size)
+    core[i, j] = np.sqrt(core[i, j] ** 2 / (count[i] * count[j]))
+    core[cell, cell] = op.potential
     values, delta = np.linalg.eigvalsh(core), _solver_bound(core)
     shifts = np.concatenate([values - delta, values + delta])[None]
     below = _tree_counts_below(op, shifts, op.potential[None])[0, 0]
     index = np.arange(size)
     if not (np.all(below[:size] <= index) and np.all(below[size:] > index)):
         raise CertificateError(f"core eigenvalues not enclosed within {delta:.3e}")
-    return values, couplings[:, None] + _patch_block_spectrum(K, l)
+    return values, op.potential[t.depth == l, None] + _patch_block_spectrum(K, l)
 
 
 def _tree_counts_below(op: SiteOperator, shifts: np.ndarray, potentials) -> np.ndarray:
@@ -806,12 +805,10 @@ def canopy_families(t, p, r, x, E, psi, operator=None) -> CertificateFamilies:
         operator = assemble_canopy_operator(t, p, r)
     # canonical order-preserving isomorphism: BFS order to BFS order, one
     # copy of psi per forward neighbor y = K x + 1 .. K x + K, weighted by a
-    # zero-sum alpha row; y's descendants at distance j are K^j y + q, q in
-    # [tree_size(K, j-1), tree_size(K, j)), the BFS positions of level j
+    # zero-sum alpha row
     K, size = t.K, tree_size(t.K, l - 1)
     y = K * roots[:, None] + np.arange(1, K + 1)
-    scale = np.repeat(K ** np.arange(l), K ** np.arange(l))
-    supports = (y[:, :, None] * scale + np.arange(size)).reshape(roots.size, K * size)
+    supports = subtree(t, y, l - 1).reshape(roots.size, K * size)
     claims = energies + r.couplings_at(roots, "patch roots")[:, None]
     roots, energy_list = roots.tolist(), energies.tolist()
     rows = alpha_basis(K).rows

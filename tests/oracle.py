@@ -4,7 +4,9 @@ program's own CSR type. The per-element covariance check and the set-based
 Cayley graph builder are the oracles of the generator check and of the
 array builder, the tuple-keyed colour refinement that of the array
 refinement kernel, and the unseeded enumeration that of the brute Aut_And
-oracle's search seeded by the potential."""
+oracle's search seeded by the potential. The loop-built subtree is the
+oracle of the canopy's descendant formula, and the hand-assembled canopy
+core that of its quotient by the level cells."""
 
 import itertools
 
@@ -101,3 +103,42 @@ def unseeded_anderson_automorphisms(cg, r) -> tuple:
     op = assemble_cayley_operator(cg, r)
     every = automorphisms(cg.graph, cap=BRUTE_VERTEX_CAP).elements
     return tuple(itertools.compress(every, conjugation_deviation(op, np.array(every)) == 0.0))
+
+
+def subtree(t, w: int, j: int) -> tuple[int, ...]:
+    """All descendants of w within distance j, in BFS order starting at w,
+    collected level by level: the children of a run of consecutive
+    vertices are consecutive."""
+    out: list[int] = []
+    first, width = w, 1
+    for _ in range(j + 1):
+        out.extend(range(first, first + width))
+        first, width = t.K * first + 1, t.K * width
+    return tuple(out)
+
+
+def canopy_core(op) -> np.ndarray:
+    """The core of a canopy operator assembled by hand from the tree's
+    layout: the vertices above depth l as they are, then per depth-l root x
+    a chain of its l+1 levels with potential omega_x, weights sqrt(K)
+    along the chain and weight 1 from x to its parent."""
+    t, p = op.tiling
+    K, l = t.K, p.l
+    deep = int(np.count_nonzero(t.depth > l))
+    roots = np.flatnonzero(t.depth == l)
+    couplings = op.potential[roots]
+    chain = deep + (l + 1) * np.arange(roots.size)[:, None] + np.arange(l + 1)
+    size = deep + chain.size
+    core = np.zeros((size, size))
+    rows, cols, data = op.adjacency.rows, op.adjacency.indices, op.adjacency.data
+    prefix = (rows < deep) & (cols < deep)  # the vertices above depth l
+    core[rows[prefix], cols[prefix]] += data[prefix]
+    core[np.arange(deep), np.arange(deep)] = op.potential[:deep]
+    core[chain, chain] = couplings[:, None]
+    a, b = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+    core[a, b] = core[b, a] = np.sqrt(K)
+    parents = t.parent[roots]
+    linked = parents >= 0  # only a single-patch tree has a parentless root
+    heads = chain[linked, 0]
+    core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
+    return core

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from multispec import anderson, automorphism
 from multispec.anderson import (
     POINT_MASS,
+    TWO_POINT,
+    UNIFORM,
     DisorderSpec,
+    assemble_canopy_operator,
     assemble_cayley_operator,
     sample_disorder,
 )
@@ -19,6 +22,7 @@ from multispec.automorphism import (
     conjugation_deviation,
     is_automorphism,
 )
+from multispec.canopy import build_truncated_canopy, potential_roots
 from multispec.cayley import (
     CayleyTemplate,
     build_cayley_graph,
@@ -516,6 +520,31 @@ class TestRefinement:
         expect = refine(g.neighbors(), [fixed.index(v) if v in fixed else -1 for v in range(n)])
         assert _cells(kernel.tolist()) == _cells(expect)
         assert sorted(set(kernel.tolist())) == list(range(len(set(expect))))  # ids a range
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("K, L, l", [(3, 5, 2), (4, 5, 2), (3, 7, 3), (2, 9, 4)])
+    def test_potential_classes_refine_to_the_level_cells_only_when_generic(self, K, L, l, seed):
+        # the canopy core is the quotient by the level cells: each vertex
+        # above depth l, and each depth below each depth-l root. Refinement
+        # from the potential's classes ends there under uniform disorder,
+        # but merges cells where patches share a coupling, so the core's
+        # cells cannot come from it
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        depth, patch_of = t.depth.tolist(), p.patch_of.tolist()
+        levels = _cells([v if depth[v] > l else (patch_of[v], depth[v]) for v in range(len(depth))])
+        for spec in (
+            DisorderSpec(seed=seed),
+            DisorderSpec(POINT_MASS, (0.7,), seed=seed),
+            DisorderSpec(TWO_POINT, (-1.0, 2.0), seed=seed),
+        ):
+            op = assemble_canopy_operator(t, p, sample_disorder(spec, p.roots))
+            seeded = np.unique(op.potential, return_inverse=True)[1]
+            cells = _cells(automorphism._refine(op.adjacency, seeded).tolist())
+            if spec.distribution == UNIFORM:
+                assert cells == levels
+            else:
+                assert len(cells) < len(levels)
 
     @pytest.mark.parametrize(
         "descriptor, pinned",

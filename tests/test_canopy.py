@@ -23,6 +23,7 @@ from multispec.spectral import (
     operator_spectrum,
     subtree_eigenpairs,
 )
+from oracle import subtree as oracle_subtree
 
 
 class TestBuild:
@@ -75,6 +76,27 @@ class TestSubtree:
         leaf = next(v for v in range(t.vertex_count) if t.depth[v] == 0)
         with pytest.raises(IncompleteSubtreeError):
             subtree(t, leaf, 1)
+
+    def test_rows_match_the_level_loop(self):
+        # every vertex and depth of K3 L4, one at a time and in one batch
+        t = build_truncated_canopy(3, 4)
+        for j in range(t.L + 1):
+            vertices = np.flatnonzero(t.depth >= j)
+            rows = subtree(t, vertices, j)
+            assert rows.shape == (vertices.size, tree_size(3, j))
+            for v, row in zip(vertices.tolist(), rows.tolist()):
+                assert subtree(t, v, j) == tuple(row) == oracle_subtree(t, v, j)
+
+    def test_empty_batch(self):
+        t = build_truncated_canopy(2, 3)
+        assert subtree(t, np.array([], dtype=np.intp), 2).shape == (0, 7)
+
+    def test_batch_rejected_whole(self):
+        t = build_truncated_canopy(3, 2)
+        with pytest.raises(IncompleteSubtreeError, match="^vertex 4 has depth 0 <"):
+            subtree(t, [0, 4], 1)
+        with pytest.raises(InvalidArgumentError, match="^vertex 13 out of range$"):
+            subtree(t, [0, 13], 0)
 
 
 class TestPatchSet:

@@ -113,6 +113,12 @@ class TestFiniteGraph:
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges.tolist() == [[0, 1], [0, 2]]
 
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [[0, 1], [1]]])
+    def test_make_graph_rejects_edges_that_are_not_pairs(self, edges):
+        # as FiniteGraph does, not with the unpacking ValueError of its loop
+        with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
+            make_graph(3, edges)
+
 
 class TestPathGraph:
     def test_single_vertex(self):

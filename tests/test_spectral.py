@@ -19,12 +19,7 @@ from multispec.anderson import (
     assemble_cayley_operator,
     sample_disorder,
 )
-from multispec.canopy import (
-    build_truncated_canopy,
-    potential_roots,
-    subtree,
-    tree_size,
-)
+from multispec.canopy import build_truncated_canopy, potential_roots, tree_size
 from multispec.cayley import (
     CayleyTemplate,
     build_cayley_graph,
@@ -55,7 +50,7 @@ from multispec.spectral import (
     subtree_eigenpairs,
     support_residuals,
 )
-from oracle import dense_operator, from_scipy, scipy_csr
+from oracle import canopy_core, dense_operator, from_scipy, scipy_csr, subtree
 
 
 def path_spectrum(k):
@@ -896,6 +891,26 @@ class TestReducedCanopySpectrum:
 
     def test_k4_l5(self):
         assert self._check(*_canopy_operator(4, 5, 2, DISORDERS[0], 3)) == 213
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(2, 5),
+        l=st.integers(1, 4),
+        blocks=st.integers(0, 3),
+        disorder=st.sampled_from(DISORDERS),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_quotient_is_the_hand_assembled_core(self, K, l, blocks, disorder, seed):
+        # the quotient by the level cells is, bit for bit, the core assembled
+        # from the tree's layout (oracle.canopy_core): B^2 / (|Ci| |Cj|) is
+        # exactly K down a root's levels and 1 elsewhere
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 2_000)
+        _, _, op = _canopy_operator(K, L, l, disorder, seed)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+            operator_spectrum(op)
+        solve.assert_called_once()
+        assert np.array_equal(solve.call_args.args[0], canopy_core(op))
 
     @staticmethod
     def _wrong_coupling(core, local):

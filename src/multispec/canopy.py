@@ -68,10 +68,17 @@ def build_truncated_canopy(
 
 def subtree(t: TruncatedCanopy, w, j: int):
     """All descendants of w within distance j, in BFS order starting at w:
-    a tuple for a vertex, and for an array of vertices one such row each."""
+    a tuple for a vertex, and for an array of vertices one such row each,
+    reading [] as the empty batch. A float or bool vertex is refused."""
     if j < 0:
         raise InvalidArgumentError("subtree depth j must be >= 0")
     vertices = np.asarray(w)
+    if vertices.dtype.kind not in "iu":  # numpy reads [] as an empty float array
+        if vertices.size:
+            raise InvalidArgumentError(
+                f"subtree vertices must be integers, not {vertices.dtype}"
+            )
+        vertices = vertices.astype(np.intp)
     if vertices.min(initial=0) < 0 or vertices.max(initial=0) >= t.vertex_count:
         v = vertices[(vertices < 0) | (vertices >= t.vertex_count)][0]
         raise InvalidArgumentError(f"vertex {v} out of range")

@@ -235,40 +235,43 @@ def from_table(elements, table, generators) -> GroupSpec:
     )
 
 
-# descriptor kind -> its parameters, read from the ':'-separated fields
-_DESCRIPTOR_PARAMS = {
-    "cyclic": lambda f: (int(f[0]),),
-    "product": lambda f: (tuple(int(x) for x in f[0].split(",")),),
-    "zbox": lambda f: (int(f[0]), int(f[1])),
-    "free": lambda f: (int(f[0]), int(f[1])),
+# descriptor kind -> (its form, which names its ':'-separated fields, its
+# order from those parameters alone, its constructor)
+_GROUP_KINDS = {
+    "cyclic": ("cyclic:m", _cyclic_order, cyclic_group),
+    "product": ("product:m1,m2,...", _product_order, product_of_cyclics),
+    "zbox": ("zbox:d:radius", _zd_box_order, zd_box),
+    "free": ("free:n:radius", _free_ball_order, free_group_ball),
 }
 
 
-def _from_descriptor(descriptor: str, functions: dict):
-    """Parse a group descriptor and apply functions[kind] to its parameters."""
+def _from_descriptor(descriptor: str, build: bool):
+    """Parse a group descriptor by its kind's form and apply the kind's
+    constructor (build) or order function to the parameters."""
     kind, *fields = descriptor.split(":")
-    if kind not in _DESCRIPTOR_PARAMS:
+    if kind not in _GROUP_KINDS:
         raise InvalidArgumentError(f"unknown group kind {kind!r}")
+    form, order, constructor = _GROUP_KINDS[kind]
+    names = form.split(":")[1:]
+    if len(fields) != len(names):
+        raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: expected {form}")
     try:
-        return functions[kind](*_DESCRIPTOR_PARAMS[kind](fields))
-    except (IndexError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"bad group descriptor {descriptor!r}: {exc}"
-        ) from exc
+        # a field named as a list ("m1,m2,...") is a tuple of integers
+        params = [
+            tuple(map(int, field.split(","))) if "," in name else int(field)
+            for field, name in zip(fields, names)
+        ]
+        return (constructor if build else order)(*params)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: {exc}") from exc
 
 
 def build_group(descriptor: str) -> GroupSpec:
     """Parse a textual group descriptor: ``cyclic:m``, ``product:m1,m2,...``,
-    ``zbox:d:radius`` or ``free:n:radius``."""
-    return _from_descriptor(
-        descriptor,
-        {
-            "cyclic": cyclic_group,
-            "product": product_of_cyclics,
-            "zbox": zd_box,
-            "free": free_group_ball,
-        },
-    )
+    ``zbox:d:radius`` or ``free:n:radius``, read by the same table of kinds
+    (form, order, constructor) as group_order. A descriptor with more or
+    fewer fields than its form is refused."""
+    return _from_descriptor(descriptor, build=True)
 
 
 def group_order(descriptor: str) -> int:
@@ -276,15 +279,7 @@ def group_order(descriptor: str) -> int:
     (m, m1*m2*..., (2 radius + 1)^d, or the reduced words of length at most
     radius), enumerating nothing. A malformed descriptor or a parameter
     outside the constructor's domain raises build_group's error."""
-    return _from_descriptor(
-        descriptor,
-        {
-            "cyclic": _cyclic_order,
-            "product": _product_order,
-            "zbox": _zd_box_order,
-            "free": _free_ball_order,
-        },
-    )
+    return _from_descriptor(descriptor, build=False)
 
 
 def require_vertex_cap(base_vertices: int, order: int, vertex_cap: int) -> None:

@@ -1,7 +1,9 @@
 """Command-line surface: reproducible experiments emitting JSON/CSV reports.
 
-Exit codes: 0 success, 1 invalid configuration, 2 verification failure
-(some residual/tolerance assertion failed), 3 size cap exceeded.
+Each cmd_* function returns its report; run() writes it, the only place a
+report is written, and maps it to the exit code. Exit codes: 0 success,
+1 invalid configuration, 2 verification failure (the report lists
+failures, or a verification step raised), 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -87,15 +89,22 @@ def _config(args) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    out, summary = getattr(args, "out", None), report.get("summary")
-    csv = getattr(args, "format", "json") == "csv" and "csv" in report
-    encode = out and not csv or not summary  # only JSON that is written or printed
-    # no indent: indent makes json use its pure-Python encoder, about 3x slower
-    text = json.dumps(report, default=str) if encode else ""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(report["csv"] if csv else text)
-    print(summary or text)
+    if args.out:
+        csv = args.format == "csv" and "csv" in report
+        # no indent: indent makes json use its pure-Python encoder, about 3x slower
+        text = report["csv"] if csv else json.dumps(report, default=str)
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    print(report["summary"])
+
+
+def _family_failure(error, nearby: int, residuals: list, noun: str) -> str | None:
+    """Why a certificate family fails, or None when it passes: a family
+    passes when it was issued and its window holds at least one eigenvalue
+    for each of its vectors."""
+    if error:
+        return str(error)
+    return f"only {nearby} {noun}" if nearby < len(residuals) else None
 
 
 def _prime_paths_template(args):
@@ -123,7 +132,7 @@ def _canopy_model(args):
     return t, canopy_mod.potential_roots(t, args.l), DisorderSpec(seed=args.seed)
 
 
-def cmd_canopy_verify(args) -> int:
+def cmd_canopy_verify(args) -> dict:
     t, p, spec = _canopy_model(args)
     r = sample_disorder(spec, p.roots)
     op = assemble_canopy_operator(t, p, r)
@@ -141,17 +150,15 @@ def cmd_canopy_verify(args) -> int:
     for (x, E), target, nearby, residuals, error in zip(
         pairs, claims.tolist(), matches, families.residuals.tolist(), families.rejections
     ):
+        why = _family_failure(error, nearby, residuals, "matches")
         entry = {"patch_root": x, "E": E, "claimed": target, "eig_matches": nearby}
         if error:
-            entry["status"] = "fail"
-            entry["error"] = str(error)
-            failures.append(f"root {x} E {E}: {error}")
+            entry |= {"status": "fail", "error": str(error)}
         else:
             issued += len(residuals)
-            entry["residuals"] = residuals
-            entry["status"] = "pass" if nearby >= t.K - 1 else "fail"
-            if nearby < t.K - 1:
-                failures.append(f"root {x} E {E}: only {nearby} matches")
+            entry |= {"residuals": residuals, "status": "fail" if why else "pass"}
+        if why:
+            failures.append(f"root {x} E {E}: {why}")
         results.append(entry)
     clusters = spectral.cluster_multiplicities(eigenvalues.tolist(), args.tau)
     if args.self_test and issued:
@@ -173,7 +180,7 @@ def cmd_canopy_verify(args) -> int:
             failures.append(
                 "self-test: perturbation was NOT detected; residual check is blind"
             )
-    report = {
+    return {
         "config": _config(args) | {"distribution": "uniform[0,1]"},
         "certificates_issued": issued,
         "per_pair": results,
@@ -186,11 +193,9 @@ def cmd_canopy_verify(args) -> int:
             f"{issued} certificates, {len(failures)} failures"
         ),
     }
-    _emit(report, args)
-    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def cmd_cayley_verify(args) -> int:
+def cmd_cayley_verify(args) -> dict:
     glued, cg, r = _prime_paths_template(args)
     kernel = spectral.junction_kernel_basis(glued, args.E0)
     if not kernel:
@@ -205,19 +210,13 @@ def cmd_cayley_verify(args) -> int:
     per_fiber = []
     outcomes = zip(matches.tolist(), families.residuals.tolist(), families.rejections)
     for g, target, (nearby, residuals, error) in zip(fibers, targets.tolist(), outcomes):
-        if error:
-            failures.append(f"fiber {g}: {error}")
-            continue
-        per_fiber.append(
-            {
-                "fiber": g,
-                "claimed": target,
-                "residuals": residuals,
-                "eig_matches": nearby,
-            }
-        )
-        if nearby < len(residuals):
-            failures.append(f"fiber {g}: only {nearby} matching eigenvalues")
+        why = _family_failure(error, nearby, residuals, "matching eigenvalues")
+        if not error:
+            per_fiber.append(
+                {"fiber": g, "claimed": target, "residuals": residuals, "eig_matches": nearby}
+            )
+        if why:
+            failures.append(f"fiber {g}: {why}")
     covariance = []
     if cg.group.finite:
         checks = covariance_check(cg, r, range(cg.group.size), operator=op)
@@ -225,7 +224,7 @@ def cmd_cayley_verify(args) -> int:
             covariance.append({"g": g, "holds": holds, "deviation": dev})
             if not holds:
                 failures.append(f"covariance broken at g={g} (dev {dev})")
-    report = {
+    return {
         "config": _config(args),
         "kernel_dimension": len(kernel),
         "per_fiber": per_fiber,
@@ -236,11 +235,9 @@ def cmd_cayley_verify(args) -> int:
             f"kernel dim {len(kernel)}, {len(failures)} failures"
         ),
     }
-    _emit(report, args)
-    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def cmd_aut(args) -> int:
+def cmd_aut(args) -> dict:
     _, cg, r = _prime_paths_template(args)
     structural = anderson_automorphisms(cg, r)
     # on fiber 0, Aut_And's elements run through the anchor stabilizer
@@ -253,7 +250,7 @@ def cmd_aut(args) -> int:
             raise CertificateError(
                 f"brute order {brute.order} != structural {structural.order}"
             )
-    report = {
+    return {
         "config": _config(args),
         "anchor_stabilizer_order": stabilizer_order,
         "aut_and_order": structural.order,
@@ -264,27 +261,23 @@ def cmd_aut(args) -> int:
             + (f", brute {brute_order}" if brute_order is not None else "")
         ),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     with open(args.graph) as fh:
         g = graph_core.from_edge_list_text(fh.read())
     cap = _eig_cap()
     spectral.require_eig_cap(g.vertex_count, cap)
     es = spectral.eig_sym(graph_core.adjacency_matrix(g), cap=cap)
-    report = {
+    return {
         "config": _config(args),
         "eigenvalues": es.eigenvalues.tolist(),
         "residual_bound": es.residual_bound,
         "summary": "spectrum: " + " ".join(f"{v:.12g}" for v in es.eigenvalues),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_dos(args) -> int:
+def cmd_dos(args) -> dict:
     t, p, spec = _canopy_model(args)
     lo, hi = -(args.K + 2), args.K + 2
     if args.bins < 1:
@@ -296,7 +289,7 @@ def cmd_dos(args) -> int:
     hist = dos_mod.eigenvalue_histogram(t, p, spec, edges, args.realizations, _eig_cap())
     # K-1 per (root, E) pair; counts_below bracketed all n eigenvalues
     certified = (args.K - 1) * len(p.roots) * canopy_mod.tree_size(args.K, args.l - 1)
-    report = {
+    return {
         "config": _config(args),
         "histogram": {k: np.asarray(v).tolist() for k, v in vars(hist).items()},
         "certified_total_first_realization": certified,
@@ -308,8 +301,6 @@ def cmd_dos(args) -> int:
             f"per realization"
         ),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
 def _spec_value(record, key: str, valid):
@@ -328,7 +319,7 @@ def _ints(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def cmd_example1(args) -> int:
+def cmd_example1(args) -> dict:
     with open(args.pieces_spec) as fh:
         try:
             obj = json.load(fh)
@@ -354,7 +345,7 @@ def cmd_example1(args) -> int:
     # still bounds the glued graph as a whole
     spectral.require_eig_cap(glued.graph.vertex_count, _eig_cap())
     kernel = spectral.junction_kernel_basis(glued, E0)
-    report = {
+    return {
         "config": _config(args) | {"E0": E0},
         "vertices": glued.graph.vertex_count,
         "edges": glued.graph.edge_count,
@@ -365,8 +356,6 @@ def cmd_example1(args) -> int:
             f"kernel dimension {len(kernel)} at E0={E0}"
         ),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
 @functools.lru_cache(maxsize=1)  # parse_args fills a new namespace on every run
@@ -441,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        report = args.func(args)
+        _emit(report, args)
+        return EXIT_VERIFICATION if report.get("failures") else EXIT_OK
     except TooLargeError as exc:
         print(f"error (size cap): {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

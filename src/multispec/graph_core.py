@@ -83,11 +83,17 @@ class FiniteGraph:
 
 
 def make_graph(vertex_count: int, edges) -> FiniteGraph:
-    """Canonicalize an edge iterable (sort endpoints, sort and dedup pairs)."""
+    """Canonicalize an edge iterable (sort endpoints, sort and dedup pairs).
+    Refuses, as FiniteGraph does, an item that is not a pair and an endpoint
+    that is not an integer."""
     try:
-        canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    except ValueError:  # an item that does not unpack into two endpoints
+        pairs = [(u, v) for u, v in edges]
+    except (TypeError, ValueError):  # an item that does not unpack into two endpoints
         raise InvalidArgumentError("edges must be vertex pairs") from None
+    try:
+        canon = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    except TypeError:  # endpoints that do not compare, such as None beside an int
+        raise InvalidArgumentError("edge endpoints must be integers") from None
     return FiniteGraph(vertex_count, tuple(canon))
 
 

@@ -90,6 +90,13 @@ class TestSubtree:
     def test_empty_batch(self):
         t = build_truncated_canopy(2, 3)
         assert subtree(t, np.array([], dtype=np.intp), 2).shape == (0, 7)
+        assert subtree(t, [], 2).shape == (0, 7)  # numpy reads [] as float64
+
+    @pytest.mark.parametrize("w", [2.5, True, np.array([1.0]), [True, False], [1, None]])
+    def test_non_integer_vertices_refused(self, w):
+        t = build_truncated_canopy(3, 2)
+        with pytest.raises(InvalidArgumentError, match="^subtree vertices must be integers"):
+            subtree(t, w, 1)
 
     def test_batch_rejected_whole(self):
         t = build_truncated_canopy(3, 2)

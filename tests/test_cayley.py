@@ -106,7 +106,9 @@ class TestGroups:
         assert group_order(descriptor) == build_group(descriptor).size
 
     @pytest.mark.parametrize(
-        "descriptor", ["nope:3", "cyclic", "cyclic:0", "free:2:-1", "zbox:1:0", "free:2:0"]
+        "descriptor",
+        ["nope:3", "cyclic", "cyclic:0", "free:2:-1", "zbox:1:0", "free:2:0",
+         "cyclic:6:9", "zbox:2:1:7", "free:2:1:x", "free:2"],
     )
     def test_order_rejects_like_build(self, descriptor):
         with pytest.raises(InvalidArgumentError) as by_order:
@@ -116,6 +118,35 @@ class TestGroups:
         assert str(by_order.value) == str(by_build.value)
         if descriptor in ("zbox:1:0", "free:2:0"):
             assert "radius >= 1" in str(by_order.value)
+        forms = {"cyclic:6:9": "cyclic:m", "zbox:2:1:7": "zbox:d:radius",
+                 "free:2:1:x": "free:n:radius", "free:2": "free:n:radius"}
+        if descriptor in forms:  # a wrong field count names the expected form
+            assert str(by_order.value).endswith(f": expected {forms[descriptor]}")
+
+    # a kind name or a letter, then zero to three ':'-separated fields of
+    # digits, ',', '-' and a letter; three characters a field keep a buildable
+    # free group at free:999:1 or below
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            lambda kind, fields: ":".join([kind, *fields]),
+            st.sampled_from(["cyclic", "product", "zbox", "free", "", "x", "freex"]),
+            st.lists(st.text("0123456789,-x", max_size=3), max_size=3),
+        )
+    )
+    @example("cyclic:6:9")
+    @example("free:2")
+    @example("product:2,,3")
+    def test_descriptor_parsing_raises_only_invalid_argument(self, descriptor):
+        try:
+            order = group_order(descriptor)
+        except InvalidArgumentError as exc:
+            with pytest.raises(InvalidArgumentError) as by_build:
+                build_group(descriptor)
+            assert str(by_build.value) == str(exc)
+            return
+        if order <= 10**4:
+            assert build_group(descriptor).size == order
 
     def test_product_identity_and_inverses(self):
         g = product_of_cyclics((2, 3))

@@ -273,6 +273,16 @@ class TestCayleyVerify:
     def test_bad_group_descriptor(self):
         assert run(["cayley-verify", "--pieces", "4", "--group", "zzz:1"]) == EXIT_INVALID
 
+    def test_descriptor_with_an_extra_field_refused(self, capsys):
+        # cyclic:6:9 is not cyclic:6; a report would name a group never built
+        argv = ["cayley-verify", "--pieces", "4", "--group", "cyclic:6:9"]
+        assert run(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error (invalid config): bad group descriptor 'cyclic:6:9': expected cyclic:m\n"
+        )
+
 
 class TestAut:
     def test_rigid_instance(self, tmp_path):

@@ -113,10 +113,16 @@ class TestFiniteGraph:
         g = make_graph(3, [(2, 0), (0, 2), (1, 0)])
         assert g.edges.tolist() == [[0, 1], [0, 2]]
 
-    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [[0, 1], [1]]])
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1, 2)], [(0,)], [[0, 1], [1]], [5], [(0, "a")], [(0, None)], [(0, 1.5)]],
+    )
     def test_make_graph_rejects_edges_that_are_not_pairs(self, edges):
-        # as FiniteGraph does, not with the unpacking ValueError of its loop
-        with pytest.raises(InvalidArgumentError, match="^edges must be vertex pairs$"):
+        # as FiniteGraph does, not with the unpacking or comparison errors of
+        # its loop: pairs of non-integers get the endpoint message
+        pairs = all(isinstance(e, tuple) and len(e) == 2 for e in edges)
+        message = "edge endpoints must be integers" if pairs else "edges must be vertex pairs"
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             make_graph(3, edges)
 
 

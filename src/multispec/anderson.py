@@ -169,7 +169,7 @@ class SiteOperator:
     view, neither attribute can be rebound, and the adjacency must not be
     edited in place. spectral.operator_spectrum therefore solves the
     spectrum once and caches it on the instance, and norm_bound is
-    computed once.
+    computed once; spectral._issue keeps its last certificate stack's layout.
 
     tiling is the (TruncatedCanopy, PatchSet) or the CayleyGraph an operator
     was assembled from, and None for a hand-built one; spectral reads it to
@@ -200,6 +200,7 @@ class SiteOperator:
         self.realization = realization
         self._eigenvalues: np.ndarray | None = None  # see operator_spectrum
         self._claims: np.ndarray | None = None  # see dos.certified_band_count
+        self._families: tuple | None = None  # see spectral._issue
 
     @property
     def adjacency(self) -> CSRMatrix:

@@ -72,6 +72,10 @@ def subtree(t: TruncatedCanopy, w, j: int):
     reading [] as the empty batch. A float or bool vertex is refused."""
     if j < 0:
         raise InvalidArgumentError("subtree depth j must be >= 0")
+    if isinstance(w, (list, tuple)) and any(  # numpy casts [0, True] to ints
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(w, dtype=object).flat
+    ):
+        raise InvalidArgumentError("subtree vertices must be integers, not bool")
     vertices = np.asarray(w)
     if vertices.dtype.kind not in "iu":  # numpy reads [] as an empty float array
         if vertices.size:

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +255,9 @@ def _from_descriptor(descriptor: str, build: bool):
     form, order, constructor = _GROUP_KINDS[kind]
     names = form.split(":")[1:]
     if len(fields) != len(names):
+        raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: expected {form}")
+    if not all(re.fullmatch("-?[0-9]+(,-?[0-9]+)*" if "," in name else "-?[0-9]+", field)
+               for field, name in zip(fields, names)):  # int() reads " 6", "6_0", "+6" too
         raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: expected {form}")
     try:
         # a field named as a list ("m1,m2,...") is a tuple of integers

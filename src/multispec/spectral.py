@@ -20,12 +20,13 @@ check_eigenvectors against the cached subtree template or a CSR adjacency
 The canopy and Cayley constructions issue many families in one call (all
 patch roots times all subtree eigenpairs, or all interior fibers), and a
 single pair is the one-family case of the same path. Each psi is checked
-once, norms and Gram deviations once per psi. Residual passes go per
+and spread, with norms and Gram deviations, once. Residual passes go per
 support, across all eigenpairs: the K-1 spreads of every subtree
-eigenvector below one patch root share its support, so support_residuals
-sorts, gathers and indexes each support once for the vectors of all its
-families, in one support-local pass over a stack of supports, equal bit for
-bit to the dense H v - E v of each. canopy_families and cayley_families
+eigenvector below one patch root share its support, so each support is
+laid out (sorted, gathered and indexed) once for the vectors of all its
+families, and the operator keeps its last stack's layout for calls that
+repeat a root; the support-local arithmetic equals the dense H v - E v of
+each bit for bit. canopy_families and cayley_families
 stop at these arrays, which the CLI reports read, and the certificates are
 built from them.
 
@@ -579,16 +580,20 @@ def _template_adjacency(K: int, depth: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _check_subtree_eigenvector(K: int, depth: int, E: float, psi: bytes) -> None:
+def _check_subtree_eigenvector(K: int, depth: int, E: float, psi: bytes) -> tuple:
     """Raise InvalidArgumentError unless psi, the float64 bytes of a vector
     on the complete K-ary tree of the given depth, is a unit eigenvector of
-    its adjacency at E. Passing pairs are remembered: canopy_certificates
-    meets the same few eigenpairs at every patch root."""
+    its adjacency at E; return its K-1 read-only spreads (a copy per forward
+    neighbor, weighted by an alpha_basis row) and their _spread_checks,
+    which canopy_certificates needs at every patch root."""
     vector = np.frombuffer(psi)
     if not abs(np.linalg.norm(vector) - 1.0) <= UNIT_NORM_TOL:
         raise InvalidArgumentError("psi must be unit norm")
     adjacency = _template_adjacency(K, depth)
     check_eigenvectors(adjacency, vector, E, InvalidArgumentError, "psi on the subtree")
+    spread = (alpha_basis(K).rows[:, :, None] * vector).reshape(1, K - 1, -1)
+    spread.flags.writeable = False
+    return spread[0], _spread_checks(spread)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -626,49 +631,61 @@ def support_residuals(
     supports (..., s), k vectors per support with one entry per support
     vertex (..., k, s), and one E per support (...) or per vector (..., k).
     A single support (s,) with vectors (k, s) and a scalar E is the empty
-    stack.
-
-    Keyed family * n + vertex, one sort gives the rows support + N(support)
-    of every family, outside which (H - E)v vanishes. Each row sum adds its
-    products in CSR storage order, as the CSRMatrix product does, so every
-    result equals the residual of op.adjacency @ v bit for bit.
+    stack. _issue keeps the _residual_layout of its supports for reuse.
     """
-    n, indices = op.dimension, op.adjacency.indices
     support, values = np.asarray(support), np.asarray(values, dtype=float)
     lead, (k, s) = support.shape[:-1], values.shape[-2:]
     families = math.prod(lead)
     if not (s and families):
         return np.zeros(lead + (k,))
-    first = np.arange(0, families * n, n)  # the key of each family's vertex 0
-    keys = (support.reshape(families, s) + first[:, None]).ravel()
+    layout = _residual_layout(op, support.reshape(families, s))
+    return _residuals(op, layout, values.reshape(families, k, s), eigenvalue).reshape(lead + (k,))
+
+
+def _residual_layout(op: SiteOperator, supports: np.ndarray):
+    """Where _residuals reads for a nonempty stack of supports (families, s):
+    keyed family * n + vertex, one sort gives the rows support + N(support),
+    outside which (H - E)v vanishes, and the CSR positions of their entries."""
+    n, indices = op.dimension, op.adjacency.indices
+    first = np.arange(0, len(supports) * n, n)  # the key of each family's vertex 0
+    keys = (supports + first[:, None]).ravel()
     order = keys.argsort()
     keys = keys[order]
-    vals = values.reshape(families, k, s).transpose(1, 0, 2).reshape(k, keys.size)
-    vals = vals[:, order]
-
-    def at(query):  # v at the given keys, 0 off the supports
-        pos = np.minimum(keys.searchsorted(query), keys.size - 1)
-        return np.where(keys[pos] == query, vals[:, pos], 0.0)
 
     def padded(rows):  # the keys of each row's CSR entries, in storage order
         vertex = rows % n
         ptr = op.adjacency.padded_rows[vertex]
         return (rows - vertex)[:, None] + indices[ptr], ptr, vertex
 
+    def placed(query):  # each key's flat index in the stack, keys.size off the supports
+        pos = np.minimum(keys.searchsorted(query), keys.size - 1)
+        return np.where(keys[pos] == query, order[pos], keys.size)
+
     adjacent, ptr, _ = padded(keys)
     rows = np.concatenate([keys, adjacent[ptr >= 0]])
     rows.sort()  # deduplicated below: np.union1d's overhead dominates a small family
     rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
     adjacent, ptr, vertex = padded(rows)
-    products = op.adjacency.data[ptr] * np.where(ptr >= 0, at(adjacent), 0.0)
+    at = np.where(ptr >= 0, placed(adjacent), keys.size)
+    return ptr, vertex, rows // n, at, placed(rows), rows.searchsorted(first)
+
+
+def _residuals(op: SiteOperator, layout, values: np.ndarray, eigenvalue) -> np.ndarray:
+    """support_residuals on a _residual_layout. Each row sum adds its products
+    in CSR storage order, as the CSRMatrix product does, so every result
+    equals the residual of op.adjacency @ v bit for bit."""
+    families, k, s = values.shape
+    ptr, vertex, family, at, own, starts = layout
+    vals = np.zeros((k, families * s + 1))  # the last column: v off the supports
+    vals[:, :-1] = values.transpose(1, 0, 2).reshape(k, families * s)
+    products = op.adjacency.data[ptr] * vals[:, at]
     acc = np.zeros(products.shape[:2])
     for j in range(products.shape[2]):
         acc += products[:, :, j]
-    v = at(rows)
-    energy = np.asarray(eigenvalue, dtype=float).reshape(families, -1)[rows // n].T
+    v = vals[:, own]
+    energy = np.asarray(eigenvalue, dtype=float).reshape(families, -1)[family].T
     residual = np.abs((acc + op.potential[vertex] * v) - energy * v)
-    starts = rows.searchsorted(first)
-    return np.maximum.reduceat(residual, starts, axis=1).T.reshape(lead + (k,))
+    return np.maximum.reduceat(residual, starts, axis=1).T
 
 
 @dataclass(frozen=True)
@@ -686,33 +703,44 @@ class CertificateFamilies:
     rejections: list
 
 
-def _issue(op, supports, values, claims, energies, provenance) -> CertificateFamilies:
-    """The families of the k rows of values[j], shape (m, k, s), on the
-    vertices supports[i], shape (supports, s), claiming claims[i, j] within
-    the residual tolerance of energies[j]. Norms and Gram deviations are
-    taken once per j, residuals once per support for all m * k vectors, in
-    passes of at most RESIDUAL_BLOCK support entries times eigenpairs (one
-    support at least)."""
+def _issue(op, owners, sites, build, values, checks, energies, provenance) -> CertificateFamilies:
+    """The families of the k rows of values[j], shape (m, k, s), with checks[j]
+    of _spread_checks, on supports[i] claiming energies[j] + couplings[i], as
+    build() gives both at the sites of the inputs owners, which op keeps with
+    the layouts of the residual passes for a call with equal owners, sites
+    and passes. Each pass takes at most RESIDUAL_BLOCK support entries times
+    eigenpairs (one support at least), for all m * k vectors of a support."""
     m, k, s = values.shape
+    step = max(1, RESIDUAL_BLOCK // max(s * m, 1))
+    key = (sites.dtype.str, sites.tobytes(), step, *owners)  # t, p and cg equal only themselves
+    if op._families is None or op._families[0] != key:
+        supports, couplings = build()
+        supports.flags.writeable = couplings.flags.writeable = False
+        passes = range(0, len(supports), step)
+        layouts = [_residual_layout(op, supports[lo : lo + step]) for lo in passes]
+        op._families = (key, supports, couplings, layouts)
+    _, supports, couplings, layouts = op._families
+    claims = energies + couplings[:, None]
     residuals = np.empty((len(supports) * m, k))
     by_support = residuals.reshape(len(supports), m * k)  # a view, row i = families (i, *)
-    step = max(1, RESIDUAL_BLOCK // max(s * m, 1))
-    for lo in range(0, len(supports), step):
-        block = supports[lo : lo + step]
+    for lo, layout in zip(range(0, len(supports), step), layouts):
+        block = claims[lo : lo + step].repeat(k, axis=1)
         vectors = values.reshape(1, m * k, s).repeat(len(block), axis=0)
-        by_support[lo : lo + step] = support_residuals(
-            op, block, vectors, claims[lo : lo + step].repeat(k, axis=1)
-        )
-    norms = np.sqrt((values * values).sum(axis=2)).tolist()
-    gram = np.abs(values @ values.transpose(0, 2, 1) - np.eye(k))
-    gram = gram.max(axis=(1, 2), initial=0.0).tolist()
+        by_support[lo : lo + step] = _residuals(op, layout, vectors, block)
     tolerances = [residual_tolerance(op, E) for E in energies.tolist()]
     flat = claims.ravel().tolist()
     rejections = [
-        _rejection(norms[f % m], residual, tolerances[f % m], flat[f], gram[f % m])
+        _rejection(residual, tolerances[f % m], flat[f], *checks[f % m])
         for f, residual in enumerate(residuals.tolist())
     ]
     return CertificateFamilies(supports, values, claims, provenance, residuals, rejections)
+
+
+def _spread_checks(values: np.ndarray) -> list:
+    """(row norms, Gram deviation) of each values[j], values (m, k, s)."""
+    norms = np.sqrt((values * values).sum(axis=2)).tolist()
+    gram = np.abs(values @ values.transpose(0, 2, 1) - np.eye(values.shape[1]))
+    return list(zip(norms, gram.max(axis=(1, 2), initial=0.0).tolist()))
 
 
 def _certificates(families: CertificateFamilies, single: bool) -> list:
@@ -738,7 +766,7 @@ def _certificates(families: CertificateFamilies, single: bool) -> list:
     return outcomes[0] if single else outcomes
 
 
-def _rejection(norms, residuals, tolerance, eigenvalue, dev):
+def _rejection(residuals, tolerance, eigenvalue, norms, dev):
     """The CertificateError of a family, None if it passes: the first vector
     whose norm is off 1 or, after that, whose residual is over tolerance;
     then a Gram matrix off the identity by dev."""
@@ -799,27 +827,27 @@ def canopy_families(t, p, r, x, E, psi, operator=None) -> CertificateFamilies:
     psi = psi[:, None] if psi.ndim == 1 else psi
     if psi.shape != (_template_adjacency(t.K, l - 1).shape[0], energies.size):
         raise InvalidArgumentError("psi has the wrong dimension")
-    for E_j, column in zip(energies.tolist(), psi.T):
-        _check_subtree_eigenvector(t.K, l - 1, E_j, column.tobytes())
+    pairs = zip(energies.tolist(), psi.T)
+    spreads = [_check_subtree_eigenvector(t.K, l - 1, E_j, c.tobytes()) for E_j, c in pairs]
     if operator is None:
         operator = assemble_canopy_operator(t, p, r)
-    # canonical order-preserving isomorphism: BFS order to BFS order, one
-    # copy of psi per forward neighbor y = K x + 1 .. K x + K, weighted by a
-    # zero-sum alpha row
+    # one copy of psi per forward neighbor y = K x + 1 .. K x + K, in BFS order
     K, size = t.K, tree_size(t.K, l - 1)
-    y = K * roots[:, None] + np.arange(1, K + 1)
-    supports = subtree(t, y, l - 1).reshape(roots.size, K * size)
-    claims = energies + r.couplings_at(roots, "patch roots")[:, None]
-    roots, energy_list = roots.tolist(), energies.tolist()
-    rows = alpha_basis(K).rows
-    spread = rows[:, :, None] * psi.T[:, None, None]  # (m, K-1, K, subtree size)
+    values = np.array([spread for spread, _ in spreads]).reshape(energies.size, K - 1, K * size)
+    checks = [check for _, check in spreads]
+
+    def stack():
+        y = K * roots[:, None] + np.arange(1, K + 1)
+        supports = subtree(t, y, l - 1).reshape(roots.size, K * size)
+        return supports, r.couplings_at(roots, "patch roots")
+
+    roots_list, energy_list = roots.tolist(), energies.tolist()
 
     def provenance(i, j, a):
-        x, E = roots[i], energy_list[j]
+        x, E = roots_list[i], energy_list[j]
         return {"construction": "canopy", "patch_root": x, "E": E, "alpha_index": a}
 
-    values = spread.reshape(energies.size, len(rows), -1)
-    return _issue(operator, supports, values, claims, energies, provenance)
+    return _issue(operator, (t, p, r), roots, stack, values, checks, energies, provenance)
 
 
 def cayley_certificates(
@@ -840,7 +868,8 @@ def cayley_certificates(
 
 def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
     """cayley_certificates' families, with no certificate object built."""
-    fibers = np.asarray(g).reshape(-1).tolist()
+    sites = np.asarray(g).reshape(-1)
+    fibers = sites.tolist()
     boundary = [f for f in fibers if f in cg.boundary_fibers]
     if boundary:
         raise InvalidArgumentError(f"fiber {boundary[0]} is not interior")
@@ -856,16 +885,18 @@ def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
     )
     if operator is None:
         operator = assemble_cayley_operator(cg, r)
-    supports = np.array([cg.fiber_vertices(f) for f in fibers], dtype=np.intp)
-    supports = supports.reshape(len(fibers), cg.n_base)
-    claims = E0 + r.couplings_at(fibers, "fibers")[:, None]
+
+    def stack():
+        supports = np.array([cg.fiber_vertices(f) for f in fibers], dtype=np.intp)
+        return supports.reshape(len(fibers), cg.n_base), r.couplings_at(fibers, "fibers")
 
     def provenance(i, j, a):
         fiber = repr(cg.group.elements[fibers[i]])
         return {"construction": "cayley", "fiber": fiber, "E0": float(E0), "i": a}
 
-    energies = np.array([E0], dtype=float)
-    return _issue(operator, supports, psis[None], claims, energies, provenance)
+    values, energies = psis[None], np.array([E0], dtype=float)
+    checks = _spread_checks(values)
+    return _issue(operator, (cg, r), sites, stack, values, checks, energies, provenance)
 
 
 class KernelBasis(list):

@@ -92,7 +92,12 @@ class TestSubtree:
         assert subtree(t, np.array([], dtype=np.intp), 2).shape == (0, 7)
         assert subtree(t, [], 2).shape == (0, 7)  # numpy reads [] as float64
 
-    @pytest.mark.parametrize("w", [2.5, True, np.array([1.0]), [True, False], [1, None]])
+    @pytest.mark.parametrize(
+        "w",
+        # numpy casts [0, True] to int64: a bool among ints is found item by item
+        [2.5, True, np.array([1.0]), [True, False], [1, None], [0, True], (0, True),
+         [[0], [np.True_]]],
+    )
     def test_non_integer_vertices_refused(self, w):
         t = build_truncated_canopy(3, 2)
         with pytest.raises(InvalidArgumentError, match="^subtree vertices must be integers"):

@@ -108,7 +108,10 @@ class TestGroups:
     @pytest.mark.parametrize(
         "descriptor",
         ["nope:3", "cyclic", "cyclic:0", "free:2:-1", "zbox:1:0", "free:2:0",
-         "cyclic:6:9", "zbox:2:1:7", "free:2:1:x", "free:2"],
+         "cyclic:6:9", "zbox:2:1:7", "free:2:1:x", "free:2",
+         # int() reads each of these as an integer; only ASCII digits are fields
+         "cyclic:6_0", "cyclic: 6", "cyclic:+6", "cyclic:\u0666", "product:6,+6",
+         "zbox:2:+3"],
     )
     def test_order_rejects_like_build(self, descriptor):
         with pytest.raises(InvalidArgumentError) as by_order:
@@ -119,8 +122,11 @@ class TestGroups:
         if descriptor in ("zbox:1:0", "free:2:0"):
             assert "radius >= 1" in str(by_order.value)
         forms = {"cyclic:6:9": "cyclic:m", "zbox:2:1:7": "zbox:d:radius",
-                 "free:2:1:x": "free:n:radius", "free:2": "free:n:radius"}
-        if descriptor in forms:  # a wrong field count names the expected form
+                 "free:2:1:x": "free:n:radius", "free:2": "free:n:radius",
+                 "cyclic:6_0": "cyclic:m", "cyclic: 6": "cyclic:m", "cyclic:+6": "cyclic:m",
+                 "cyclic:\u0666": "cyclic:m", "product:6,+6": "product:m1,m2,...",
+                 "zbox:2:+3": "zbox:d:radius"}
+        if descriptor in forms:  # a wrong field count or field names the expected form
             assert str(by_order.value).endswith(f": expected {forms[descriptor]}")
 
     # a kind name or a letter, then zero to three ':'-separated fields of

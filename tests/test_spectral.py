@@ -23,6 +23,7 @@ from multispec.canopy import build_truncated_canopy, potential_roots, tree_size
 from multispec.cayley import (
     CayleyTemplate,
     build_cayley_graph,
+    build_group,
     cyclic_group,
     free_group_ball,
     product_of_cyclics,
@@ -495,6 +496,87 @@ class TestCertificateBatch:
         bad[:, 2] *= 2.0
         with pytest.raises(InvalidArgumentError, match="unit norm"):
             canopy_certificates(t, p, r, p.roots, sub.eigenvalues, bad, operator=op)
+
+
+def _issued(families_of, certificates_of, *args, operator):
+    """Everything one certificate call states: its families' residuals and
+    claims as bytes, supports and rejection messages, and the certificate
+    fields or CertificateError text of its one family or of each family."""
+    families = families_of(*args, operator=operator)
+    stated = (families.residuals.tobytes(), families.claims.tobytes(),
+              families.supports.tolist(), [e and str(e) for e in families.rejections])
+    try:
+        outcomes = certificates_of(*args, operator=operator)
+    except CertificateError as exc:  # one family, rejected
+        return stated, str(exc)
+    if any(isinstance(o, (list, CertificateError)) for o in outcomes):  # batched
+        return stated, [str(o) if isinstance(o, CertificateError) else _fields(o)
+                        for o in outcomes]
+    return stated, _fields(outcomes)
+
+
+class TestFamilyReuse:
+    """An operator keeps the supports, couplings and residual layout of its
+    last family stack, and the lru cache of subtree eigenpairs their
+    spreads. Neither shows: any interleaving of calls on one operator gives,
+    call by call, what the same call gives on a freshly assembled one."""
+
+    @staticmethod
+    def _check(calls, fresh, families_of, certificates_of):
+        shared = fresh()
+        for args in calls:
+            got = _issued(families_of, certificates_of, *args, operator=shared)
+            spectral._check_subtree_eigenvector.cache_clear()
+            assert got == _issued(families_of, certificates_of, *args, operator=fresh()), args
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        K=st.integers(2, 4),
+        l=st.integers(2, 3),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_canopy_calls(self, K, l, seed, data):
+        L = 2 * l + 1  # one patch root below the depth-l ones
+        assume(tree_size(K, L) <= 4_000)
+        t = build_truncated_canopy(K, L)
+        p = potential_roots(t, l)
+        r, r2 = (sample_disorder(DisorderSpec(seed=s), p.roots) for s in (seed, seed + 1))
+        sub = subtree_eigenpairs(K, l - 1)
+        m = sub.eigenvalues.size
+        deep = next(x for x in p.roots if t.depth[x] > l)
+        shallow = [x for x in p.roots if t.depth[x] == l]
+        roots = [deep, *data.draw(st.lists(st.sampled_from(shallow), min_size=2, max_size=3))]
+        pair = st.tuples(st.sampled_from(roots), st.integers(0, m - 1), st.sampled_from([r, r2]))
+        x, k = data.draw(st.sampled_from(roots[1:])), data.draw(st.integers(0, m - 1))
+        batch = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+        # random calls, then a root repeated with another eigenpair and with
+        # r2, the deep root, a batched call and the deep root again
+        pairs = data.draw(st.lists(pair, max_size=6))
+        pairs += [(x, k, r), (x, (k + 1) % m, r), (x, k, r2), (deep, k, r)]
+        calls = [(t, p, rr, y, float(sub.eigenvalues[j]), sub.eigenvectors[:, j])
+                 for y, j, rr in pairs]
+        calls.append((t, p, r, roots, sub.eigenvalues[batch], sub.eigenvectors[:, batch]))
+        calls.append(calls[-2])
+        self._check(calls, lambda: assemble_canopy_operator(t, p, r),
+                    canopy_families, canopy_certificates)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_cayley_calls(self, seed, data):
+        group = build_group("cyclic:12")
+        cg, r, _ = _cayley_instance(group, 4, seed)
+        r2 = sample_disorder(DisorderSpec(seed=seed + 1), range(group.size))
+        kernel = junction_kernel_basis(prime_paths_graph(4, 2), 0.0)
+        fiber = st.integers(0, group.size - 1)
+        pairs = data.draw(st.lists(st.tuples(fiber, st.sampled_from([r, r2])), max_size=6))
+        g = data.draw(fiber)
+        pairs += [(g, r), (g, r), (g, r2)]
+        calls = [(cg, rr, h, 0.0, kernel) for h, rr in pairs]
+        calls.append((cg, r, data.draw(st.lists(fiber, min_size=1, max_size=5)), 0.0, kernel))
+        calls.append(calls[-2])
+        self._check(calls, lambda: assemble_cayley_operator(cg, r),
+                    spectral.cayley_families, cayley_certificates)
 
 
 class TestJunctionKernel:

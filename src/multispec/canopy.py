@@ -24,7 +24,7 @@ from .errors import (
     TilingMismatchError,
     TooLargeError,
 )
-from .graph_core import DEFAULT_VERTEX_CAP, CSRMatrix, FiniteGraph
+from .graph_core import DEFAULT_VERTEX_CAP, CSRMatrix, FiniteGraph, integer_array
 
 
 def tree_size(k: int, depth: int) -> int:
@@ -69,20 +69,11 @@ def build_truncated_canopy(
 def subtree(t: TruncatedCanopy, w, j: int):
     """All descendants of w within distance j, in BFS order starting at w:
     a tuple for a vertex, and for an array of vertices one such row each,
-    reading [] as the empty batch. A float or bool vertex is refused."""
+    reading [] as the empty batch. A float or bool vertex, or a ragged
+    nesting, is refused (graph_core.integer_array)."""
     if j < 0:
         raise InvalidArgumentError("subtree depth j must be >= 0")
-    if isinstance(w, (list, tuple)) and any(  # numpy casts [0, True] to ints
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(w, dtype=object).flat
-    ):
-        raise InvalidArgumentError("subtree vertices must be integers, not bool")
-    vertices = np.asarray(w)
-    if vertices.dtype.kind not in "iu":  # numpy reads [] as an empty float array
-        if vertices.size:
-            raise InvalidArgumentError(
-                f"subtree vertices must be integers, not {vertices.dtype}"
-            )
-        vertices = vertices.astype(np.intp)
+    vertices = integer_array(w, "subtree vertices")
     if vertices.min(initial=0) < 0 or vertices.max(initial=0) >= t.vertex_count:
         v = vertices[(vertices < 0) | (vertices >= t.vertex_count)][0]
         raise InvalidArgumentError(f"vertex {v} out of range")

@@ -236,23 +236,24 @@ def from_table(elements, table, generators) -> GroupSpec:
     )
 
 
-# descriptor kind -> (its form, which names its ':'-separated fields, its
-# order from those parameters alone, its constructor)
+# descriptor kind -> (its form, which names its ':'-separated fields; then
+# from those parameters alone its order and its generator count; then its
+# constructor)
 _GROUP_KINDS = {
-    "cyclic": ("cyclic:m", _cyclic_order, cyclic_group),
-    "product": ("product:m1,m2,...", _product_order, product_of_cyclics),
-    "zbox": ("zbox:d:radius", _zd_box_order, zd_box),
-    "free": ("free:n:radius", _free_ball_order, free_group_ball),
+    "cyclic": ("cyclic:m", _cyclic_order, lambda m: 1, cyclic_group),
+    "product": ("product:m1,m2,...", _product_order, len, product_of_cyclics),
+    "zbox": ("zbox:d:radius", _zd_box_order, lambda d, radius: d, zd_box),
+    "free": ("free:n:radius", _free_ball_order, lambda n, radius: n, free_group_ball),
 }
 
 
-def _from_descriptor(descriptor: str, build: bool):
+def _from_descriptor(descriptor: str, part: str):
     """Parse a group descriptor by its kind's form and apply the kind's
-    constructor (build) or order function to the parameters."""
+    order, generator count or constructor (part) to the parameters."""
     kind, *fields = descriptor.split(":")
     if kind not in _GROUP_KINDS:
         raise InvalidArgumentError(f"unknown group kind {kind!r}")
-    form, order, constructor = _GROUP_KINDS[kind]
+    form = _GROUP_KINDS[kind][0]
     names = form.split(":")[1:]
     if len(fields) != len(names):
         raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: expected {form}")
@@ -265,7 +266,7 @@ def _from_descriptor(descriptor: str, build: bool):
             tuple(map(int, field.split(","))) if "," in name else int(field)
             for field, name in zip(fields, names)
         ]
-        return (constructor if build else order)(*params)
+        return _GROUP_KINDS[kind][1 + ("order", "generators", "build").index(part)](*params)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad group descriptor {descriptor!r}: {exc}") from exc
 
@@ -273,9 +274,9 @@ def _from_descriptor(descriptor: str, build: bool):
 def build_group(descriptor: str) -> GroupSpec:
     """Parse a textual group descriptor: ``cyclic:m``, ``product:m1,m2,...``,
     ``zbox:d:radius`` or ``free:n:radius``, read by the same table of kinds
-    (form, order, constructor) as group_order. A descriptor with more or
-    fewer fields than its form is refused."""
-    return _from_descriptor(descriptor, build=True)
+    as group_order. A descriptor with more or fewer fields than its form is
+    refused."""
+    return _from_descriptor(descriptor, "build")
 
 
 def group_order(descriptor: str) -> int:
@@ -283,7 +284,14 @@ def group_order(descriptor: str) -> int:
     (m, m1*m2*..., (2 radius + 1)^d, or the reduced words of length at most
     radius), enumerating nothing. A malformed descriptor or a parameter
     outside the constructor's domain raises build_group's error."""
-    return _from_descriptor(descriptor, build=False)
+    return _from_descriptor(descriptor, "order")
+
+
+def group_right_steps(descriptor: str) -> int:
+    """How many products GroupSpec.right_steps of build_group(descriptor)
+    holds, |G| * 2 * (generator count), from the descriptor alone, as
+    group_order counts |G|."""
+    return group_order(descriptor) * 2 * _from_descriptor(descriptor, "generators")
 
 
 def require_vertex_cap(base_vertices: int, order: int, vertex_cap: int) -> None:

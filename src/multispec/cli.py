@@ -109,18 +109,22 @@ def _family_failure(error, nearby: int, residuals: list, noun: str) -> str | Non
 
 def _prime_paths_template(args):
     """The glued prime-paths base, its Cayley graph over args.group and the
-    disorder of args.seed. The vertex cap is checked on |G| * |V(base)|, with
-    |G| read from the descriptor, before the group is built."""
+    disorder of args.seed. The vertex cap is checked on |G| * |V(base)| and
+    on the group's |G| * 2 * (generator count) right steps, each read from
+    the descriptor, before the group is built."""
     glued = graph_core.prime_paths_graph(args.pieces, args.scale)
-    cayley_mod.require_vertex_cap(
-        glued.graph.vertex_count, cayley_mod.group_order(args.group), _vertex_cap()
-    )
+    cap = _vertex_cap()
+    order = cayley_mod.group_order(args.group)
+    cayley_mod.require_vertex_cap(glued.graph.vertex_count, order, cap)
+    steps = cayley_mod.group_right_steps(args.group)
+    if steps > cap:
+        raise TooLargeError(f"group {args.group} would have {steps} right steps (cap {cap})")
     group = cayley_mod.build_group(args.group)
     anchors = {}
     for i in range(1, len(group.generators) + 1):
         anchors[-i], anchors[i] = glued.junctions
     template = cayley_mod.CayleyTemplate(glued.graph, anchors)
-    cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=_vertex_cap())
+    cg = cayley_mod.build_cayley_graph(template, group, vertex_cap=cap)
     return glued, cg, sample_disorder(DisorderSpec(seed=args.seed), range(group.size))
 
 
@@ -160,7 +164,6 @@ def cmd_canopy_verify(args) -> dict:
         if why:
             failures.append(f"root {x} E {E}: {why}")
         results.append(entry)
-    clusters = spectral.cluster_multiplicities(eigenvalues.tolist(), args.tau)
     if args.self_test and issued:
         # perturb the first issued certificate on its own support and run
         # the residual check the certificates passed
@@ -184,7 +187,7 @@ def cmd_canopy_verify(args) -> dict:
         "config": _config(args) | {"distribution": "uniform[0,1]"},
         "certificates_issued": issued,
         "per_pair": results,
-        "clusters_ge_2": sum(1 for _, c in clusters if c >= 2),
+        "clusters_ge_2": spectral.clusters_ge_2(eigenvalues, args.tau),
         "certified_total": (t.K - 1) * claims.size,
         "observed_total": eigenvalues.size,
         "failures": failures,

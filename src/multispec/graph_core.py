@@ -82,6 +82,25 @@ class FiniteGraph:
         return [adj.indices[a:b].tolist() for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """values as an integer array, reading [] as an empty one. A bool
+    anywhere (numpy casts [0, True] to ints, so a list or tuple is checked
+    item by item), a float, a string or a ragged nesting raises
+    InvalidArgumentError naming what."""
+    items = np.asarray(values, dtype=object).flat if isinstance(values, (list, tuple)) else ()
+    if any(isinstance(v, (bool, np.bool_)) for v in items):
+        raise InvalidArgumentError(f"{what} must be integers, not bool")
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged: numpy finds no shape for the nesting
+        raise InvalidArgumentError(f"{what} must be integers in a rectangular array") from None
+    if array.dtype.kind not in "iu":
+        if array.size:
+            raise InvalidArgumentError(f"{what} must be integers, not {array.dtype}")
+        array = array.astype(np.intp)
+    return array
+
+
 def make_graph(vertex_count: int, edges) -> FiniteGraph:
     """Canonicalize an edge iterable (sort endpoints, sort and dedup pairs).
     Refuses, as FiniteGraph does, an item that is not a pair and an endpoint

@@ -26,9 +26,13 @@ eigenvector below one patch root share its support, so each support is
 laid out (sorted, gathered and indexed) once for the vectors of all its
 families, and the operator keeps its last stack's layout for calls that
 repeat a root; the support-local arithmetic equals the dense H v - E v of
-each bit for bit. canopy_families and cayley_families
-stop at these arrays, which the CLI reports read, and the certificates are
-built from them.
+each bit for bit. A pass takes as many supports as keep their gathered
+products within SCHUR_BLOCK_BYTES, the bound of the inertia passes too: the
+325 families of K=4, L=5, l=2 fit in one. One test of every family's worst
+residual and every eigenpair's spreads passes a whole stack, and only the
+families that fail it are walked for their message. canopy_families and
+cayley_families stop at these arrays, which the CLI reports read, and the
+certificates are built from them.
 
 operator_spectrum solves each canopy operator once, on its core, the
 operator's quotient by its level cells (each vertex above depth l, and the
@@ -42,8 +46,10 @@ residual bound, and the merged values must match the operator's dimension,
 trace and Frobenius norm. counts_below counts below given shifts on the
 same tree and solves nothing; given a stack of potentials on the tree, it
 counts every realization in one stacked elimination, with each one's
-checks, so dos solves no spectrum. eig_sym, which self-checks its
-eigenvectors, serves the solves whose vectors are used.
+checks, so dos solves no spectrum. Every chain of the core carries its
+root's omega_x, so its pivots are one recurrence in omega_x - s. eig_sym,
+which self-checks its eigenvectors, serves the solves whose vectors are
+used.
 
 window_counts is the one window of both families: it counts the eigenvalues
 with fl(t - tau) < lambda < fl(t + tau), two counts #{lambda < s} apart, by
@@ -77,7 +83,7 @@ from .canopy import (
 )
 from .cayley import CayleyGraph
 from .errors import CertificateError, InvalidArgumentError, TooLargeError
-from .graph_core import GluedGraph, adjacency_matrix, adjacency_sparse
+from .graph_core import GluedGraph, adjacency_matrix, adjacency_sparse, integer_array
 
 DEFAULT_EIG_CAP = 5_000
 TOL_SCALE = 1e-9  # relative scale of the solver, power-sum and certificate tolerances
@@ -89,8 +95,7 @@ ALPHA_SUM_TOL = 1e-14
 ALPHA_GRAM_TOL = 1e-13
 PIECE_EIG_TOL = 1e-8  # how close a piece eigenvalue must come to E0
 RANK_TOL = 1e-10  # relative to the junction system's largest entry
-RESIDUAL_BLOCK = 2_048  # support entries x eigenpairs per residual pass, to bound memory
-SCHUR_BLOCK_BYTES = 2 << 20  # shifts per inertia count pass, to bound memory
+SCHUR_BLOCK_BYTES = 2 << 20  # the arrays of one inertia or residual pass, to bound memory
 PIVOT_TOL = 1e-6  # eliminating a pivot d scales rounding by |coupling|^2 / |d|
 
 
@@ -448,32 +453,43 @@ def _tree_counts_below(op: SiteOperator, shifts: np.ndarray, potentials) -> np.n
     vertex with an exactly zero child pivot takes a negative pivot and passes
     nothing up (G. Jacobs, V. Trevisan, Linear Algebra Appl. 434 (2011)
     81-88): a(v) = -inf. The chains go from level l (their leaves) to 0, then
-    the deep BFS prefix level by level, K children per vertex in order. A
-    patch block R_(d-1) + omega_x is the bottom d levels of x's chain, so a
-    chain pivot at level j counts K^j times in op. The (potential, shift)
+    the deep BFS prefix level by level, K children per vertex in order.
+    Every chain level carries its root's omega_x and w^2 = K, so a chain's
+    pivots are one recurrence in z = omega_x - s: a_0 = z and a_(i+1) =
+    z - K / a_i, with a_(i+1) = -inf where a_i == 0. A patch block
+    R_(d-1) + omega_x is the bottom d levels of x's chain, so the pivot a_i
+    counts once in the core and K^(l-i) times in op. The (potential, shift)
     pairs of all rows stack into one elimination, and a pass takes as many
-    as keep one level's pivots within SCHUR_BLOCK_BYTES, splitting a row
-    where the budget ends."""
+    as keep the chains' l+1 levels of pivots within SCHUR_BLOCK_BYTES,
+    splitting a row where the budget ends."""
     t, p = op.tiling
     K, l = t.K, p.l
     diagonals = [potentials[:, t.depth == d] for d in range(l, t.L + 1)]  # BFS order
     realization, column = np.divmod(np.arange(shifts.size), shifts.shape[1])
     counts = np.zeros((2, shifts.size), dtype=np.intp)
-    step = max(1, SCHUR_BLOCK_BYTES // (8 * diagonals[0].shape[1]))
-    for lo in range(0, shifts.size, step):
-        at = realization[lo : lo + step]
-        sigma = shifts[at, column[lo : lo + step], None]
-        omega, *deep = (diagonal[at] for diagonal in diagonals)
-        levels = [(omega, K, K**j) for j in range(l, -1, -1)]  # (diagonal, w^2, copies)
-        levels += [(diagonal, 1.0, 1) for diagonal in deep]
-        pivots = np.full(omega.shape, np.inf)  # the leaves have no children
-        for diagonal, weight, copies in levels:
-            children = pivots.reshape(at.size, diagonal.shape[1], -1)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                pivots = diagonal - sigma - weight * np.reciprocal(children).sum(axis=2)
-            pivots[(children == 0).any(axis=2)] = -np.inf
-            negative = np.count_nonzero(pivots < 0, axis=1)
-            counts[:, lo : lo + step] += np.outer([1, copies], negative)
+    copies = np.stack([np.ones(l + 1, np.intp), K ** np.arange(l, -1, -1)])
+    roots = diagonals[0].shape[1]
+    step = max(1, SCHUR_BLOCK_BYTES // (8 * (l + 1) * roots))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, shifts.size, step):
+            at = realization[lo : lo + step]
+            sigma = shifts[at, column[lo : lo + step], None]
+            chain = np.empty((l + 1, at.size, roots))  # a_i, computed in place
+            z = np.take(diagonals[0], at, axis=0, out=chain[0])
+            z -= sigma  # the leaves have no children
+            for a, after in zip(chain, chain[1:]):
+                np.subtract(z, np.multiply(K, np.reciprocal(a, out=after), out=after), out=after)
+                np.copyto(after, -np.inf, where=a == 0)
+            counts[:, lo : lo + step] = copies @ np.count_nonzero(chain < 0, axis=2)
+            pivots = chain[l]
+            for diagonal in diagonals[1:]:  # once in the core and in op
+                children = pivots.reshape(at.size, diagonal.shape[1], -1)
+                zero = children == 0
+                inverse = np.reciprocal(children, out=children).sum(axis=2)  # they are counted
+                pivots = diagonal[at] - sigma - inverse
+                if zero.any():  # rare: only an exact zero pivot
+                    pivots[zero.any(axis=2)] = -np.inf
+                counts[:, lo : lo + step] += np.count_nonzero(pivots < 0, axis=1)
     return counts.reshape((2, *shifts.shape))
 
 
@@ -518,22 +534,32 @@ def check_eigenvectors(matrix, vectors, E: float, error: type, what: str) -> np.
     return residuals
 
 
-def cluster_multiplicities(eigenvalues, tau: float) -> list[tuple[float, int]]:
-    """Greedy clustering of an ascending sequence: consecutive values within
-    tau of the previous one join the current cluster."""
+def _cluster_bounds(eigenvalues, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The values of an ascending sequence as an array, and where each of
+    its clusters starts and ends: a value more than tau above the previous
+    one starts a cluster, and every other value joins the current one."""
     if tau <= 0:
         raise InvalidArgumentError("cluster tolerance must be positive")
-    vals = list(eigenvalues)
-    if any(b < a for a, b in zip(vals, vals[1:])):
+    values = np.asarray(eigenvalues, dtype=float).reshape(-1)
+    gaps = np.diff(values)
+    if np.any(gaps < 0):
         raise InvalidArgumentError("eigenvalues must be sorted ascending")
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tau:
-            chunk = vals[start:i]
-            clusters.append((sum(chunk) / len(chunk), len(chunk)))
-            start = i
-    return clusters
+    starts = np.flatnonzero(gaps > tau) + 1
+    return values, np.concatenate([[0], starts, [values.size]]) if values.size else starts
+
+
+def cluster_multiplicities(eigenvalues, tau: float) -> list[tuple[float, int]]:
+    """The (mean, size) of each cluster of an ascending sequence, in order:
+    consecutive values within tau of the previous one join the current
+    cluster (_cluster_bounds)."""
+    values, bounds = _cluster_bounds(eigenvalues, tau)
+    values, bounds = values.tolist(), bounds.tolist()
+    return [(sum(values[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def clusters_ge_2(eigenvalues, tau: float) -> int:
+    """How many clusters of cluster_multiplicities hold two values or more."""
+    return int(np.count_nonzero(np.diff(_cluster_bounds(eigenvalues, tau)[1]) >= 2))
 
 
 @dataclass(frozen=True)
@@ -645,21 +671,25 @@ def support_residuals(
 def _residual_layout(op: SiteOperator, supports: np.ndarray):
     """Where _residuals reads for a nonempty stack of supports (families, s):
     keyed family * n + vertex, one sort gives the rows support + N(support),
-    outside which (H - E)v vanishes, and the CSR positions of their entries."""
+    outside which (H - E)v vanishes. Per CSR entry slot j of the rows, the
+    weights (w, rows, 1) and the flat stack index each entry reads (w, rows),
+    then each row's potential, family and own index, and each family's first
+    row; a padding slot, or an entry off the supports, reads index
+    families * s."""
     n, indices = op.dimension, op.adjacency.indices
     first = np.arange(0, len(supports) * n, n)  # the key of each family's vertex 0
     keys = (supports + first[:, None]).ravel()
     order = keys.argsort()
-    keys = keys[order]
+    keys = keys.take(order)  # take: a small family's gathers cost less than with []
 
-    def padded(rows):  # the keys of each row's CSR entries, in storage order
+    def padded(rows):  # the keys of each row's CSR entries, (slot, row) in storage order
         vertex = rows % n
-        ptr = op.adjacency.padded_rows[vertex]
-        return (rows - vertex)[:, None] + indices[ptr], ptr, vertex
+        ptr = op.adjacency.padded_rows.take(vertex, axis=0).T
+        return rows - vertex + indices.take(ptr), ptr, vertex
 
     def placed(query):  # each key's flat index in the stack, keys.size off the supports
         pos = np.minimum(keys.searchsorted(query), keys.size - 1)
-        return np.where(keys[pos] == query, order[pos], keys.size)
+        return np.where(keys.take(pos) == query, order.take(pos), keys.size)
 
     adjacent, ptr, _ = padded(keys)
     rows = np.concatenate([keys, adjacent[ptr >= 0]])
@@ -667,25 +697,29 @@ def _residual_layout(op: SiteOperator, supports: np.ndarray):
     rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
     adjacent, ptr, vertex = padded(rows)
     at = np.where(ptr >= 0, placed(adjacent), keys.size)
-    return ptr, vertex, rows // n, at, placed(rows), rows.searchsorted(first)
+    weights = op.adjacency.data.take(ptr)[:, :, None]  # a padding slot reads v = 0
+    potential = op.potential.take(vertex)[:, None]
+    return weights, at, potential, rows // n, placed(rows), rows.searchsorted(first)
 
 
 def _residuals(op: SiteOperator, layout, values: np.ndarray, eigenvalue) -> np.ndarray:
-    """support_residuals on a _residual_layout. Each row sum adds its products
-    in CSR storage order, as the CSRMatrix product does, so every result
-    equals the residual of op.adjacency @ v bit for bit."""
-    families, k, s = values.shape
-    ptr, vertex, family, at, own, starts = layout
-    vals = np.zeros((k, families * s + 1))  # the last column: v off the supports
-    vals[:, :-1] = values.transpose(1, 0, 2).reshape(k, families * s)
-    products = op.adjacency.data[ptr] * vals[:, at]
-    acc = np.zeros(products.shape[:2])
-    for j in range(products.shape[2]):
-        acc += products[:, :, j]
-    v = vals[:, own]
-    energy = np.asarray(eigenvalue, dtype=float).reshape(families, -1)[family].T
-    residual = np.abs((acc + op.potential[vertex] * v) - energy * v)
-    return np.maximum.reduceat(residual, starts, axis=1).T
+    """support_residuals on a _residual_layout, values (families, k, s), or
+    (1, k, s) for the same vectors on every support. Each row sum adds its
+    products in CSR storage order, as the CSRMatrix product does, so every
+    result equals the residual of op.adjacency @ v bit for bit. The (rows, k)
+    arrays are computed in place, a few buffers a pass."""
+    weights, at, potential, family, own, starts = layout
+    families, (k, s) = starts.size, values.shape[1:]
+    vals = np.zeros((families * s + 1, k))  # the last row: v off the supports
+    vals[:-1].reshape(families, s, k)[...] = values.transpose(0, 2, 1)
+    acc, term = np.zeros((own.size, k)), np.empty((own.size, k))
+    for weight, index in zip(weights, at):
+        acc += np.multiply(weight, vals.take(index, axis=0, out=term), out=term)
+    v = vals.take(own, axis=0)
+    acc += np.multiply(potential, v, out=term)
+    energy = np.asarray(eigenvalue, dtype=float).reshape(families, -1).take(family, axis=0)
+    acc -= np.multiply(energy, v, out=v)
+    return np.maximum.reduceat(np.abs(acc, out=acc), starts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -708,10 +742,12 @@ def _issue(op, owners, sites, build, values, checks, energies, provenance) -> Ce
     of _spread_checks, on supports[i] claiming energies[j] + couplings[i], as
     build() gives both at the sites of the inputs owners, which op keeps with
     the layouts of the residual passes for a call with equal owners, sites
-    and passes. Each pass takes at most RESIDUAL_BLOCK support entries times
-    eigenpairs (one support at least), for all m * k vectors of a support."""
+    and passes. A pass takes as many supports (one at least) as keep the
+    products its m * k vectors gather, 8 m k s w bytes a support for CSR
+    rows w entries wide, within SCHUR_BLOCK_BYTES."""
     m, k, s = values.shape
-    step = max(1, RESIDUAL_BLOCK // max(s * m, 1))
+    width = op.adjacency.padded_rows.shape[1]
+    step = max(1, SCHUR_BLOCK_BYTES // max(8 * m * k * s * width, 1))
     key = (sites.dtype.str, sites.tobytes(), step, *owners)  # t, p and cg equal only themselves
     if op._families is None or op._families[0] != key:
         supports, couplings = build()
@@ -725,14 +761,9 @@ def _issue(op, owners, sites, build, values, checks, energies, provenance) -> Ce
     by_support = residuals.reshape(len(supports), m * k)  # a view, row i = families (i, *)
     for lo, layout in zip(range(0, len(supports), step), layouts):
         block = claims[lo : lo + step].repeat(k, axis=1)
-        vectors = values.reshape(1, m * k, s).repeat(len(block), axis=0)
-        by_support[lo : lo + step] = _residuals(op, layout, vectors, block)
+        by_support[lo : lo + step] = _residuals(op, layout, values.reshape(1, m * k, s), block)
     tolerances = [residual_tolerance(op, E) for E in energies.tolist()]
-    flat = claims.ravel().tolist()
-    rejections = [
-        _rejection(residual, tolerances[f % m], flat[f], *checks[f % m])
-        for f, residual in enumerate(residuals.tolist())
-    ]
+    rejections = _rejection(residuals.reshape(len(supports), m, k), tolerances, claims, checks)
     return CertificateFamilies(supports, values, claims, provenance, residuals, rejections)
 
 
@@ -766,21 +797,39 @@ def _certificates(families: CertificateFamilies, single: bool) -> list:
     return outcomes[0] if single else outcomes
 
 
-def _rejection(residuals, tolerance, eigenvalue, norms, dev):
-    """The CertificateError of a family, None if it passes: the first vector
-    whose norm is off 1 or, after that, whose residual is over tolerance;
-    then a Gram matrix off the identity by dev."""
-    for norm, residual in zip(norms, residuals):
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-            return CertificateError(f"certificate vector norm {norm} is not 1")
-        if not residual <= tolerance:
-            return CertificateError(
-                f"certificate residual {residual:.3e} exceeds tolerance "
-                f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
-            )
-    if not dev <= ORTHO_TOL:
-        return CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
-    return None
+def _rejection(residuals, tolerances, claims, checks) -> list:
+    """The CertificateError of each family (i, j), row-major, or None if it
+    passes: residuals (supports, m, k) of its k vectors, tolerances[j],
+    claims[i, j], and checks[j] = (norms, Gram deviation) of eigenpair j.
+    One test passes every family whose worst residual is within its
+    tolerance (a NaN is not) and whose eigenpair's norms are 1 and Gram
+    deviation within ORTHO_TOL; a stack whose worst residual is within every
+    tolerance passes whole. Each other family gets its first vector whose
+    norm is off 1 or, after that, whose residual is over tolerance; then the
+    Gram matrix off the identity by its deviation."""
+    m, k = residuals.shape[1:]
+    sound = [all(abs(x - 1.0) <= UNIT_NORM_TOL for x in n) and d <= ORTHO_TOL for n, d in checks]
+    out = [None] * (residuals.shape[0] * m)
+    if all(sound) and residuals.max(initial=-np.inf) <= min(tolerances, default=np.inf):
+        return out
+    passed = (residuals.max(axis=2, initial=-np.inf) <= np.array(tolerances)) & np.array(sound)
+    failing = np.flatnonzero(~passed).tolist()
+    walked = zip(residuals.reshape(len(out), k)[failing].tolist(), claims.ravel()[failing].tolist())
+    for f, (vectors, eigenvalue) in zip(failing, walked):
+        (norms, dev), tolerance = checks[f % m], tolerances[f % m]
+        for norm, residual in zip(norms, vectors):
+            if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+                out[f] = CertificateError(f"certificate vector norm {norm} is not 1")
+                break
+            if not residual <= tolerance:
+                out[f] = CertificateError(
+                    f"certificate residual {residual:.3e} exceeds tolerance "
+                    f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
+                )
+                break
+        else:
+            out[f] = CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
+    return out
 
 
 def canopy_certificates(
@@ -867,8 +916,9 @@ def cayley_certificates(
 
 
 def cayley_families(cg, r, g, E0, psis, operator=None) -> CertificateFamilies:
-    """cayley_certificates' families, with no certificate object built."""
-    sites = np.asarray(g).reshape(-1)
+    """cayley_certificates' families, with no certificate object built. The
+    fibers g must be integers (graph_core.integer_array)."""
+    sites = integer_array(g, "fibers").reshape(-1)
     fibers = sites.tolist()
     boundary = [f for f in fibers if f in cg.boundary_fibers]
     if boundary:

@@ -6,7 +6,10 @@ array builder, the tuple-keyed colour refinement that of the array
 refinement kernel, and the unseeded enumeration that of the brute Aut_And
 oracle's search seeded by the potential. The loop-built subtree is the
 oracle of the canopy's descendant formula, and the hand-assembled canopy
-core that of its quotient by the level cells."""
+core that of its quotient by the level cells. The generic level-by-level
+elimination is the oracle of the tree counts' chain recurrence, the
+family-by-family verdict that of the whole-stack verdict test, and the
+greedy clustering loop that of the clusters read from gaps."""
 
 import itertools
 
@@ -16,7 +19,9 @@ import scipy.sparse as sp
 from multispec.anderson import DisorderRealization, assemble_cayley_operator
 from multispec.automorphism import BRUTE_VERTEX_CAP, automorphisms, conjugation_deviation
 from multispec.cayley import require_finite
+from multispec.errors import CertificateError
 from multispec.graph_core import CSRMatrix
+from multispec.spectral import ORTHO_TOL, UNIT_NORM_TOL
 
 
 def dense_operator(op) -> np.ndarray:
@@ -142,3 +147,57 @@ def canopy_core(op) -> np.ndarray:
     heads = chain[linked, 0]
     core[heads, parents[linked]] = core[parents[linked], heads] = 1.0
     return core
+
+
+def tree_counts_below(op, shifts, potentials) -> np.ndarray:
+    """The canopy core's (row 0) and the operator's (row 1) counts below
+    each shifts[i, j] under potentials[i], by the generic leaf-to-root
+    elimination: every level, the chains' included, sums w^2 / a(c) over
+    its K or 1 children's pivots a(c), and a zero child pivot gives its
+    parent -inf; a chain level j counts K^j times in op."""
+    t, p = op.tiling
+    K, l = t.K, p.l
+    diagonals = [potentials[:, t.depth == d] for d in range(l, t.L + 1)]
+    at, column = np.divmod(np.arange(shifts.size), shifts.shape[1])
+    sigma = shifts[at, column, None]
+    omega, *deep = (diagonal[at] for diagonal in diagonals)
+    levels = [(omega, K, K**j) for j in range(l, -1, -1)]  # (diagonal, w^2, copies)
+    levels += [(diagonal, 1.0, 1) for diagonal in deep]
+    counts = np.zeros((2, shifts.size), dtype=np.intp)
+    pivots = np.full(omega.shape, np.inf)  # the leaves have no children
+    for diagonal, weight, copies in levels:
+        children = pivots.reshape(at.size, diagonal.shape[1], -1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pivots = diagonal - sigma - weight * np.reciprocal(children).sum(axis=2)
+        pivots[(children == 0).any(axis=2)] = -np.inf
+        counts += np.outer([1, copies], np.count_nonzero(pivots < 0, axis=1))
+    return counts.reshape((2, *shifts.shape))
+
+
+def rejection(residuals, tolerance, eigenvalue, norms, dev):
+    """The CertificateError of one family, None if it passes: the first
+    vector whose norm is off 1 or, after that, whose residual is over
+    tolerance; then a Gram matrix off the identity by dev."""
+    for norm, residual in zip(norms, residuals):
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+            return CertificateError(f"certificate vector norm {norm} is not 1")
+        if not residual <= tolerance:
+            return CertificateError(
+                f"certificate residual {residual:.3e} exceeds tolerance "
+                f"{tolerance:.3e} (claimed eigenvalue {eigenvalue})"
+            )
+    if not dev <= ORTHO_TOL:
+        return CertificateError(f"certificate Gram deviates from identity by {dev:.3e}")
+    return None
+
+
+def cluster_multiplicities(values, tau) -> list:
+    """Greedy clustering of an ascending list: consecutive values within tau
+    of the previous one join the current cluster; (mean, size) of each."""
+    clusters, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tau:
+            chunk = values[start:i]
+            clusters.append((sum(chunk) / len(chunk), len(chunk)))
+            start = i
+    return clusters

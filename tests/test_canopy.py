@@ -103,6 +103,14 @@ class TestSubtree:
         with pytest.raises(InvalidArgumentError, match="^subtree vertices must be integers"):
             subtree(t, w, 1)
 
+    @pytest.mark.parametrize("w", [[[0], [1, 2]], [[0, 1], [2, [3]]]])
+    def test_ragged_vertices_refused(self, w):
+        # numpy finds no array shape for the nesting
+        t = build_truncated_canopy(3, 3)
+        message = "^subtree vertices must be integers in a rectangular array$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            subtree(t, w, 1)
+
     def test_batch_rejected_whole(self):
         t = build_truncated_canopy(3, 2)
         with pytest.raises(IncompleteSubtreeError, match="^vertex 4 has depth 0 <"):

@@ -14,6 +14,7 @@ from multispec.cayley import (
     free_group_ball,
     from_table,
     group_order,
+    group_right_steps,
     product_of_cyclics,
     zd_box,
 )
@@ -104,6 +105,14 @@ class TestGroups:
     )
     def test_order_from_descriptor(self, descriptor):
         assert group_order(descriptor) == build_group(descriptor).size
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["cyclic:1", "cyclic:6", "product:2,3,4", "zbox:2:2", "zbox:3:1",
+         "free:1:3", "free:2:3", "free:3:2"],
+    )
+    def test_right_steps_from_descriptor(self, descriptor):
+        assert group_right_steps(descriptor) == build_group(descriptor).right_steps.size
 
     @pytest.mark.parametrize(
         "descriptor",

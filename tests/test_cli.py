@@ -967,6 +967,23 @@ def test_group_size_cap_before_group_is_built(command, monkeypatch, capsys):
     assert err.startswith("error (size cap):") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["cayley-verify", "aut"])
+@pytest.mark.parametrize("group", ["free:400:1", "free:3124:1"])
+def test_group_right_steps_cap_before_group_is_built(command, group, monkeypatch, capsys):
+    # free:3124:1 has 6,249 elements (199,968 vertices at --pieces 4, under the
+    # vertex cap) but 6,249 * 6,248 right steps, each a Python product
+    import multispec.cayley as cayley
+
+    def refuse(self, *args):
+        raise AssertionError("group built before the right-steps cap check")
+
+    monkeypatch.setattr(cayley.GroupSpec, "__init__", refuse)
+    assert run([command, "--pieces", "4", "--group", group]) == EXIT_TOO_LARGE
+    err = capsys.readouterr().err
+    steps = cayley.group_order(group) * 2 * int(group.split(":")[1])
+    assert err == f"error (size cap): group {group} would have {steps} right steps (cap 200000)\n"
+
+
 def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
     # one parser serves every run in a process: a self-test run and a
     # rejected argv leave nothing behind, so a plain run writes the report a

@@ -271,7 +271,7 @@ def test_stacked_histogram_sums_single_counts(
     pairs = 1 + split % (shifts.size + 1)  # < shifts.size + 2 shifts a realization
     roots = int(np.count_nonzero(t.depth == l))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * roots * pairs)
+        mp.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * (l + 1) * roots * pairs)  # l+1 chain levels
         hist = eigenvalue_histogram(t, p, spec, edges, realizations)
     assert np.array_equal(hist.counts, expect)
     assert hist.counts.sum() == realizations * t.vertex_count

@@ -51,6 +51,7 @@ from multispec.spectral import (
     subtree_eigenpairs,
     support_residuals,
 )
+import oracle
 from oracle import canopy_core, dense_operator, from_scipy, scipy_csr, subtree
 
 
@@ -115,6 +116,42 @@ class TestClustering:
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidArgumentError):
             cluster_multiplicities([1.0, 0.0], 1e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 5), max_size=40),
+        start=st.integers(-40, 40),
+        tau=st.sampled_from([0.25, 0.5, 1.0]),
+        empty=st.booleans(),
+    )
+    def test_gaps_of_exactly_tau_and_repeats(self, steps, start, tau, empty):
+        # values on the grid 0.25 Z, where every difference is exact: repeats
+        # (step 0) join, a gap of exactly tau joins, a wider one splits
+        values = [] if empty else (0.25 * np.cumsum([start, *steps])).tolist()
+        clusters = cluster_multiplicities(values, tau)
+        assert clusters == oracle.cluster_multiplicities(values, tau)
+        assert cluster_multiplicities(np.array(values), tau) == clusters
+        expected = sum(1 for _, c in clusters if c >= 2)
+        assert spectral.clusters_ge_2(values, tau) == spectral.clusters_ge_2(np.array(values), tau)
+        assert spectral.clusters_ge_2(values, tau) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(-5.0, 5.0), max_size=30),
+        repeat=st.integers(0, 3),
+        tau=st.floats(1e-9, 2.0),
+    )
+    def test_clusters_ge_2_counts_the_clusters(self, values, repeat, tau):
+        values = sorted(values + values[:repeat])
+        clusters = cluster_multiplicities(values, tau)
+        assert clusters == oracle.cluster_multiplicities(values, tau)
+        assert spectral.clusters_ge_2(values, tau) == sum(1 for _, c in clusters if c >= 2)
+
+    def test_clusters_ge_2_checks_as_the_clusters(self):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            spectral.clusters_ge_2([0.0], 0.0)
+        with pytest.raises(InvalidArgumentError, match="sorted ascending"):
+            spectral.clusters_ge_2([1.0, 0.0], 1e-7)
 
 
 class TestAlphaBasis:
@@ -321,7 +358,7 @@ class TestCertificateBatch:
         blocks=st.integers(0, 2),
         seed=st.integers(0, 2**31 - 1),
         pick=st.integers(0, 2**31 - 1),
-        block=st.sampled_from([1, 7, 64, spectral.RESIDUAL_BLOCK]),
+        block=st.sampled_from([1, 2_000, 60_000, spectral.SCHUR_BLOCK_BYTES]),
     )
     def test_canopy_families_equal_single_pairs(self, K, l, blocks, seed, pick, block):
         L = l + blocks * (l + 1)
@@ -338,7 +375,7 @@ class TestCertificateBatch:
         roots = deep + rng.choice(shallow, min(len(shallow), 6), replace=False).tolist()
         roots = rng.permutation(roots).tolist()
         ks = rng.permutation(sub.eigenvalues.size)[: rng.integers(1, 4)].tolist()
-        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block):
+        with mock.patch.object(spectral, "SCHUR_BLOCK_BYTES", block):
             batch = canopy_certificates(
                 t, p, r, roots, sub.eigenvalues[ks], sub.eigenvectors[:, ks], operator=op
             )
@@ -354,7 +391,7 @@ class TestCertificateBatch:
     @given(
         group=st.sampled_from([cyclic_group(5), product_of_cyclics((2, 3))]),
         seed=st.integers(0, 2**31 - 1),
-        block=st.sampled_from([1, 40, spectral.RESIDUAL_BLOCK]),
+        block=st.sampled_from([1, 4_000, spectral.SCHUR_BLOCK_BYTES]),
         E0=st.sampled_from([0.0, 0.5]),
     )
     def test_cayley_fibers_equal_single_fibers(self, group, seed, block, E0):
@@ -371,7 +408,7 @@ class TestCertificateBatch:
         # at E0 = 0.5 the kernel vectors are no eigenvectors: every fiber fails
         # its residual check, which the base check at E0 = 0 does not see
         base = spectral.check_eigenvectors
-        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block), mock.patch.object(
+        with mock.patch.object(spectral, "SCHUR_BLOCK_BYTES", block), mock.patch.object(
             spectral, "check_eigenvectors", lambda m, v, E, *a: base(m, v, 0.0, *a)
         ):
             batch = cayley_certificates(cg, r, fibers, E0, kernel, operator=op)
@@ -388,13 +425,13 @@ class TestCertificateBatch:
         l=st.integers(2, 3),
         blocks=st.integers(0, 2),
         seed=st.integers(0, 2**31 - 1),
-        budget=st.sampled_from(["1", "s", "s*m-1", "2*s*m+1", "default"]),
+        budget=st.sampled_from(["1", "b-1", "b", "2*b+1", "default"]),
     )
     def test_grouped_families_equal_single_supports(self, K, l, blocks, seed, budget):
         # residual passes go per support, across all m eigenpairs; budgets
-        # below one support group (s * m entries) still take a whole group,
-        # and each family equals, bit for bit, the one-support call on its
-        # support and the dense residual
+        # below one support's b = 8 m k s w bytes of products still take a
+        # whole support, and each family equals, bit for bit, the
+        # one-support call on its support and the dense residual
         L = l + blocks * (l + 1)
         assume(tree_size(K, L) <= 2_000)
         t = build_truncated_canopy(K, L)
@@ -408,9 +445,10 @@ class TestCertificateBatch:
         shallow = [x for x in p.roots if t.depth[x] == l]
         roots = deep + rng.choice(shallow, min(len(shallow), 5), replace=False).tolist()
         roots = rng.permutation(roots).tolist()
-        block = {"1": 1, "s": s, "s*m-1": s * m - 1, "2*s*m+1": 2 * s * m + 1,
-                 "default": spectral.RESIDUAL_BLOCK}[budget]
-        with mock.patch.object(spectral, "RESIDUAL_BLOCK", block):
+        b = 8 * m * (K - 1) * s * op.adjacency.padded_rows.shape[1]
+        block = {"1": 1, "b-1": b - 1, "b": b, "2*b+1": 2 * b + 1,
+                 "default": spectral.SCHUR_BLOCK_BYTES}[budget]
+        with mock.patch.object(spectral, "SCHUR_BLOCK_BYTES", block):
             families = canopy_families(
                 t, p, r, roots, sub.eigenvalues, sub.eigenvectors, operator=op
             )
@@ -454,6 +492,41 @@ class TestCertificateBatch:
                 with pytest.raises(CertificateError) as raised:
                     canopy_certificates(t, p, r, x, E, psi, operator=op)
                 assert str(raised.value) == str(error)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        supports=st.integers(0, 4),
+        m=st.integers(0, 4),
+        k=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+        over=st.sampled_from([0.0, 0.1, 1.0]),
+        nan=st.sampled_from([0.0, 0.1]),
+        spread=st.sampled_from([0.0, 0.3]),
+    )
+    def test_stack_verdicts_equal_family_verdicts(self, supports, m, k, seed, over, nan, spread):
+        # one verdict test over the whole stack, then the walk of the
+        # failing families, gives each family's verdict and message as the
+        # family-by-family rule: NaN residuals, residuals over or exactly at
+        # tolerance, norms off 1 and Gram deviations over ORTHO_TOL
+        rng = np.random.default_rng(seed)
+        tolerances = rng.uniform(1e-9, 1e-8, m).tolist()
+        scale = np.array(tolerances)[:, None] * np.where(rng.random((supports, m, k)) < over, 2, 1)
+        residuals = rng.uniform(0.0, 1.0, (supports, m, k)) * scale
+        at = rng.random(residuals.shape) < 0.1
+        residuals[at] = np.broadcast_to(np.array(tolerances)[:, None], residuals.shape)[at]
+        residuals[rng.random(residuals.shape) < nan] = np.nan
+        off = rng.choice([-1e-11, 2e-12, 5e-13], (m, k))  # the last within UNIT_NORM_TOL
+        norms = 1.0 + np.where(rng.random((m, k)) < spread, off, 0.0)
+        devs = np.where(rng.random(m) < spread, rng.choice([1e-10, 3e-10], m), 1e-11)
+        checks = list(zip(norms.tolist(), devs.tolist()))
+        claims = rng.normal(size=(supports, m))
+        got = spectral._rejection(residuals, tolerances, claims, checks)
+        want = [
+            oracle.rejection(residuals[i, j].tolist(), tolerances[j], claims[i, j].item(), *checks[j])
+            for i in range(supports)
+            for j in range(m)
+        ]
+        assert [e if e is None else str(e) for e in got] == [e if e is None else str(e) for e in want]
 
     def test_each_psi_checked_once(self, canopy_instance, monkeypatch):
         # 28 patch roots, 4 subtree eigenpairs: one check per eigenpair, and
@@ -675,6 +748,14 @@ class TestCayleyCertificates:
         kernel = junction_kernel_basis(glued, 0.0)
         certs = cayley_certificates(cg, r, 0, 0.0, kernel)
         assert all(c.eigenvalue == 0.25 for c in certs)
+
+    @pytest.mark.parametrize("g", [1.0, "1", True, [1, True], np.array([1.5]), [[1], [2, 3]]])
+    def test_non_integer_fibers_refused(self, instance, g):
+        # a float, string or bool fiber, or a ragged list, is refused with
+        # one line; True is not read as fiber 1
+        cg, r, kernel = instance
+        with pytest.raises(InvalidArgumentError, match="^fibers must be integers"):
+            spectral.cayley_families(cg, r, g, 0.0, kernel)
 
     def test_nan_base_vector_rejected(self, instance):
         cg, r, kernel = instance
@@ -1076,11 +1157,49 @@ class TestTreeInertiaCounts:
             below = _tree_counts(op, exact)[1]
             assert np.array_equal(below, np.searchsorted(dense, exact - 1e-9))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        K=st.integers(2, 5),
+        l=st.integers(2, 3),
+        blocks=st.integers(0, 2),
+        disorder=st.sampled_from(DISORDERS + POINT_MASSES),
+        seed=st.integers(0, 2**31 - 1),
+        realizations=st.integers(1, 3),
+        random=st.lists(st.floats(-8.0, 8.0), max_size=8),
+        shifts_a_pass=st.sampled_from([1, 3, None]),
+    )
+    def test_chain_recurrence_equals_generic_elimination(
+        self, K, l, blocks, disorder, seed, realizations, random, shifts_a_pass
+    ):
+        # the chains' one recurrence a_(i+1) = z - K / a_i counts as the
+        # generic elimination of every level, bit for bit, for stacked
+        # potentials and at the shifts where pivots are exactly 0: z = 0 at
+        # s = omega_x, and 0, +-sqrt(K), the brackets
+        L = l + blocks * (l + 1)
+        assume(tree_size(K, L) <= 2_000)
+        t, p, op = _canopy_operator(K, L, l, disorder, seed)
+        stack = np.array([
+            _canopy_operator(K, L, l, disorder, seed + i)[2].potential for i in range(realizations)
+        ])
+        omega = np.unique(stack[:, t.depth == l])
+        root, bracket = np.sqrt(K), op.adjacency_bound + np.abs(stack).max() + 1.0
+        points = [0.0, root, -root, bracket, -bracket, *random]
+        shifts = np.concatenate([points, omega, omega + root, omega - root])
+        shifts = np.tile(shifts, (realizations, 1))
+        roots = int(np.count_nonzero(t.depth == l))
+        budget = spectral.SCHUR_BLOCK_BYTES if shifts_a_pass is None else (
+            8 * (l + 1) * roots * shifts_a_pass
+        )
+        with mock.patch.object(spectral, "SCHUR_BLOCK_BYTES", budget):
+            below = spectral._tree_counts_below(op, shifts, stack)
+        assert np.array_equal(below, oracle.tree_counts_below(op, shifts, stack))
+
     def test_passes_split_under_the_byte_budget(self, monkeypatch):
         t, p, op = _canopy_operator(3, 7, 3, DISORDERS[0], 2)
         shifts = np.linspace(-5.0, 5.0, 101)
         whole = _tree_counts(op, shifts)
-        monkeypatch.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * 81 * 7)  # 81 roots, 7 shifts a pass
+        # 81 roots, 4 chain levels: 7 shifts a pass
+        monkeypatch.setattr(spectral, "SCHUR_BLOCK_BYTES", 8 * 81 * 4 * 7)
         assert all(map(np.array_equal, _tree_counts(op, shifts), whole))
 
     @staticmethod
